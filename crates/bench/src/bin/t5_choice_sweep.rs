@@ -18,7 +18,7 @@
 //!   `d` (more cached-top probes per removal);
 //! * d = 1/batch = 1 is the divergent single-choice baseline: its mean rank
 //!   is far above every d ≥ 2 row and keeps growing with the run length.
-
+//!
 //! Environment knobs: `T5_PREFILL` (default 50000), `T5_OPS` ops/thread
 //! (default 100000); `BENCH_JSON=1` additionally emits one JSON row per
 //! configuration for the t12 trajectory gate.

@@ -287,24 +287,6 @@ macro_rules! int_atomic {
                 }
             }
 
-            /// Bitwise-ORs in `value`, returning the previous value.
-            pub fn fetch_or(&self, value: $prim, order: Ordering) -> $prim {
-                if interleave() {
-                    self.inner.fetch_or(value, Ordering::SeqCst)
-                } else {
-                    self.inner.fetch_or(value, order)
-                }
-            }
-
-            /// Bitwise-ANDs in `value`, returning the previous value.
-            pub fn fetch_and(&self, value: $prim, order: Ordering) -> $prim {
-                if interleave() {
-                    self.inner.fetch_and(value, Ordering::SeqCst)
-                } else {
-                    self.inner.fetch_and(value, order)
-                }
-            }
-
             /// Compare-and-exchange; one schedule point covers the whole
             /// read-modify-write (it is a single atomic step).
             pub fn compare_exchange(
@@ -441,82 +423,6 @@ impl AtomicBool {
 }
 
 impl fmt::Debug for AtomicBool {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&self.inner, f)
-    }
-}
-
-/// `std::sync::atomic::AtomicPtr` mirror whose every access is a schedule
-/// point under exploration. Generic, so it lives outside the `int_atomic!`
-/// macro (which only covers integer primitives).
-pub struct AtomicPtr<T> {
-    inner: std::sync::atomic::AtomicPtr<T>,
-}
-
-impl<T> AtomicPtr<T> {
-    /// Creates a new atomic holding `ptr`.
-    pub const fn new(ptr: *mut T) -> Self {
-        Self {
-            inner: std::sync::atomic::AtomicPtr::new(ptr),
-        }
-    }
-
-    /// Loads the pointer; a schedule point under exploration.
-    pub fn load(&self, order: Ordering) -> *mut T {
-        if interleave() {
-            self.inner.load(Ordering::SeqCst)
-        } else {
-            self.inner.load(order)
-        }
-    }
-
-    /// Stores `ptr`; a schedule point under exploration.
-    pub fn store(&self, ptr: *mut T, order: Ordering) {
-        if interleave() {
-            self.inner.store(ptr, Ordering::SeqCst)
-        } else {
-            self.inner.store(ptr, order)
-        }
-    }
-
-    /// Swaps in `ptr`, returning the previous pointer.
-    pub fn swap(&self, ptr: *mut T, order: Ordering) -> *mut T {
-        if interleave() {
-            self.inner.swap(ptr, Ordering::SeqCst)
-        } else {
-            self.inner.swap(ptr, order)
-        }
-    }
-
-    /// Compare-and-exchange; one schedule point covers the whole step.
-    pub fn compare_exchange(
-        &self,
-        cur: *mut T,
-        new: *mut T,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<*mut T, *mut T> {
-        if interleave() {
-            self.inner
-                .compare_exchange(cur, new, Ordering::SeqCst, Ordering::SeqCst)
-        } else {
-            self.inner.compare_exchange(cur, new, success, failure)
-        }
-    }
-
-    /// Returns a mutable reference to the underlying pointer.
-    pub fn get_mut(&mut self) -> &mut *mut T {
-        self.inner.get_mut()
-    }
-}
-
-impl<T> Default for AtomicPtr<T> {
-    fn default() -> Self {
-        Self::new(std::ptr::null_mut())
-    }
-}
-
-impl<T> fmt::Debug for AtomicPtr<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(&self.inner, f)
     }

@@ -151,12 +151,11 @@ pub struct MultiQueueConfig {
     /// heavily oversubscribed machines).
     pub max_retries: usize,
     /// Contended-retry count at (or above) which a publish records a
-    /// `LaneContention` flight-recorder event, whichever arm published. The
-    /// blocking floor-lane fallback always records one; this threshold makes
-    /// contention that the fast path absorbed (failed borrow acquisitions
-    /// resolved by a retry or by the wait-free side-buffer) visible to the
-    /// flight recorder too, not just to the elastic controller's rate
-    /// window.
+    /// `LaneContention` flight-recorder event, whichever lane took the
+    /// element. The blocking floor-lane fallback always records one; this
+    /// threshold makes contention that fresh lane draws absorbed (failed
+    /// try-locks followed by a successful one) visible to the flight
+    /// recorder too, not just to the elastic controller's rate window.
     pub contention_event_threshold: u64,
 }
 

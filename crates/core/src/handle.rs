@@ -615,38 +615,40 @@ mod tests {
     }
 
     #[test]
-    fn batched_flush_goes_wait_free_on_a_held_single_lane() {
-        // Regression (twice over): with every lane held, insert_batch_with
-        // used to busy-spin forever, then to block on the holder. With the
-        // side-buffer it must complete *while* the lane is still hostage —
-        // the elements ride the wait-free MPSC path and are folded into the
-        // heap when the holder releases.
+    fn batched_flush_on_a_held_single_lane_lands_when_the_holder_releases() {
+        // Regression: with every lane held, insert_batch_with used to
+        // busy-spin forever. Once the retry budget is spent the flush
+        // blocks on a floor lane instead, and lands as soon as the holder
+        // releases it.
         let q = std::sync::Arc::new(MultiQueue::<u64>::new(
             MultiQueueConfig::with_queues(1)
                 .with_seed(3)
                 .with_max_retries(4),
         ));
         let q2 = std::sync::Arc::clone(&q);
+        let locked = std::sync::Arc::new(std::sync::Barrier::new(2));
+        let locked2 = std::sync::Arc::clone(&locked);
         let holder = std::thread::spawn(move || {
             q2.with_lane_locked(0, || {
-                std::thread::sleep(std::time::Duration::from_millis(100));
+                locked2.wait();
+                std::thread::sleep(std::time::Duration::from_millis(50));
             })
         });
-        // Give the holder time to take the borrow, then flush against it.
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        // Flush only once the holder has the lock.
+        locked.wait();
         let mut h = q.register_with(HandlePolicy::default().with_insert_batch(8));
         for k in 0..5u64 {
             h.insert(k, k);
         }
         h.flush();
-        assert_eq!(
-            q.approx_len(),
-            5,
-            "the flush must publish (and credit len) without waiting for the holder"
+        assert_eq!(q.approx_len(), 5, "the flush published the whole batch");
+        assert!(
+            h.stats().contended_retries >= 4,
+            "every try-lock lost to the holder: {:?}",
+            h.stats()
         );
         holder.join().unwrap();
-        assert_eq!(q.approx_len(), 5);
-        assert_eq!(q.lane_lengths(), vec![5], "release folds the side-buffer");
+        assert_eq!(q.lane_lengths(), vec![5]);
     }
 
     #[test]

@@ -1,346 +1,106 @@
-//! The lock-free lane fast path: seqlock-published top, borrow-state
-//! exclusive acquisition, and a wait-free MPSC insert side-buffer.
+//! One lane: a mutex-guarded sequential heap plus the two words lock-free
+//! readers look at.
 //!
-//! A [`Lane`] replaces the old `Mutex<BinaryHeap<V>>` front door with three
-//! cooperating words (DESIGN.md §13):
+//! A [`Lane`] is the paper's "sequential priority queue behind a lock"
+//! (DESIGN.md §13). Next to the heap it caches two values that every
+//! [`LaneGuard`] republishes, still under the lock, when it is released:
 //!
-//! - **`state`** — an `AtomicRefCell`-style borrow word: bit 63 is the
-//!   exclusive-borrow flag ([`EXCL`], held by drains, steals, shrinks and
-//!   direct inserts), the low 63 bits count in-flight side-buffer
-//!   publishers. Exclusive acquisition is a single `fetch_or`; a loser has
-//!   nothing to undo because the `fetch_or` of an already-set bit is a
-//!   no-op.
-//! - **`top_seq`/`top`** — a seqlock-style stamped top-of-lane. `top_seq`
-//!   is odd exactly while a *drain-type* exclusive section (one that may
-//!   remove the current minimum) is in progress, so a lock-free reader can
-//!   tell "this top may be mid-removal" apart from a settled value and
-//!   never acts on a torn top-vs-emptiness observation. Insert-type
-//!   sections do not bump the stamp: publishing a new top is a single
-//!   atomic store and both the old and new value are valid samples.
-//! - **`side`** — a Vyukov-style MPSC intrusive queue (stub-node variant of
-//!   the Michael–Scott idiom). When an inserter loses the borrow race it
-//!   pushes its entry here in two wait-free steps (`swap` + link store) and
-//!   leaves; whoever holds the exclusive borrow folds the side-buffer into
-//!   the heap at acquire and release, so conservation holds by
-//!   construction.
+//! - **`top`** — the lane minimum ([`EMPTY_TOP`] when empty), read with one
+//!   relaxed load by the d-choice sampler, the steal scan's candidate pass
+//!   and the rank probe. A stale value costs at most one retry: the sampler
+//!   only uses it to pick a lane to `try_lock`, and the drain re-reads the
+//!   heap under the lock.
+//! - **`len`** — the heap's element count. [`MultiQueue::approx_len`]
+//!   sums these instead of keeping a queue-wide counter, so no operation
+//!   writes a cache line that other lanes' operations also write.
 //!
-//! This module is the one place in the crate allowed to use `unsafe`: the
-//! heap sits in an `UnsafeCell` proven unique by the `EXCL` bit, and the
-//! side-buffer nodes are raw-pointer linked. Every `unsafe` block carries
-//! its proof obligation inline.
+//! [`MultiQueue::approx_len`]: crate::SharedPq::approx_len
 
-#![allow(unsafe_code)]
-
-use std::cell::UnsafeCell;
-use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::ptr;
 
-use seq_pq::{BinaryHeap, Key, SequentialPriorityQueue};
+use seq_pq::{BinaryHeap, SequentialPriorityQueue};
 
-use crate::sync::{AtomicPtr, AtomicU64, Ordering};
+use crate::sync::{AtomicU64, AtomicUsize, Mutex, MutexGuard, Ordering};
 
-/// Sentinel published in [`Lane::top`] ([`Lane::sample_top`]) when the lane
-/// holds no element. Inserting `u64::MAX` as a key is rejected at the API
-/// boundary (`check_key`) so the sentinel is unambiguous.
+/// Sentinel published in a lane's cached top when the lane holds no
+/// element. Inserting `u64::MAX` as a key is rejected at the API boundary
+/// (`check_key`) so the sentinel is unambiguous.
 pub(crate) const EMPTY_TOP: u64 = u64::MAX;
 
-/// Exclusive-borrow flag in [`Lane::state`] (bit 63).
-const EXCL: u64 = 1 << 63;
-
-/// Low bits of [`Lane::state`]: the in-flight side-publisher count.
-const COUNT_MASK: u64 = EXCL - 1;
-
-/// One node of the side-buffer. `value` is an `Option` only so the single
-/// consumer can move it out of the node that then becomes the new stub.
-struct SideNode<V> {
-    next: AtomicPtr<SideNode<V>>,
-    key: Key,
-    value: Option<V>,
-}
-
-/// Vyukov-style MPSC queue with a stub node: multi-producer wait-free
-/// `push`, single-consumer `pop` (callers prove single-consumer by holding
-/// the lane's exclusive borrow).
-struct SideQueue<V> {
-    /// Consumer-owned head (the current stub); touched only under `EXCL`.
-    head: UnsafeCell<*mut SideNode<V>>,
-    /// Producer-side tail; the last node whose `next` is still null (or
-    /// about to be linked).
-    tail: AtomicPtr<SideNode<V>>,
-}
-
-impl<V> SideQueue<V> {
-    fn new() -> Self {
-        let stub = Box::into_raw(Box::new(SideNode {
-            next: AtomicPtr::new(ptr::null_mut()),
-            key: EMPTY_TOP,
-            value: None,
-        }));
-        Self {
-            head: UnsafeCell::new(stub),
-            tail: AtomicPtr::new(stub),
-        }
-    }
-
-    /// Wait-free multi-producer push: two unconditional atomic steps, no
-    /// CAS loop. Between the `swap` and the link store the node is
-    /// reachable from `tail` but not yet from `head`; the consumer simply
-    /// reports empty past that point and retrieves the entry at a later
-    /// fold (the publisher count in `Lane::state` is what makes a shrink
-    /// wait for the link to land).
-    fn push(&self, key: Key, value: V) {
-        let node = Box::into_raw(Box::new(SideNode {
-            next: AtomicPtr::new(ptr::null_mut()),
-            key,
-            value: Some(value),
-        }));
-        let prev = self.tail.swap(node, Ordering::AcqRel);
-        // SAFETY: `prev` cannot have been freed: the consumer frees a node
-        // only after reading a non-null `next` out of it, and `prev.next`
-        // stays null until this very store.
-        unsafe { (*prev).next.store(node, Ordering::Release) };
-    }
-
-    /// Single-consumer pop.
-    ///
-    /// # Safety
-    /// The caller must hold the lane's exclusive borrow (`EXCL`), which is
-    /// what makes `head` uniquely owned.
-    unsafe fn pop(&self) -> Option<(Key, V)> {
-        // SAFETY (whole body): `EXCL` makes us the only thread reading or
-        // writing `head`; nodes reachable from `head` were fully published
-        // by the `Release` link store that made them reachable, which our
-        // `Acquire` load synchronizes with.
-        unsafe {
-            let head = *self.head.get();
-            let next = (*head).next.load(Ordering::Acquire);
-            if next.is_null() {
-                return None; // empty, or a push is mid-link
-            }
-            let key = (*next).key;
-            let value = (*next).value.take().expect("side node consumed twice");
-            *self.head.get() = next; // `next` becomes the new stub
-            drop(Box::from_raw(head));
-            Some((key, value))
-        }
-    }
-}
-
-impl<V> Drop for SideQueue<V> {
-    fn drop(&mut self) {
-        // `&mut self` proves no concurrent producers or consumer, and every
-        // completed `push` completed its link store, so the chain is whole.
-        // SAFETY: exclusive access per above; `pop`'s requirement (unique
-        // consumer) is met trivially.
-        unsafe {
-            while self.pop().is_some() {}
-            drop(Box::from_raw(*self.head.get()));
-        }
-    }
-}
-
-// SAFETY: the queue hands `V`s across threads (producer boxes them,
-// consumer unboxes them) but never shares a `&V`, so `V: Send` suffices.
-unsafe impl<V: Send> Send for SideQueue<V> {}
-// SAFETY: all shared-path mutation goes through atomics; `head` is only
-// touched under the caller-supplied exclusive-borrow proof.
-unsafe impl<V: Send> Sync for SideQueue<V> {}
-
-/// One lane: borrow word + seqlock-stamped top + side-buffer + heap.
+/// One lane: the locked heap and its published top and length.
+#[derive(Debug)]
 pub(crate) struct Lane<V> {
-    /// Borrow word: bit 63 = exclusive ([`EXCL`]), low bits = in-flight
-    /// side publishers.
-    state: AtomicU64,
-    /// Seqlock stamp for `top`: odd while a drain-type exclusive section
-    /// is in progress.
-    top_seq: AtomicU64,
-    /// Cached minimum key, [`EMPTY_TOP`] when the lane is empty. Published
-    /// by [`LaneGuard`] release.
+    heap: Mutex<BinaryHeap<V>>,
+    /// Cached minimum key, [`EMPTY_TOP`] when the lane is empty.
     top: AtomicU64,
-    /// Wait-free insert side-buffer, folded into `heap` under `EXCL`.
-    side: SideQueue<V>,
-    /// The sequential heap; unique access proven by the `EXCL` bit.
-    heap: UnsafeCell<BinaryHeap<V>>,
+    /// Cached element count.
+    len: AtomicUsize,
 }
-
-// SAFETY: `heap` and `side.head` are only touched while `state`'s `EXCL`
-// bit grants unique access (acquire/release on the borrow word order those
-// accesses); everything else is atomics. Moving `V`s across threads needs
-// `V: Send` only — no `&V` is ever shared.
-unsafe impl<V: Send> Send for Lane<V> {}
-unsafe impl<V: Send> Sync for Lane<V> {}
 
 impl<V> Lane<V> {
     pub(crate) fn new() -> Self {
         Self {
-            state: AtomicU64::new(0),
-            top_seq: AtomicU64::new(0),
+            heap: Mutex::new(BinaryHeap::new()),
             top: AtomicU64::new(EMPTY_TOP),
-            side: SideQueue::new(),
-            heap: UnsafeCell::new(BinaryHeap::new()),
+            len: AtomicUsize::new(0),
         }
     }
 
-    /// Attempts the exclusive borrow; on success returns a guard with
-    /// unique heap access, having already folded any settled side-buffer
-    /// entries into the heap. A `drain`-type guard (one that may remove
-    /// the current minimum) marks `top_seq` odd for its whole critical
-    /// section so lock-free top readers can refuse a mid-removal sample.
-    ///
-    /// Failure is free: `fetch_or` of an already-set bit changed nothing,
-    /// so there is no loser cleanup (the AtomicRefCell trick).
-    pub(crate) fn try_exclusive(&self, drain: bool) -> Option<LaneGuard<'_, V>> {
-        let prev = self.state.fetch_or(EXCL, Ordering::Acquire);
-        if prev & EXCL != 0 {
-            return None;
-        }
-        if drain {
-            // Plain load+store: `top_seq` is only written under `EXCL`, so
-            // there is exactly one writer — no RMW needed (seqlock idiom).
-            let s = self.top_seq.load(Ordering::Relaxed);
-            self.top_seq.store(s + 1, Ordering::Release); // odd: mid-drain
-        }
-        let mut guard = LaneGuard { lane: self, drain };
-        guard.fold();
-        Some(guard)
+    /// Takes the lane lock if it is free.
+    pub(crate) fn try_lock(&self) -> Option<LaneGuard<'_, V>> {
+        let heap = self.heap.try_lock()?;
+        Some(LaneGuard { lane: self, heap })
     }
 
-    /// Acquires the exclusive borrow, spinning until the current holder
-    /// releases. Only drains, steals, resizes and diagnostics block here;
-    /// the insert path never does (it side-publishes instead).
-    pub(crate) fn exclusive_blocking(&self, drain: bool) -> LaneGuard<'_, V> {
-        let mut spins = 0u32;
-        loop {
-            if let Some(guard) = self.try_exclusive(drain) {
-                return guard;
-            }
-            crate::sync::spin(&mut spins);
+    /// Takes the lane lock, blocking until the holder releases it. Only the
+    /// fallbacks (floor-lane insert, steal scan), resizes and
+    /// [`MultiQueue::with_lane_locked`](crate::MultiQueue::with_lane_locked)
+    /// block.
+    pub(crate) fn lock(&self) -> LaneGuard<'_, V> {
+        LaneGuard {
+            lane: self,
+            heap: self.heap.lock(),
         }
     }
 
-    /// Registers an in-flight side publisher. `SeqCst` pairs with the
-    /// `SeqCst` lane-table store in `resize_locked`: if the publisher's
-    /// subsequent table load sees the pre-shrink table, this increment is
-    /// ordered before the shrinker's [`Self::wait_inserters_idle`] loop,
-    /// so the shrink waits for the push to land (Dekker-style store/load
-    /// pairing; see DESIGN.md §13.4).
-    pub(crate) fn register_inserter(&self) {
-        self.state.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Deregisters a side publisher after its push (and its `len` credit)
-    /// are visible; `Release` so a shrinker's idle-read of the count
-    /// synchronizes with the push.
-    pub(crate) fn deregister_inserter(&self) {
-        self.state.fetch_sub(1, Ordering::Release);
-    }
-
-    /// Wait-free side-buffer publish; the caller must be registered via
-    /// [`Self::register_inserter`].
-    pub(crate) fn side_push(&self, key: Key, value: V) {
-        self.side.push(key, value);
-    }
-
-    /// Spins until no side publisher is in flight. Used by the shrink path
-    /// (under a drain-type exclusive borrow) before its final fold:
-    /// registered publishers either saw the pre-shrink table (their push
-    /// lands before the count returns to zero) or will see the post-shrink
-    /// table and deregister without pushing — either way, once the count
-    /// is zero the fold is complete.
-    pub(crate) fn wait_inserters_idle(&self) {
-        let mut spins = 0u32;
-        while self.state.load(Ordering::SeqCst) & COUNT_MASK != 0 {
-            crate::sync::spin(&mut spins);
-        }
-    }
-
-    /// Seqlock read of the cached top: `None` when a drain-type section is
-    /// in progress (stamp odd or moved), `Some(EMPTY_TOP)` for a settled
-    /// empty lane. Zero lock acquisitions, and never a torn
-    /// top-vs-emptiness observation: a `Some` sample was published by a
-    /// completed critical section.
-    pub(crate) fn sample_top(&self) -> Option<u64> {
-        let s1 = self.top_seq.load(Ordering::Acquire);
-        if s1 & 1 != 0 {
-            return None;
-        }
-        let top = self.top.load(Ordering::Acquire);
-        if self.top_seq.load(Ordering::Acquire) != s1 {
-            return None;
-        }
-        Some(top)
-    }
-
-    /// Raw (possibly mid-drain) read of the cached top, for heuristics and
-    /// diagnostics that tolerate staleness.
-    pub(crate) fn load_top(&self) -> u64 {
+    /// The top published by the last released guard.
+    pub(crate) fn top(&self) -> u64 {
         self.top.load(Ordering::Relaxed)
     }
-}
 
-impl<V> fmt::Debug for Lane<V> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // The heap is not readable without the borrow; report the words.
-        f.debug_struct("Lane")
-            .field("state", &self.state.load(Ordering::Relaxed))
-            .field("top", &self.top.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
+    /// The length published by the last released guard.
+    pub(crate) fn len(&self) -> usize {
+        self.len.load(Ordering::Relaxed)
     }
 }
 
-/// RAII witness of the exclusive borrow; dereferences to the lane heap.
-/// Release folds the side-buffer once more, republishes `top`, closes the
-/// seqlock section (drain-type only) and clears the `EXCL` bit.
+/// The lane lock, held; dereferences to the heap. Dropping it publishes the
+/// heap's top and length before the lock is released.
 pub(crate) struct LaneGuard<'a, V> {
     lane: &'a Lane<V>,
-    drain: bool,
-}
-
-impl<V> LaneGuard<'_, V> {
-    /// Folds every settled side-buffer entry into the heap. Called at
-    /// acquire and release automatically; the shrink path also calls it
-    /// explicitly after [`Lane::wait_inserters_idle`].
-    pub(crate) fn fold(&mut self) {
-        // SAFETY: the guard witnesses `EXCL`, satisfying `pop`'s
-        // single-consumer requirement; the heap reference is unique for
-        // the same reason.
-        unsafe {
-            while let Some((key, value)) = self.lane.side.pop() {
-                (*self.lane.heap.get()).push(key, value);
-            }
-        }
-    }
+    heap: MutexGuard<'a, BinaryHeap<V>>,
 }
 
 impl<V> Deref for LaneGuard<'_, V> {
     type Target = BinaryHeap<V>;
     fn deref(&self) -> &BinaryHeap<V> {
-        // SAFETY: `EXCL` is held for the guard's lifetime.
-        unsafe { &*self.lane.heap.get() }
+        &self.heap
     }
 }
 
 impl<V> DerefMut for LaneGuard<'_, V> {
     fn deref_mut(&mut self) -> &mut BinaryHeap<V> {
-        // SAFETY: `EXCL` is held for the guard's lifetime.
-        unsafe { &mut *self.lane.heap.get() }
+        &mut self.heap
     }
 }
 
 impl<V> Drop for LaneGuard<'_, V> {
     fn drop(&mut self) {
-        self.fold();
-        let top = self.peek_key().unwrap_or(EMPTY_TOP);
-        if self.lane.top.load(Ordering::Relaxed) != top {
-            self.lane.top.store(top, Ordering::Release);
-        }
-        if self.drain {
-            // Single writer under `EXCL` (same argument as acquire).
-            let s = self.lane.top_seq.load(Ordering::Relaxed);
-            self.lane.top_seq.store(s + 1, Ordering::Release); // even again
-        }
-        self.lane.state.fetch_and(!EXCL, Ordering::Release);
+        // Runs before the `heap` field's guard drops, so both stores are
+        // made under the lock: each lane has one writer at a time.
+        let top = self.heap.peek_key().unwrap_or(EMPTY_TOP);
+        self.lane.top.store(top, Ordering::Relaxed);
+        self.lane.len.store(self.heap.len(), Ordering::Relaxed);
     }
 }
 
@@ -349,58 +109,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn side_queue_is_fifo_and_frees_everything() {
-        let q: SideQueue<String> = SideQueue::new();
-        q.push(3, "c".into());
-        q.push(1, "a".into());
-        q.push(2, "b".into());
-        // SAFETY: single-threaded test — trivially the unique consumer.
-        unsafe {
-            assert_eq!(q.pop(), Some((3, "c".into())));
-            assert_eq!(q.pop(), Some((1, "a".into())));
-        }
-        // One entry left; Drop must free it plus the stub (miri/asan
-        // territory, but the test at least exercises the path).
-    }
-
-    #[test]
-    fn exclusive_borrow_is_mutual_and_cheap_to_lose() {
+    fn the_lock_is_exclusive() {
         let lane: Lane<u32> = Lane::new();
-        let g = lane.try_exclusive(false).expect("uncontended");
-        assert!(lane.try_exclusive(false).is_none());
-        assert!(lane.try_exclusive(true).is_none());
+        let g = lane.try_lock().expect("uncontended");
+        assert!(lane.try_lock().is_none());
         drop(g);
-        assert!(lane.try_exclusive(true).is_some());
+        assert!(lane.try_lock().is_some());
     }
 
     #[test]
-    fn drain_sections_hide_top_from_samplers() {
+    fn release_publishes_top_and_len() {
         let lane: Lane<u32> = Lane::new();
         {
-            let mut g = lane.try_exclusive(false).expect("uncontended");
+            let mut g = lane.lock();
             g.push(7, 70);
+            g.push(5, 50);
+            // Nothing is published while the lock is held.
+            assert_eq!((lane.top(), lane.len()), (EMPTY_TOP, 0));
         }
-        assert_eq!(lane.sample_top(), Some(7));
+        assert_eq!((lane.top(), lane.len()), (5, 2));
         {
-            let g = lane.try_exclusive(true).expect("uncontended");
-            assert_eq!(lane.sample_top(), None, "mid-drain sample must refuse");
-            drop(g);
+            let mut g = lane.try_lock().expect("uncontended");
+            assert_eq!(g.pop(), Some((5, 50)));
+            assert_eq!(g.pop(), Some((7, 70)));
         }
-        assert_eq!(lane.sample_top(), Some(7));
-    }
-
-    #[test]
-    fn guard_folds_side_entries_and_republishes_top() {
-        let lane: Lane<u32> = Lane::new();
-        let g = lane.try_exclusive(false).expect("uncontended");
-        lane.register_inserter();
-        lane.side_push(5, 50);
-        lane.deregister_inserter();
-        drop(g); // release fold picks the entry up
-        assert_eq!(lane.sample_top(), Some(5));
-        let mut g = lane.try_exclusive(true).expect("uncontended");
-        assert_eq!(g.pop(), Some((5, 50)));
-        drop(g);
-        assert_eq!(lane.sample_top(), Some(EMPTY_TOP));
+        assert_eq!((lane.top(), lane.len()), (EMPTY_TOP, 0));
     }
 }

@@ -46,10 +46,7 @@
 //! assert!(key == 5 || key == 10);
 //! ```
 
-// `unsafe` is denied crate-wide and re-allowed in exactly one module:
-// `lane`, whose borrow-word protocol proves the heap's `UnsafeCell` unique
-// (see that module's header for the per-block proof obligations).
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

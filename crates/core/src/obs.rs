@@ -159,11 +159,12 @@ impl QueueObs {
 
     /// An insert's publish was contended: it either fell through to the
     /// floor-lane arm (always recorded, whatever the retry count), or
-    /// published on a faster arm after accumulating at least
+    /// published on a later draw after accumulating at least
     /// [`contention_event_threshold`](crate::MultiQueueConfig::contention_event_threshold)
     /// contended retries. `lane` is the lane that finally took the
-    /// elements, `retries` the full count — so fast-path contention reaches
-    /// the flight recorder, not just the elastic controller's rate window.
+    /// elements, `retries` the full count — so contention that fresh draws
+    /// absorbed reaches the flight recorder, not just the elastic
+    /// controller's rate window.
     pub(crate) fn on_lane_contention(&self, lane: usize, retries: u64) {
         self.recorder.record(
             EventKind::LaneContention,

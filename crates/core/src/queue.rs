@@ -31,18 +31,13 @@
 //!   then locks each retired lane in turn, drains it with the same
 //!   `drain_heap` core the public removal paths use, and re-publishes the
 //!   elements into the surviving prefix.
-//! * *Insert* validates its target lane **after** acquiring the exclusive
-//!   lane borrow: if the lane table no longer covers the lane, the insert
-//!   releases and retries elsewhere. Because the retirement drain needs
-//!   that same borrow and runs strictly after the table bump, every direct
-//!   push either happens before the drain (and is moved) or observes the
-//!   retirement (and goes elsewhere). The *wait-free* side-buffer path
-//!   (taken when the borrow is held) registers itself in the lane's
-//!   publisher count before re-validating against the table, and the
-//!   retirement drain waits for that count to reach zero before its final
-//!   fold — the Dekker-style pairing in DESIGN.md §13.4 — so side-published
-//!   elements are moved too: key conservation by construction, no epoch
-//!   re-validation on the read side needed.
+//! * *Insert* validates its target lane **after** acquiring the lane lock:
+//!   if the lane table no longer covers the lane, the insert releases and
+//!   retries elsewhere. Because the retirement drain needs that same lock
+//!   and runs strictly after the table bump, every push either happens
+//!   before the drain (and is moved) or observes the retirement (and goes
+//!   elsewhere) — key conservation by construction, no epoch re-validation
+//!   on the read side needed.
 //! * Lanes below [`MultiQueueConfig::min_active_lanes`] are never retired,
 //!   so the blocking fallbacks (retry budget exhausted) target those and
 //!   need no validation loop.
@@ -51,7 +46,7 @@
 //!
 //! [`ElasticPolicy`]: crate::config::ElasticPolicy
 
-use crate::sync::{AtomicU64, AtomicUsize, Ordering};
+use crate::sync::{AtomicU64, Ordering};
 
 use crate::sync::Mutex;
 use crossbeam_utils::CachePadded;
@@ -62,7 +57,7 @@ use seq_pq::{BinaryHeap, SequentialPriorityQueue};
 
 use crate::config::MultiQueueConfig;
 use crate::handle::{HandlePolicy, MqHandle};
-use crate::lane::{Lane, EMPTY_TOP};
+use crate::lane::{Lane, LaneGuard, EMPTY_TOP};
 use crate::obs::QueueObs;
 use crate::traits::{Key, QueueTopology, SharedPq};
 use std::sync::Arc;
@@ -87,8 +82,9 @@ pub(crate) struct DrainOutcome {
     /// it grows on).
     pub sparse_retries: u64,
     /// Whether a zero-element result came from a quiescent-empty observation
-    /// (`len` read as zero — either up front, or corroborating an exhaustive
-    /// steal scan that found every lane empty) rather than from `max == 0`.
+    /// (the summed lane lengths read as zero — after every sampled top
+    /// looked empty, or after an exhaustive steal scan found every lane
+    /// empty) rather than from `max == 0`.
     pub observed_empty: bool,
 }
 
@@ -162,7 +158,6 @@ pub struct MultiQueue<V> {
     grow_events: AtomicU64,
     shrink_events: AtomicU64,
     elastic: Elastic,
-    len: AtomicUsize,
     /// Monotonic id source for registered handles.
     next_handle_id: AtomicU64,
     /// Coherent timestamp source for rank instrumentation (Section 5
@@ -195,7 +190,6 @@ impl<V> MultiQueue<V> {
             grow_events: AtomicU64::new(0),
             shrink_events: AtomicU64::new(0),
             elastic: Elastic::default(),
-            len: AtomicUsize::new(0),
             next_handle_id: AtomicU64::new(0),
             clock: AtomicU64::new(0),
             obs: None,
@@ -250,7 +244,7 @@ impl<V> MultiQueue<V> {
         self.lanes
             .iter()
             .map(|l| {
-                let t = l.load_top();
+                let t = l.top();
                 if t == EMPTY_TOP {
                     None
                 } else {
@@ -261,15 +255,11 @@ impl<V> MultiQueue<V> {
     }
 
     /// Per-lane element counts over every allocated lane (retired lanes read
-    /// zero once their drain completed); acquires every lane's exclusive
-    /// borrow in turn (folding any side-buffered inserts into the heap on
-    /// the way), so only meaningful when the structure is quiescent (tests
-    /// and diagnostics).
+    /// zero once their drain completed), as each lane's last lock holder
+    /// published them: exact when the structure is quiescent (tests and
+    /// diagnostics).
     pub fn lane_lengths(&self) -> Vec<usize> {
-        self.lanes
-            .iter()
-            .map(|l| l.exclusive_blocking(false).len())
-            .collect()
+        self.lanes.iter().map(|l| l.len()).collect()
     }
 
     /// A zero-lock bound on the *lane rank* of `key`: one plus the number of
@@ -280,23 +270,19 @@ impl<V> MultiQueue<V> {
     /// `delete_min` would have preferred — the quantity the (1 + β) analysis
     /// bounds at O(active lanes)).
     ///
-    /// The probe reads the seqlock-stamped lane tops `delete_min` samples:
-    /// one `Acquire` load of the lane table plus one stamped top sample per
-    /// active lane, no lane borrows. Races bias the estimate
-    /// *conservatively* for a just-removed `key`: a lane whose sample is
-    /// refused (a drain-type section in progress) is skipped — its minimum
-    /// may already be gone — while a stale-low settled top belongs to a
-    /// not-yet-linearized removal (its element genuinely coexisted with the
-    /// removal and counts), and a not-yet-published insert is absent from
-    /// the estimate exactly as it was absent from the queue (DESIGN.md §12
-    /// spells out the bias argument, §13 the stamp protocol).
+    /// The probe reads the same cached lane tops `delete_min` samples: one
+    /// `Acquire` load of the lane table plus one relaxed top load per
+    /// active lane, no lane locks. Races bias the estimate
+    /// *conservatively* for a just-removed `key`: a stale-low top belongs
+    /// to a not-yet-linearized removal (its element genuinely coexisted
+    /// with the removal and counts), and a not-yet-published insert is
+    /// absent from the estimate exactly as it was absent from the queue
+    /// (DESIGN.md §12 spells out the bias argument).
     pub fn lane_rank_bound(&self, key: Key) -> u64 {
         let active = self.active_lanes().min(self.lanes.len());
         let mut better = 0u64;
         for lane in &self.lanes[..active] {
-            let Some(top) = lane.sample_top() else {
-                continue;
-            };
+            let top = lane.top();
             if top != EMPTY_TOP && top < key {
                 better += 1;
             }
@@ -304,17 +290,15 @@ impl<V> MultiQueue<V> {
         1 + better
     }
 
-    /// Runs `f` while holding the exclusive (drain-type) borrow of lane
-    /// `index` — inserts targeting the lane go wait-free through its
-    /// side-buffer, drains skip it. Used by tests to inject the "stalled
-    /// thread holding a lane" pathology discussed in Appendix C of the
-    /// paper and check that other operations stay correct.
+    /// Runs `f` while holding the lock of lane `index`. Used by tests to
+    /// inject the "stalled thread holding a lane" pathology discussed in
+    /// Appendix C of the paper and check that other operations stay correct.
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range.
     pub fn with_lane_locked<R>(&self, index: usize, f: impl FnOnce() -> R) -> R {
-        let _guard = self.lanes[index].exclusive_blocking(true);
+        let _guard = self.lanes[index].lock();
         f()
     }
 
@@ -380,40 +364,29 @@ impl<V> MultiQueue<V> {
         }
         let epoch = (table >> 32) + 1;
         // Publish the new table first: after this store no insert can commit
-        // into a lane `>= target` (the direct path re-validates under the
-        // exclusive borrow the drain below will need; the side path
-        // registers in the lane's publisher count *before* re-validating,
-        // and this `SeqCst` store pairs with that `SeqCst` registration so
-        // the idle-wait below sees every publisher that missed the store —
-        // the Dekker argument in DESIGN.md §13.4).
+        // into a lane `>= target`. The push-side validation runs under the
+        // lane lock the drain below takes after this store, so an insert
+        // that locks the lane after the drain released it reads this
+        // `Release` store through the mutex's release/acquire pair.
         self.lane_table
-            .store((epoch << 32) | target as u64, Ordering::SeqCst);
+            .store((epoch << 32) | target as u64, Ordering::Release);
         if target > active {
             self.grow_events.fetch_add(1, Ordering::Relaxed);
         } else {
             // Retire lanes [target, active): drain each one and re-publish
-            // its elements into the surviving prefix. One lane borrow at a
-            // time — never two — so the acquisition order cannot deadlock
-            // against operations. `len` is untouched: the elements never
-            // leave the structure.
-            // The drain reuses the same `drain_heap` core as the public
-            // removal paths — uninstrumented (`log: None`): moved elements
-            // never leave the structure, so a shrink is invisible to the
-            // rank methodology.
+            // its elements into the surviving prefix. One lane lock at a
+            // time — never two — so the lock order cannot deadlock against
+            // operations. The drain reuses the same `drain_heap` core as the
+            // public removal paths — uninstrumented (`log: None`): moved
+            // elements never leave the structure, so a shrink is invisible
+            // to the rank methodology.
             let mut moved: Vec<(Key, V)> = Vec::new();
             for retired in target..active {
-                let mut guard = self.lanes[retired].exclusive_blocking(true);
-                // Wait out in-flight side publishers, then fold once more:
-                // every registered publisher either saw the old table (its
-                // push lands before the count returns to zero) or the new
-                // one (it deregisters without pushing), so after this fold
-                // the side-buffer stays empty for good.
-                self.lanes[retired].wait_inserters_idle();
-                guard.fold();
+                let mut guard = self.lanes[retired].lock();
                 self.drain_heap(&mut guard, usize::MAX, &mut moved, None);
             }
             // Spread the refugees across the surviving lanes in chunks, one
-            // destination borrow at a time (never two lane borrows at once).
+            // destination lock at a time (never two lane locks at once).
             // Order within a chunk is irrelevant — the destination heap
             // re-sorts — so draining off the tail is fine and allocation-free.
             if !moved.is_empty() {
@@ -421,7 +394,7 @@ impl<V> MultiQueue<V> {
                 let mut dst = 0usize;
                 while !moved.is_empty() {
                     let take = chunk.min(moved.len());
-                    let mut guard = self.lanes[dst % target].exclusive_blocking(false);
+                    let mut guard = self.lanes[dst % target].lock();
                     for (key, value) in moved.drain(moved.len() - take..) {
                         guard.push(key, value);
                     }
@@ -514,55 +487,21 @@ impl<V> MultiQueue<V> {
         }
     }
 
-    /// The wait-free insert side path: registers as an in-flight publisher
-    /// on lane `q`, re-validates `q` against the lane table (the `SeqCst`
-    /// registration/table-store pairing with the shrink in `resize_locked`
-    /// — DESIGN.md §13.4), credits `len`, pushes into the lane's MPSC
-    /// side-buffer and deregisters. Returns `false` (keeping `value`) when
-    /// the lane was retired, in which case nothing was published. The `len`
-    /// credit lands *before* the push: an element can only be popped after
-    /// a fold observed the push, so every `fetch_sub` is preceded by its
-    /// matching credit — underflow-freedom by construction.
-    fn side_publish_one(&self, q: usize, key: Key, value: &mut Option<V>) -> bool {
-        self.lanes[q].register_inserter();
-        if q >= (self.lane_table.load(Ordering::SeqCst) & ACTIVE_MASK) as usize {
-            self.lanes[q].deregister_inserter();
-            return false;
-        }
-        self.len.fetch_add(1, Ordering::Relaxed);
-        self.lanes[q].side_push(key, value.take().expect("value not yet consumed"));
-        self.lanes[q].deregister_inserter();
-        true
-    }
-
-    /// Batch form of [`side_publish_one`](Self::side_publish_one): one
-    /// register/validate/deregister envelope around the whole batch, with
-    /// the full `len` credit up front (over-crediting ahead of visibility
-    /// is safe; under-crediting behind it is the underflow bug).
-    fn side_publish_batch(&self, q: usize, batch: &mut Vec<(Key, V)>) -> bool {
-        self.lanes[q].register_inserter();
-        if q >= (self.lane_table.load(Ordering::SeqCst) & ACTIVE_MASK) as usize {
-            self.lanes[q].deregister_inserter();
-            return false;
-        }
-        self.len.fetch_add(batch.len(), Ordering::Relaxed);
-        for (key, value) in batch.drain(..) {
-            self.lanes[q].side_push(key, value);
-        }
-        self.lanes[q].deregister_inserter();
-        true
+    /// Locks lane `q` if its lock is free and the lane is still active once
+    /// locked: the under-lock re-validation of the module docs, which a
+    /// lane retired while we raced for it fails.
+    fn try_lock_active(&self, q: usize) -> Option<LaneGuard<'_, V>> {
+        let guard = self.lanes[q].try_lock()?;
+        (q < self.active_lanes()).then_some(guard)
     }
 
     /// Inserts `(key, value)` into the handle's shard: the sticky `hint`
     /// first when present (and still active), then random shard lanes, then
-    /// a permanently active floor lane once the retry budget is exhausted.
-    /// A free lane takes the element directly under the exclusive borrow
-    /// (re-validated against the lane table — module docs); a busy lane
-    /// takes it wait-free through its side-buffer, so inserts never block
-    /// behind a drainer. Returns the contended-retry count for
-    /// [`HandleStats`](crate::HandleStats): every failed borrow acquisition
-    /// *and* every post-acquisition revalidation failure counts (the batch
-    /// path's semantics, now shared by both).
+    /// a blocking lock on a permanently active floor lane once the retry
+    /// budget is exhausted (heavy oversubscription). A lane that is locked,
+    /// or was retired under foot, costs one contended retry and a fresh
+    /// draw — the paper's rule. Returns the contended-retry count for
+    /// [`HandleStats`](crate::HandleStats).
     pub(crate) fn insert_with(
         &self,
         rng: &mut Xoshiro256,
@@ -573,61 +512,26 @@ impl<V> MultiQueue<V> {
     ) -> u64 {
         debug_assert!(key != EMPTY_TOP, "keys are validated at the handle layer");
         let mut lock_retries = 0u64;
-        let mut value = Some(value);
         let (lane, fell_back) = 'published: {
-            if let Some(q) = hint {
-                // A sticky hint can go stale across a shrink; skip it then.
-                if q < self.active_lanes() {
-                    if let Some(mut guard) = self.lanes[q].try_exclusive(false) {
-                        if q < self.active_lanes() {
-                            guard.push(key, value.take().expect("value not yet consumed"));
-                            self.len.fetch_add(1, Ordering::Relaxed);
-                            break 'published (q, false);
-                        }
-                        // Retired while we raced for the borrow.
-                        drop(guard);
-                        lock_retries += 1;
-                    } else {
-                        // A drainer holds the lane: go wait-free.
-                        lock_retries += 1;
-                        if self.side_publish_one(q, key, &mut value) {
-                            break 'published (q, false);
-                        }
-                    }
+            // A sticky hint can go stale across a shrink; skip it then.
+            if let Some(q) = hint.filter(|&q| q < self.active_lanes()) {
+                if let Some(mut guard) = self.try_lock_active(q) {
+                    guard.push(key, value);
+                    break 'published (q, false);
                 }
+                lock_retries += 1;
             }
             for _ in 0..self.config.max_retries {
                 let q = self.stride_lane(rng, shard, self.active_lanes());
-                if let Some(mut guard) = self.lanes[q].try_exclusive(false) {
-                    // Re-validate under the borrow: the lane may have been
-                    // retired (and drained) while we raced for it.
-                    if q < self.active_lanes() {
-                        guard.push(key, value.take().expect("value not yet consumed"));
-                        self.len.fetch_add(1, Ordering::Relaxed);
-                        break 'published (q, false);
-                    }
-                    drop(guard);
-                    lock_retries += 1;
-                } else {
-                    lock_retries += 1;
-                    if self.side_publish_one(q, key, &mut value) {
-                        break 'published (q, false);
-                    }
+                if let Some(mut guard) = self.try_lock_active(q) {
+                    guard.push(key, value);
+                    break 'published (q, false);
                 }
+                lock_retries += 1;
             }
-            // Retry budget exhausted: target a floor lane, which is never
-            // retired, so no validation loop — and the side path makes even
-            // this arm wait-free (the old code blocked here).
+            // Floor lanes are never retired, so no validation loop.
             let q = self.stride_lane(rng, shard, self.config.min_active_lanes());
-            if let Some(mut guard) = self.lanes[q].try_exclusive(false) {
-                guard.push(key, value.take().expect("value not yet consumed"));
-                self.len.fetch_add(1, Ordering::Relaxed);
-            } else {
-                assert!(
-                    self.side_publish_one(q, key, &mut value),
-                    "floor lanes are never retired"
-                );
-            }
+            self.lanes[q].lock().push(key, value);
             (q, true)
         };
         if let Some(obs) = &self.obs {
@@ -639,13 +543,11 @@ impl<V> MultiQueue<V> {
         lock_retries
     }
 
-    /// Publishes a whole insert batch under a single lane borrow (the
-    /// batched MultiQueue refinement: one random choice and one acquisition
-    /// amortised over the batch, at a bounded rank-quality cost), falling
-    /// back to the wait-free side-buffer when the lane is busy. The `len`
-    /// credit lands under the exclusive borrow (direct path) or before the
-    /// side pushes — never after publication, which is what let a racing
-    /// drain `fetch_sub` below zero. Returns the contended-retry count.
+    /// Publishes a whole insert batch under a single lane lock (the batched
+    /// MultiQueue refinement: one random choice and one lock acquisition
+    /// amortised over the batch, at a bounded rank-quality cost), with the
+    /// same contention strategy as [`insert_with`](Self::insert_with).
+    /// Returns the contended-retry count.
     pub(crate) fn insert_batch_with(
         &self,
         rng: &mut Xoshiro256,
@@ -658,47 +560,26 @@ impl<V> MultiQueue<V> {
         }
         let count = batch.len();
         let mut lock_retries = 0u64;
-        // Same contention strategy as single inserts: bounded try-borrow
-        // attempts on fresh random shard lanes (moving the whole batch
-        // rather than spinning on a contended one), side-publishing past a
-        // busy holder, floor lane once the budget is exhausted.
-        // Acquisitions re-validate the lane table under the borrow.
+        let mut publish = |heap: &mut BinaryHeap<V>| {
+            for (key, value) in batch.drain(..) {
+                heap.push(key, value);
+            }
+        };
         let (lane, fell_back) = 'published: {
             let mut target = match hint {
                 Some(q) if q < self.active_lanes() => q,
                 _ => self.stride_lane(rng, shard, self.active_lanes()),
             };
             for _ in 0..self.config.max_retries {
-                if let Some(mut guard) = self.lanes[target].try_exclusive(false) {
-                    if target < self.active_lanes() {
-                        for (key, value) in batch.drain(..) {
-                            guard.push(key, value);
-                        }
-                        self.len.fetch_add(count, Ordering::Relaxed);
-                        break 'published (target, false);
-                    }
-                    drop(guard);
-                    lock_retries += 1;
-                } else {
-                    lock_retries += 1;
-                    if self.side_publish_batch(target, batch) {
-                        break 'published (target, false);
-                    }
+                if let Some(mut guard) = self.try_lock_active(target) {
+                    publish(&mut guard);
+                    break 'published (target, false);
                 }
+                lock_retries += 1;
                 target = self.stride_lane(rng, shard, self.active_lanes());
             }
             let target = self.stride_lane(rng, shard, self.config.min_active_lanes());
-            if let Some(mut guard) = self.lanes[target].try_exclusive(false) {
-                for (key, value) in batch.drain(..) {
-                    guard.push(key, value);
-                }
-                self.len.fetch_add(count, Ordering::Relaxed);
-            } else {
-                assert!(
-                    self.side_publish_batch(target, batch),
-                    "floor lanes are never retired"
-                );
-            }
+            publish(&mut self.lanes[target].lock());
             (target, true)
         };
         if let Some(obs) = &self.obs {
@@ -712,21 +593,23 @@ impl<V> MultiQueue<V> {
 
     /// Picks the victim lane for one deleteMin attempt following the
     /// configured [`ChoiceRule`](crate::ChoiceRule) over the **active**
-    /// lanes, using only the seqlock-stamped cached tops (zero borrow
-    /// acquisitions — the original MultiQueue's unsynchronised peek, made
-    /// tear-free). A lane whose sample is refused (a drain-type section in
-    /// progress, so its minimum may be mid-removal) is treated like an
-    /// empty lane for this attempt: conservative, and free of the
-    /// top-vs-emptiness torn read. `scratch` is the caller's reusable
-    /// sample buffer.
+    /// lanes, using only the cached tops (no locks are taken, exactly like
+    /// the original MultiQueue's unsynchronised peek). `scratch` is the
+    /// caller's reusable sample buffer.
     fn choose_victim(&self, rng: &mut Xoshiro256, scratch: &mut Vec<usize>) -> Option<usize> {
         let active = self.active_lanes();
         self.config
             .choice
             .choose_by_key(rng, active, scratch, |lane| {
-                let top = self.lanes[lane].sample_top()?;
+                let top = self.lanes[lane].top();
                 (top != EMPTY_TOP).then_some(top)
             })
+    }
+
+    /// The lanes' published lengths, summed over every allocated lane:
+    /// exact when the structure is quiescent.
+    fn len_sum(&self) -> usize {
+        self.lanes.iter().map(|l| l.len()).sum()
     }
 
     /// The core removal step shared by `delete_min` and `delete_min_batch`:
@@ -743,9 +626,10 @@ impl<V> MultiQueue<V> {
     /// were lost to contention or peek/lock races (with the sparse-sample
     /// subset broken out for the elastic controller), and whether a
     /// zero-element result came from a *quiescent-empty observation* (the
-    /// element count read as zero, or the exhaustive locked steal scan found
-    /// nothing) — the distinction schedulers need between "no work exists"
-    /// and "work exists but this attempt lost races".
+    /// summed lane lengths read as zero once every sampled top looked empty,
+    /// or after the exhaustive locked steal scan found nothing) — the
+    /// distinction schedulers need between "no work exists" and "work exists
+    /// but this attempt lost races".
     ///
     /// When `log` is set (instrumented sessions), every drained element is
     /// stamped with a coherent queue timestamp **while the lane lock is
@@ -786,15 +670,15 @@ impl<V> MultiQueue<V> {
         let mut contended_retries = 0u64;
         let mut sparse_retries = 0u64;
         for _ in 0..self.config.max_retries {
-            if self.len.load(Ordering::Relaxed) == 0 {
-                return DrainOutcome {
-                    drained: 0,
-                    contended_retries,
-                    sparse_retries,
-                    observed_empty: true,
-                };
-            }
             let Some(victim) = self.choose_victim(rng, scratch) else {
+                if self.len_sum() == 0 {
+                    return DrainOutcome {
+                        drained: 0,
+                        contended_retries,
+                        sparse_retries,
+                        observed_empty: true,
+                    };
+                }
                 // Every sampled top looked empty while the structure was not:
                 // the elements live in unsampled lanes. Retry with fresh
                 // samples (and tell the controller the lanes look sparse).
@@ -802,17 +686,13 @@ impl<V> MultiQueue<V> {
                 sparse_retries += 1;
                 continue;
             };
-            let Some(mut guard) = self.lanes[victim].try_exclusive(true) else {
-                // Borrow contention: restart the whole operation (paper's
-                // rule).
+            let Some(mut guard) = self.lanes[victim].try_lock() else {
+                // Lock contention: restart the whole operation (paper's rule).
                 contended_retries += 1;
                 continue;
             };
-            // The acquisition folded any side-buffered inserts; drain.
             let drained = self.drain_heap(&mut guard, max, out, log.as_deref_mut());
             if drained > 0 {
-                // Under the borrow, symmetric to the insert-side credit.
-                self.len.fetch_sub(drained, Ordering::Relaxed);
                 return DrainOutcome {
                     drained,
                     contended_retries,
@@ -820,7 +700,7 @@ impl<V> MultiQueue<V> {
                     observed_empty: false,
                 };
             }
-            // The lane was emptied between the peek and the borrow; retry.
+            // The lane was emptied between the peek and the lock; retry.
             contended_retries += 1;
         }
         // Retry budget exhausted: fall back to a deterministic steal so the
@@ -831,19 +711,16 @@ impl<V> MultiQueue<V> {
             drained,
             contended_retries,
             sparse_retries,
-            // The steal scan exclusively borrowed (and side-folded) every
-            // lane and found nothing — but a wait-free side publish can
-            // complete on an already-scanned lane, so only a corroborating
-            // `len` read of zero upgrades the scan to a quiescent-empty
-            // claim (the credit precedes the push, so `len == 0` implies no
-            // unfolded element exists).
-            observed_empty: drained == 0 && self.len.load(Ordering::Relaxed) == 0,
+            // The steal scan locked every lane and found nothing; an insert
+            // can still land on an already-scanned lane, so the summed
+            // lengths must corroborate the emptiness claim.
+            observed_empty: drained == 0 && self.len_sum() == 0,
         }
     }
 
-    /// Pops up to `max` elements off an exclusively borrowed lane heap into
-    /// `out`, timestamping each into `log` when instrumented (the caller
-    /// holds the lane borrow, making the stamps coherent with the drain).
+    /// Pops up to `max` elements off a locked lane heap into `out`,
+    /// timestamping each into `log` when instrumented (the caller holds the
+    /// lane lock, making the stamps coherent with the drain).
     fn drain_heap(
         &self,
         heap: &mut BinaryHeap<V>,
@@ -879,11 +756,10 @@ impl<V> MultiQueue<V> {
         out: &mut Vec<(Key, V)>,
         mut log: Option<&mut Vec<TimestampedRemoval>>,
     ) -> usize {
-        // First pass without borrows to find a candidate ordering cheaply
-        // (raw top loads: staleness only affects the visit order).
+        // First pass without locks to find a candidate ordering cheaply.
         let mut best: Option<(Key, usize)> = None;
         for (i, lane) in self.lanes.iter().enumerate() {
-            let t = lane.load_top();
+            let t = lane.top();
             if t != EMPTY_TOP && best.is_none_or(|(bk, _)| t < bk) {
                 best = Some((t, i));
             }
@@ -896,10 +772,9 @@ impl<V> MultiQueue<V> {
             None => (0..self.lanes.len()).collect(),
         };
         for i in order {
-            let mut guard = self.lanes[i].exclusive_blocking(true);
+            let mut guard = self.lanes[i].lock();
             let drained = self.drain_heap(&mut guard, max, out, log.as_deref_mut());
             if drained > 0 {
-                self.len.fetch_sub(drained, Ordering::Relaxed);
                 return drained;
             }
         }
@@ -922,7 +797,7 @@ impl<V: Send> SharedPq<V> for MultiQueue<V> {
     }
 
     fn approx_len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.len_sum()
     }
 
     fn topology(&self) -> QueueTopology {
@@ -1149,15 +1024,15 @@ mod tests {
     #[test]
     fn batched_inserts_racing_drains_never_underflow_len() {
         // Regression for the batched-insert `len` underflow: a batch flush
-        // used to credit `len` only after releasing the lane, so a drain
-        // scheduled into that window popped the elements and `fetch_sub`'d
-        // `len` below zero — wrapping `approx_len()` to ~2^64. Hammer
-        // batch-flushes against batch-drains and assert the approximate
-        // length never exceeds the number of elements ever inserted (an
-        // underflow reads as an astronomically large value). The companion
-        // deterministic proof lives in `tests/check_lane_fastpath.rs`,
-        // which drives the explorer straight into the (nanoseconds-wide)
-        // window this test can only make probable.
+        // used to credit a queue-wide `len` only after releasing the lane,
+        // so a drain scheduled into that window popped the elements and
+        // `fetch_sub`'d `len` below zero — wrapping `approx_len()` to ~2^64.
+        // Lane lengths are now copied from the heap under the lane lock, so
+        // the sum cannot underflow; hammer batch-flushes against
+        // batch-drains and assert it never exceeds the number of elements
+        // ever inserted. The companion deterministic check lives in
+        // `tests/check_multiqueue.rs`, which drives the explorer straight
+        // into the window this test can only make probable.
         let threads = 4;
         let per_thread = 2_000u64;
         let total = threads as usize * per_thread as usize;

@@ -1,41 +1,21 @@
-//! Sync-primitive indirection for the lane table and handle hot path.
+//! Sync-primitive indirection for the lanes, the lane table and the handle
+//! hot path.
 //!
 //! Normally these are the real primitives (`parking_lot::Mutex`, the `std`
 //! atomics) with zero overhead. Under the `check` cargo feature they become
 //! the `choice-check` wrappers, whose every access is a schedule point of
 //! the deterministic-interleaving explorer — so the *real* `MultiQueue`
 //! (not a transliterated model) can run under explored schedules in
-//! `tests/check_multiqueue.rs` and `tests/check_lane_fastpath.rs`. Outside
-//! an active exploration the wrappers pass straight through to the `std`
-//! primitives, so a `--features check` build still runs the ordinary test
-//! suite unchanged.
+//! `tests/check_multiqueue.rs`. Outside an active exploration the wrappers
+//! pass straight through to the `std` primitives, so a `--features check`
+//! build still runs the ordinary test suite unchanged.
 
 #[cfg(not(feature = "check"))]
 pub(crate) use parking_lot::{Mutex, MutexGuard};
 #[cfg(not(feature = "check"))]
-pub(crate) use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize};
+pub(crate) use std::sync::atomic::{AtomicU64, AtomicUsize};
 
 #[cfg(feature = "check")]
-pub(crate) use choice_check::sync::{AtomicPtr, AtomicU64, AtomicUsize, Mutex, MutexGuard};
+pub(crate) use choice_check::sync::{AtomicU64, AtomicUsize, Mutex, MutexGuard};
 
 pub(crate) use std::sync::atomic::Ordering;
-
-/// One iteration of a bounded-wait spin: busy-spin briefly, then yield to
-/// the OS scheduler so a preempted borrow holder can run (this box may have
-/// fewer cores than threads). Under an active exploration this is a plain
-/// schedule point instead — the virtual thread stays runnable and the
-/// explorer decides when the holder gets to release.
-#[inline]
-pub(crate) fn spin(spins: &mut u32) {
-    #[cfg(feature = "check")]
-    if choice_check::is_active() {
-        choice_check::spin();
-        return;
-    }
-    *spins = spins.saturating_add(1);
-    if *spins < 64 {
-        std::hint::spin_loop();
-    } else {
-        std::thread::yield_now();
-    }
-}

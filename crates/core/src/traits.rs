@@ -76,25 +76,23 @@ pub struct HandleStats {
     pub failed_removals: u64,
     /// Subset of [`failed_removals`](HandleStats::failed_removals) where the
     /// structure was observed **quiescently empty** — the element count read
-    /// as zero, or an exhaustive locked scan found nothing — as opposed to a
-    /// removal lost to contention races. Schedulers use this to tell "no work
+    /// as zero once the sampled lanes looked empty, or after an exhaustive
+    /// locked scan found nothing — as opposed to a removal lost to
+    /// contention races. Schedulers use this to tell "no work
     /// exists right now" (back off, consult termination) apart from "work
     /// exists but this session lost races" (retry immediately), which
     /// [`contended_retries`](HandleStats::contended_retries) accounts.
     pub empty_polls: u64,
     /// Internal retry-loop iterations lost to contention or peek/lock races,
     /// on **both** the removal and the insert side. Removal side: a sampled
-    /// lane's exclusive borrow was held, every sampled top looked empty (or
-    /// mid-drain) while the structure was not, or a lane emptied between the
-    /// unsynchronised peek and the borrow. Insert side: a failed borrow
-    /// acquisition **and** a revalidation failure after a successful one (the
-    /// lane was retired under foot) each count one retry — the batch path's
-    /// accounting, now shared by `insert` — including the acquisition failure
-    /// that diverts an insert onto the wait-free side-buffer (the publish
-    /// still succeeds; the counter records that the direct path was
-    /// contended). Always `0` for exact centralized structures, which block
-    /// instead of retrying. Retries are *not* operations and do not count
-    /// towards [`operations`](HandleStats::operations).
+    /// lane's lock was held, every sampled top looked empty while the
+    /// structure was not, or a lane emptied between the unsynchronised peek
+    /// and the lock. Insert side: a failed try-lock **and** a revalidation
+    /// failure after a successful one (the lane was retired under foot) each
+    /// count one retry, after which the insert draws another lane. Always
+    /// `0` for exact centralized structures, which block instead of
+    /// retrying. Retries are *not* operations and do not count towards
+    /// [`operations`](HandleStats::operations).
     pub contended_retries: u64,
     /// Operations refused by an *enclosing* admission layer (quota, rate or
     /// lifecycle shedding in a service/registry wrapper) before they reached

@@ -25,10 +25,14 @@
 //!
 //! * an [`Injector`] increments `pending` **before** inserting a task, and
 //!   decrements `sources` only on drop (after flushing its insert buffer);
-//! * [`TaskCtx::spawn`] increments `pending` while the parent task is still
-//!   counted (the parent's own unit is released only after the handler
-//!   returned and its spawns were handed to the queue), so `pending` can
-//!   never dip to zero while a spawn is in flight;
+//! * a finished task passes its own unit on to its spawns instead of
+//!   paying it back and borrowing new ones (the credit transfer of the
+//!   counting detectors): [`TaskCtx::spawn`] only buffers, and once the
+//!   handler returns the worker adds `k − 1` units **before** inserting
+//!   `k ≥ 2` spawns, inserts a single spawn on the parent's unit alone, and
+//!   releases the unit only when there are none. `pending` never dips to
+//!   zero while a spawn is in flight, and a task that re-arms itself never
+//!   touches the counter;
 //! * a worker may conclude "done" only from the conjunction: its pop failed
 //!   with a **quiescent-empty observation** (the [`HandleStats::empty_polls`]
 //!   counter moved, not merely a contention race), **then** `sources == 0`,
@@ -210,7 +214,6 @@ impl<V, Q: SharedPq<V> + ?Sized> Drop for Injector<'_, '_, V, Q> {
 pub struct TaskCtx<'a, V> {
     worker: usize,
     deadline: Key,
-    quiescence: &'a Quiescence,
     spawned: &'a mut Vec<(Key, V)>,
 }
 
@@ -227,16 +230,15 @@ impl<V> TaskCtx<'_, V> {
 
     /// Spawns a follow-up task.
     ///
-    /// The spawn is registered with the termination detector immediately
-    /// (while the parent task is still counted as pending) and handed to the
-    /// worker's queue session right after the handler returns.
+    /// The spawn is buffered; it is counted with the termination detector
+    /// and handed to the worker's queue session when the handler returns,
+    /// while the parent task is still counted as pending (module docs).
     ///
     /// # Panics
     ///
     /// Panics if `deadline == Key::MAX`.
     pub fn spawn(&mut self, deadline: Key, task: V) {
         check_key(deadline);
-        self.quiescence.pending.fetch_add(1, Ordering::SeqCst);
         self.spawned.push((deadline, task));
     }
 }
@@ -456,9 +458,10 @@ impl<'q, V: Send, Q: SharedPq<V> + ?Sized> Scheduler<'q, V, Q> {
         )
     }
 
-    /// One worker: poll (batched), execute, publish spawns, release pending
-    /// units; on an empty poll consult the termination detector, else back
-    /// off. See the module docs for the correctness argument.
+    /// One worker: poll (batched), execute, count and publish spawns on the
+    /// parent's pending unit; on an empty poll consult the termination
+    /// detector, else back off. See the module docs for the correctness
+    /// argument.
     fn worker_loop<S, I, F>(
         &self,
         worker: usize,
@@ -486,12 +489,11 @@ impl<'q, V: Send, Q: SharedPq<V> + ?Sized> Scheduler<'q, V, Q> {
             if popped > 0 {
                 idle_polls = 0;
                 // A panicking handler must not hang the pool: the popped
-                // tasks (and any spawns registered but not yet inserted)
-                // already hold `pending` units whose releases live below the
-                // handler call. Catch the unwind, release the orphaned
-                // units so the other workers can still reach quiescence,
-                // and re-raise — `run` then propagates the panic instead of
-                // deadlocking in the thread scope.
+                // tasks already hold `pending` units whose releases live
+                // below the handler call. Catch the unwind, release the
+                // orphaned units so the other workers can still reach
+                // quiescence, and re-raise — `run` then propagates the panic
+                // instead of deadlocking in the thread scope.
                 let mut completed = 0usize;
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     for (deadline, task) in batch.drain(..) {
@@ -502,12 +504,19 @@ impl<'q, V: Send, Q: SharedPq<V> + ?Sized> Scheduler<'q, V, Q> {
                         let mut ctx = TaskCtx {
                             worker,
                             deadline,
-                            quiescence: &self.quiescence,
                             spawned: &mut spawned,
                         };
                         handler(&mut state, &mut ctx, deadline, task);
                         report.executed += 1;
-                        report.spawned += spawned.len() as u64;
+                        // The parent's unit passes to its spawns: count the
+                        // extra ones before any of them can be popped, and
+                        // release the unit only if there is no spawn to
+                        // carry it.
+                        let k = spawned.len() as u64;
+                        report.spawned += k;
+                        if k >= 2 {
+                            self.quiescence.pending.fetch_add(k - 1, Ordering::SeqCst);
+                        }
                         for (key, value) in spawned.drain(..) {
                             // May buffer privately under an insert-batch
                             // policy; that is safe: the spawns are already
@@ -516,18 +525,17 @@ impl<'q, V: Send, Q: SharedPq<V> + ?Sized> Scheduler<'q, V, Q> {
                             // conclude emptiness.
                             handle.insert(key, value);
                         }
-                        // Only now is the parent's own unit released:
-                        // `pending` stayed positive throughout, covering the
-                        // spawns.
-                        self.quiescence.pending.fetch_sub(1, Ordering::SeqCst);
+                        if k == 0 {
+                            self.quiescence.pending.fetch_sub(1, Ordering::SeqCst);
+                        }
                         completed += 1;
                     }
                 }));
                 if let Err(payload) = outcome {
                     // The panicking task plus every undrained batch entry
                     // (discarded by the Drain drop) still hold one unit
-                    // each; its not-yet-inserted spawns hold one each too.
-                    let orphaned = (popped - completed) as u64 + spawned.len() as u64;
+                    // each; its buffered spawns were never counted.
+                    let orphaned = (popped - completed) as u64;
                     spawned.clear();
                     self.quiescence
                         .pending

@@ -7,6 +7,8 @@
 //! bounded-random schedules. Exhaustive DFS is out of reach here (a single
 //! real operation has dozens of schedule points), so coverage scales with
 //! `CHECK_SCHEDULES` (PR CI keeps the default; the stress job deepens it).
+//! The last test drives the queue into the window of the historical
+//! batched-insert `len` underflow.
 //!
 //! Run with: `cargo test --features check --test check_multiqueue`
 
@@ -15,7 +17,7 @@
 use std::sync::Arc;
 
 use choice_check as check;
-use choice_pq::{ElasticPolicy, HandlePolicy, MultiQueue, MultiQueueConfig, PqHandle};
+use choice_pq::{ElasticPolicy, HandlePolicy, MultiQueue, MultiQueueConfig, PqHandle, SharedPq};
 
 /// A 2-lane elastic queue whose controller is parked (huge check interval):
 /// resizes happen only where the model calls `resize_active`.
@@ -105,4 +107,58 @@ fn real_multiqueue_single_session_orders_keys() {
         }
         assert_eq!(out, vec![1, 3, 5, 9], "single session must drain in order");
     });
+}
+
+/// Regression model for the batched-insert `len` underflow: a batch flush
+/// used to publish its elements into the lane heap under the lane lock but
+/// bump a queue-wide `len` only after releasing it, so a drain scheduled
+/// into that window popped the elements and `fetch_sub`'d `len` below zero —
+/// wrapping `approx_len()` to ~2^64. The explorer drives the production
+/// queue straight into that window; with each lane's length copied from its
+/// heap under the lock the model is clean.
+#[test]
+fn batched_insert_never_underflows_len() {
+    let schedules = check::schedule_budget(2_000);
+    check::model_with(
+        check::Config {
+            max_steps: 20_000,
+            ..check::Config::random(schedules, 0xBA7C4)
+        },
+        || {
+            let q = Arc::new(MultiQueue::<u64>::new(
+                MultiQueueConfig::with_queues(1).with_seed(11),
+            ));
+            // One element pre-published so the racing drain does not stop
+            // at a quiescent-empty observation.
+            q.register_with(HandlePolicy::plain()).insert(0, 0);
+            let qa = Arc::clone(&q);
+            let inserter = check::spawn(move || {
+                let mut h = qa.register_with(HandlePolicy::plain().with_insert_batch(2));
+                h.insert(1, 1);
+                h.insert(2, 2); // second buffered insert flushes the batch
+            });
+            let qb = Arc::clone(&q);
+            let drainer = check::spawn(move || {
+                let mut h = qb.register_with(HandlePolicy::plain());
+                let mut out = Vec::new();
+                for _ in 0..2 {
+                    h.delete_min_batch_into(3, &mut out);
+                    let len = qb.approx_len();
+                    assert!(
+                        len <= 3,
+                        "approx_len() exceeds total-inserted: {len} (len underflow)"
+                    );
+                }
+                out.len()
+            });
+            inserter.join();
+            let drained = drainer.join();
+            let len = q.approx_len();
+            assert!(
+                len <= 3,
+                "approx_len() exceeds total-inserted at quiescence: {len}"
+            );
+            assert_eq!(len, 3 - drained, "conservation: len + drained == inserted");
+        },
+    );
 }

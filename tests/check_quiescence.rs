@@ -13,10 +13,17 @@
 //!   increment (an underflow means some task ran while uncounted, which is
 //!   exactly the state that lets the detector fire with work in flight).
 //!
+//! Two spawn rules are modelled. The textbook one counts every spawn
+//! before its insert and releases the parent's unit after them. The
+//! scheduler's own rule refines it with a credit transfer: the parent's unit
+//! passes to its spawns, so a worker adds `k − 1` units before inserting
+//! `k ≥ 2` spawns and releases the unit only when `k = 0`.
+//!
 //! Broken variants seeded deliberately, each failing with a replayable
 //! schedule: releasing the parent's `pending` unit *before* pushing its
-//! spawn (counter decrement before push), and inserting a task *before*
-//! counting it (insert before increment on the injector path).
+//! spawn (counter decrement before push), inserting a task *before*
+//! counting it (insert before increment on the injector path), and
+//! inserting transferred spawns *before* adding their `k − 1` units.
 //!
 //! Liveness ("never hang on empty-pop races") is covered structurally: the
 //! explorer reports a deadlock if no virtual thread can run, and workers
@@ -37,15 +44,35 @@ struct Variant {
     /// Increment `pending` before inserting the task (the real injector).
     /// `false` is the insert-before-count bug.
     count_before_insert: bool,
-    /// Release the parent's `pending` unit only after its spawns are
-    /// counted and pushed (the real worker). `true` is the
-    /// decrement-before-push bug.
+    /// Textbook rule: release the parent's `pending` unit only after its
+    /// spawns are counted and pushed. `true` is the decrement-before-push
+    /// bug.
     release_parent_before_spawn: bool,
+    /// Use the credit transfer (the real worker) instead of the textbook
+    /// rule.
+    credit_transfer: bool,
+    /// Credit transfer: add the `k − 1` extra units before inserting the
+    /// spawns (the real worker). `false` is the insert-before-count bug.
+    count_transfer_before_insert: bool,
+    /// Children the injected task spawns.
+    children: u64,
 }
 
+/// The textbook rule, faithfully; the injected task spawns one child.
 const FAITHFUL: Variant = Variant {
     count_before_insert: true,
     release_parent_before_spawn: false,
+    credit_transfer: false,
+    count_transfer_before_insert: true,
+    children: 1,
+};
+
+/// The scheduler's credit transfer, faithfully; the injected task spawns
+/// two children, so the transfer has a `k − 1` to count.
+const TRANSFER: Variant = Variant {
+    credit_transfer: true,
+    children: 2,
+    ..FAITHFUL
 };
 
 /// The scheduler seam: task bag + quiescence counters. A task's payload is
@@ -71,14 +98,14 @@ impl Sched {
     }
 }
 
-/// The injector: one parent task that spawns one child, then close the
-/// source (mirrors `Injector::inject` + `Drop`).
+/// The injector: one parent task that spawns `variant.children` children,
+/// then close the source (mirrors `Injector::inject` + `Drop`).
 fn injector(s: &Sched, variant: Variant) {
     if variant.count_before_insert {
         s.pending.fetch_add(1, Ordering::SeqCst);
-        s.queue.lock().push(1);
+        s.queue.lock().push(variant.children);
     } else {
-        s.queue.lock().push(1);
+        s.queue.lock().push(variant.children);
         s.pending.fetch_add(1, Ordering::SeqCst);
     }
     s.sources.fetch_sub(1, Ordering::SeqCst);
@@ -90,14 +117,38 @@ fn release_pending(s: &Sched) {
     assert!(prev > 0, "pending underflow: a task ran while uncounted");
 }
 
-/// One worker: poll, execute (spawning children), release the parent unit;
-/// on an empty poll consult the termination detector. `budget` bounds the
-/// empty polls so every schedule is finite.
+/// Pushes a finished task's spawns under the credit transfer: the
+/// parent's unit covers one spawn, `k − 1` more are added, and the unit is
+/// released only when there is no spawn to carry it (mirrors the worker
+/// loop in `choice_sched::scheduler`).
+fn transfer(s: &Sched, variant: Variant, children: u64) {
+    let count_first = variant.count_transfer_before_insert;
+    if children >= 2 && count_first {
+        s.pending.fetch_add(children - 1, Ordering::SeqCst);
+    }
+    for _ in 0..children {
+        s.queue.lock().push(0);
+    }
+    if children >= 2 && !count_first {
+        s.pending.fetch_add(children - 1, Ordering::SeqCst);
+    }
+    if children == 0 {
+        release_pending(s);
+    }
+}
+
+/// One worker: poll, execute (spawning children), settle the parent's
+/// unit; on an empty poll consult the termination detector. `budget`
+/// bounds the empty polls so every schedule is finite.
 fn worker(s: &Sched, variant: Variant, budget: u32) {
     let mut polls = 0;
     while polls < budget {
         let task = s.queue.lock().pop();
         match task {
+            Some(children) if variant.credit_transfer => {
+                s.executed.fetch_add(1, Ordering::SeqCst);
+                transfer(s, variant, children);
+            }
             Some(children) => {
                 s.executed.fetch_add(1, Ordering::SeqCst);
                 if variant.release_parent_before_spawn {
@@ -129,9 +180,10 @@ fn worker(s: &Sched, variant: Variant, budget: u32) {
     }
 }
 
-/// One injector (1 parent → 1 child, so `total = 2`) racing two workers.
+/// One injector (1 parent → `variant.children` children) racing two
+/// workers.
 fn quiescence_model(variant: Variant) {
-    let s = Arc::new(Sched::new(2));
+    let s = Arc::new(Sched::new(1 + variant.children));
     let si = Arc::clone(&s);
     let inj = check::spawn(move || injector(&si, variant));
     let workers: Vec<_> = (0..2)
@@ -217,6 +269,44 @@ fn inserting_before_counting_underflows_the_counter() {
         move || quiescence_model(variant),
     )
     .expect_err("insert-before-count lets a task run while uncounted");
+    assert!(
+        failure.message.contains("pending underflow")
+            || failure.message.contains("terminated with work in flight"),
+        "unexpected failure: {failure}"
+    );
+    let replayed = check::replay(&failure.schedule, move || quiescence_model(variant))
+        .expect_err("failing schedule must replay deterministically");
+    assert_eq!(replayed.message, failure.message);
+}
+
+#[test]
+fn credit_transfer_survives_preemption_bounded_dfs() {
+    let budget = check::schedule_budget(4_000);
+    let report = check::explore(
+        check::Config {
+            preemption_bound: Some(2),
+            ..check::Config::dfs(budget)
+        },
+        || quiescence_model(TRANSFER),
+    )
+    .expect("counting k − 1 before the inserts never terminates with work in flight");
+    assert!(report.schedules > 100, "exploration actually branched");
+}
+
+#[test]
+fn inserting_transferred_spawns_before_counting_them_terminates_early() {
+    let variant = Variant {
+        count_transfer_before_insert: false,
+        ..TRANSFER
+    };
+    let failure = check::explore(
+        check::Config {
+            preemption_bound: Some(2),
+            ..check::Config::dfs(30_000)
+        },
+        move || quiescence_model(variant),
+    )
+    .expect_err("a spawn popped before its unit is counted can finish on the parent's unit");
     assert!(
         failure.message.contains("pending underflow")
             || failure.message.contains("terminated with work in flight"),

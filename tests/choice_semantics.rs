@@ -69,10 +69,9 @@ fn one_plus_beta_reproduces_the_pre_choicerule_golden_trace() {
     assert_eq!(scripted_trace(&q, 32), golden);
 }
 
-/// Golden trace captured from the locked-lane engine (the `Mutex` front
-/// door, before the seqlock top + borrow-state + side-buffer fast path):
-/// batched sticky inserts (batch 8, sticky 4) and batched drains over 8
-/// two-choice lanes, seed 2024. The lock-free fast path must replay it
+/// Golden trace captured from the locked-lane engine (one `Mutex` per
+/// lane): batched sticky inserts (batch 8, sticky 4) and batched drains
+/// over 8 two-choice lanes, seed 2024. Any lane mechanism must replay it
 /// bit-for-bit — uncontended, it consumes the RNG stream identically and
 /// removes the same elements in the same order.
 #[test]

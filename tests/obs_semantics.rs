@@ -306,10 +306,10 @@ fn quota_refusal_and_resize_dump_carries_epochs_and_tenants() {
 
 /// The contention-event rule: a publish that accumulates `lock_retries >=
 /// contention_event_threshold` records a `LaneContention` event even when a
-/// fast-path arm (here: the wait-free side-buffer) published — not just the
-/// blocking floor-lane fallback, which used to be the only emitter while
-/// fast-path retries reached only the elastic controller. Pinned so the
-/// emission rule cannot silently regress to fallback-only.
+/// fresh lane draw published — not just the blocking floor-lane fallback,
+/// which used to be the only emitter while absorbed retries reached only
+/// the elastic controller. Pinned so the emission rule cannot silently
+/// regress to fallback-only.
 #[test]
 fn fast_path_contention_reaches_the_flight_recorder() {
     let hub = ObsHub::with_capacity(64);
@@ -330,10 +330,10 @@ fn fast_path_contention_reaches_the_flight_recorder() {
             .all(|e| e.kind != EventKind::LaneContention),
         "uncontended inserts must not record contention events"
     );
-    // Hold lane 0's exclusive borrow and insert until a draw lands on it
-    // (p = 1/2 per insert): that insert counts one failed acquisition
-    // (>= threshold 1), publishes wait-free through the side-buffer, and
-    // must surface in the flight recorder despite never falling back.
+    // Hold lane 0's lock and insert until a draw lands on it (p = 1/2 per
+    // insert): that insert counts one failed try-lock (>= threshold 1),
+    // draws again until it lands on lane 1, and must surface in the flight
+    // recorder despite never falling back.
     queue.with_lane_locked(0, || {
         for k in 0..64u64 {
             h.insert(10 + k, k);
@@ -358,8 +358,8 @@ fn fast_path_contention_reaches_the_flight_recorder() {
     );
     assert_eq!(contention[0].label, "contended");
     assert_eq!(
-        contention[0].fields[0], 0,
-        "the event names the lane that took the elements"
+        contention[0].fields[0], 1,
+        "the event names the lane that took the element, not the held one"
     );
     assert!(
         contention[0].fields[1] >= 1,
