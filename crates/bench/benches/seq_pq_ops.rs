@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use rank_stats::rng::{RandomSource, Xoshiro256};
-use seq_pq::{BinaryHeap, PairingHeap, SequentialPriorityQueue, SkipListPq};
+use seq_pq::{BinaryHeap, SequentialPriorityQueue, SkipListPq};
 
 const PREFILL: usize = 10_000;
 const OPS: usize = 1_000;
@@ -45,7 +45,6 @@ where
 
 fn benches(c: &mut Criterion) {
     bench_backend(c, "binary_heap", BinaryHeap::<u64>::new);
-    bench_backend(c, "pairing_heap", PairingHeap::<u64>::new);
     bench_backend(c, "skiplist", SkipListPq::<u64>::new);
 }
 

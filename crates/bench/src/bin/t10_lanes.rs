@@ -1,21 +1,18 @@
-//! T10 — the elasticity sweep: static lane counts vs the elastic
-//! controller, under steady / bursty / diurnal arrivals.
+//! T10 — the lane sweep: lanes per worker `c` against insert shards `s`,
+//! under steady / bursty / diurnal arrivals.
 //!
-//! The paper sizes the MultiQueue statically at `c·p` lanes, which forces a
-//! trade: a small static `c` collapses under contention bursts (try-lock
-//! failures burn retries), a large static `c` wastes deleteMin samples on
-//! empty lanes between bursts (sparse sampling, cold caches). The elastic
-//! engine keeps the large capacity allocated but lets a controller move the
-//! *active* lane count with the measured contention/sparseness rates — so
-//! one configuration should track the best static choice across workload
-//! phases, which is exactly what bursty and diurnal arrivals probe.
+//! The paper sizes the MultiQueue statically at `c·p` lanes. More lanes
+//! mean fewer lost try-locks but a looser rank bound (it scales with the
+//! lane count `n`); insert shards keep `n` and narrow where each worker's
+//! inserts land, so the EDF stream a worker drains is locally more ordered.
+//! This sweep crosses c ∈ {1, 2, 4} with s ∈ {1, 2}: at an equal lane
+//! count, the s = 2 rows show what sharding buys in deadline inversions and
+//! what it costs in throughput.
 //!
 //! Every row runs the identical open-loop traffic scenario (same seed ⇒ same
 //! deterministic arrival schedule) through the `choice-sched` worker pool.
 //! Reported per row: end-to-end **ktask/s**, **inv/1k** deadline inversions
-//! per 1 000 tasks, the final **lane table** (`active/max`), the number of
-//! **resizes** the run triggered, and the p99 lateness of the interactive
-//! class.
+//! per 1 000 tasks, and the p99 lateness of the interactive class.
 //!
 //! Environment knobs: `T10_TASKS` (default 40000), `T10_WORKERS` (default
 //! 4); `BENCH_JSON=1` additionally emits one JSON object per row to stderr
@@ -39,7 +36,7 @@ fn main() {
         TrafficClass::new("batch", 1.0, Duration::from_millis(10), 256),
     ];
     // Steady saturates (capacity probe); bursty alternates contention spikes
-    // with silence (the elastic pitch); diurnal sweeps the rate smoothly.
+    // with silence; diurnal sweeps the rate smoothly.
     let patterns = [
         ArrivalPattern::Steady { rate: 50_000_000.0 },
         ArrivalPattern::Bursty {
@@ -53,29 +50,22 @@ fn main() {
             period: Duration::from_millis(40),
         },
     ];
-    // The static-d baselines bracket the elastic ceiling: c=2 is the paper
-    // sizing, c=4 is "statically always at the elastic maximum". All
-    // MultiQueue rows share d=2 and delete batch 8 so the only moving part
-    // is the lane policy.
+    // c = 1 is under-provisioned, c = 2 is the paper sizing, c = 4 is
+    // over-provisioned. Every row shares d = 2 and delete batch 8, so the
+    // only moving parts are the lane count and the shard count.
     let delete_batch = 8usize;
-    let specs = [
-        QueueSpec::multiqueue_d(2), // static c=2
-        QueueSpec::MultiQueueD {
-            d: 2,
-            queues_per_thread: 4,
-        }, // static c=4 (the elastic ceiling, permanently active)
-        QueueSpec::MultiQueueD {
-            d: 2,
-            queues_per_thread: 1,
-        }, // static c=1 (the under-provisioned end)
-        QueueSpec::multiqueue_elastic(2, 1),
-        QueueSpec::multiqueue_elastic(2, 2), // sharded inserts on top
-    ];
+    let specs: Vec<QueueSpec> = [1usize, 2, 4]
+        .into_iter()
+        .flat_map(|queues_per_thread| {
+            [1usize, 2].map(|shards| QueueSpec::MultiQueueSharded {
+                d: 2,
+                shards,
+                queues_per_thread,
+            })
+        })
+        .collect();
 
-    print_section(
-        "T10",
-        "elastic lane scaling: static-d baselines vs the elastic controller",
-    );
+    print_section("T10", "lane sweep: lanes per worker × insert shards");
     println!(
         "{workers} workers, {tasks} tasks/scenario, delete batch {delete_batch}, \
          classes: interactive(500µs, w6) / batch(10ms, w1); EDF keys, \
@@ -91,47 +81,37 @@ fn main() {
         };
         println!();
         println!("-- {} --", pattern.label());
-        print_header(&[
-            "backend",
-            "ktask/s",
-            "inv/1k",
-            "lanes",
-            "resizes",
-            "p99 int µs",
-        ]);
+        print_header(&["backend", "ktask/s", "inv/1k", "p99 int µs"]);
         for queue_spec in &specs {
             let queue: Arc<dyn choice_pq::DynSharedPq<TrafficTask>> =
                 build_queue(*queue_spec, workers, seed);
+            let shards = queue.topology_dyn().shards;
             let report = scheduler_workload(queue, workers, delete_batch, &spec);
             assert_eq!(
                 report.sched.executed, tasks,
                 "{}: every injected task must execute",
                 report.label
             );
-            print_scenario_row(&queue_spec.label(), &pattern.label(), &report);
+            print_scenario_row(&queue_spec.label(), &pattern.label(), shards, &report);
         }
     }
 
     println!();
     println!(
-        "Expected shape: the elastic rows track the best static row per pattern \
-         — near c=1/c=2 in the quiet phases (few sparse samples), growing under \
-         the bursts (few lock retries) — with nonzero resize counts on the \
-         non-steady patterns."
+        "Expected shape: at an equal lane count the s=2 rows record fewer deadline \
+         inversions than the s=1 rows; bursty is arrival-bound, so every row runs at \
+         about the same rate there."
     );
 }
 
-fn print_scenario_row(backend: &str, pattern: &str, report: &ScenarioReport) {
+fn print_scenario_row(backend: &str, pattern: &str, shards: usize, report: &ScenarioReport) {
     let executed = report.sched.executed.max(1);
     let inversions_per_k = report.sched.inversions.count() as f64 * 1_000.0 / executed as f64;
-    let shape = report.sched.topology;
     let p99_int = report.lateness.classes()[0].lateness_quantile_us(0.99);
     print_row(&[
         backend.to_string(),
         format!("{:.1}", report.sched.tasks_per_second / 1e3),
         format!("{inversions_per_k:.1}"),
-        format!("{}/{}", shape.active_lanes, shape.max_lanes),
-        shape.resize_events().to_string(),
         p99_int.to_string(),
     ]);
 
@@ -147,11 +127,7 @@ fn print_scenario_row(backend: &str, pattern: &str, report: &ScenarioReport) {
                 JsonValue::from(report.sched.tasks_per_second / 1e3),
             ),
             ("inversions_per_k", JsonValue::from(inversions_per_k)),
-            ("active_lanes", JsonValue::from(shape.active_lanes as u64)),
-            ("max_lanes", JsonValue::from(shape.max_lanes as u64)),
-            ("shards", JsonValue::from(shape.shards as u64)),
-            ("grows", JsonValue::from(shape.grows)),
-            ("shrinks", JsonValue::from(shape.shrinks)),
+            ("shards", JsonValue::from(shards as u64)),
             ("empty_polls", JsonValue::from(pool.empty_polls)),
             ("contended_retries", JsonValue::from(pool.contended_retries)),
             ("p99_lateness_us_interactive", JsonValue::from(p99_int)),

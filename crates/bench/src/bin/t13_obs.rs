@@ -16,12 +16,10 @@
 //! failing gate, with the usual noise-aware allowance on top.
 //!
 //! After the throughput rows, a deterministic **flight-recorder demo**
-//! forces one of everything the ring records — a quota refusal on a tenant
-//! queue (via the registry's admission gate) and an elastic lane-table
-//! resize (with its epoch) — then prints the full exposition dump, which is
-//! also the README's observability quick-start output. The demo asserts
-//! both event kinds landed, so a silent telemetry regression fails the
-//! smoke run, not just the docs.
+//! forces a quota refusal on a tenant queue (via the registry's admission
+//! gate), then prints the full exposition dump, which is also the README's
+//! observability quick-start output. The demo asserts the refusal landed,
+//! so a silent telemetry regression fails the smoke run, not just the docs.
 //!
 //! Environment knobs: `T13_OBS` (0/1/2, default 0), `T13_SAMPLES` (reps per
 //! row, default 3), `T13_THREADS` (default 4), `T13_OPS` (operations per
@@ -36,7 +34,7 @@ use std::sync::Arc;
 use choice_bench::report::{emit_json_row, print_header, print_row, print_section, JsonValue};
 use choice_bench::{env_u64, throughput_workload};
 use choice_obs::ObsHub;
-use choice_pq::{DynSharedPq, ElasticPolicy, MultiQueue, MultiQueueConfig, QueueObs};
+use choice_pq::{DynSharedPq, MultiQueue, MultiQueueConfig, QueueObs};
 use choice_wire::{BackendSpec, QueueRegistry, QuotaSpec};
 
 /// Median of a non-empty sample vector.
@@ -96,8 +94,8 @@ fn run_sample(
     (result.operations, result.ops_per_second)
 }
 
-/// The deterministic flight-recorder demo: force a quota refusal and an
-/// elastic resize into one hub, dump it, and check both events landed.
+/// The deterministic flight-recorder demo: force a quota refusal into a
+/// hub, dump it, and check the event landed.
 fn flight_recorder_demo() -> String {
     let hub = ObsHub::with_capacity(256);
 
@@ -121,24 +119,10 @@ fn flight_recorder_demo() -> String {
         .admit_insert(3)
         .expect_err("the third in-flight insert must be refused");
 
-    // An elastic MultiQueue grown past its floor: the committed resize is
-    // recorded with its epoch and the lane counts either side.
-    let mut queue = MultiQueue::<u64>::new(
-        MultiQueueConfig::with_queues(8)
-            .with_seed(7)
-            .with_elastic(ElasticPolicy::default().with_min_lanes(2)),
-    );
-    queue.attach_obs(QueueObs::new(&hub, "elastic"));
-    queue.resize_active(8);
-
     let dump = hub.render_dump(true);
     assert!(
         dump.contains("quota-refusal") && dump.contains("tenant/a"),
         "the demo dump must carry the tenant's quota refusal:\n{dump}"
-    );
-    assert!(
-        dump.contains("resize") && dump.contains("elastic"),
-        "the demo dump must carry the elastic resize:\n{dump}"
     );
     dump
 }
@@ -261,12 +245,11 @@ fn main() {
     );
 
     println!();
-    println!("-- flight recorder demo: one forced quota refusal + one elastic resize --");
+    println!("-- flight recorder demo: one forced quota refusal --");
     println!("{}", flight_recorder_demo());
     println!(
         "Expected shape: the attached and detached rows agree within the 3% telemetry \
          budget (the gate t12_compare enforces in CI); the demo dump above shows the \
-         quota-refusal and resize events with their tenant, category, epoch and lane \
-         counts."
+         quota-refusal event with its tenant, category, key and in-flight depth."
     );
 }

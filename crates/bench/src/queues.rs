@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use choice_pq::{ChoiceRule, DynSharedPq, ElasticPolicy, MultiQueue, MultiQueueConfig};
+use choice_pq::{ChoiceRule, DynSharedPq, MultiQueue, MultiQueueConfig};
 use pq_baselines::{CoarseHeap, KLsmConfig, KLsmQueue, SkipListQueue};
 
 /// Which concurrent priority queue to benchmark.
@@ -23,15 +23,14 @@ pub enum QueueSpec {
         /// Queues-per-thread factor.
         queues_per_thread: usize,
     },
-    /// The sharded **elastic** d-choice MultiQueue (`t10_elastic`): lane
-    /// capacity `c·threads`, the default [`ElasticPolicy`] controller
-    /// resizing the active set from live contention/sparseness rates.
-    MultiQueueElastic {
+    /// The d-choice MultiQueue with `c` queues per thread split into
+    /// insert shards (the `t10_lanes` sweep).
+    MultiQueueSharded {
         /// Number of lanes sampled per deleteMin.
         d: usize,
-        /// Insert shard count.
+        /// Insert shard count (at most the lane count).
         shards: usize,
-        /// Queues-per-thread capacity factor (the elastic *ceiling*).
+        /// Queues-per-thread factor.
         queues_per_thread: usize,
     },
     /// The coarse-locked exact binary heap.
@@ -62,16 +61,6 @@ impl QueueSpec {
         }
     }
 
-    /// The elastic MultiQueue with an over-provisioned `c = 4` lane ceiling
-    /// (the controller decides how much of it to use).
-    pub fn multiqueue_elastic(d: usize, shards: usize) -> Self {
-        QueueSpec::MultiQueueElastic {
-            d,
-            shards,
-            queues_per_thread: 4,
-        }
-    }
-
     /// Short name used in table rows.
     pub fn label(&self) -> String {
         match self {
@@ -83,11 +72,11 @@ impl QueueSpec {
                 d,
                 queues_per_thread,
             } => format!("multiqueue(d={d}, c={queues_per_thread})"),
-            QueueSpec::MultiQueueElastic {
+            QueueSpec::MultiQueueSharded {
                 d,
                 shards,
                 queues_per_thread,
-            } => format!("mq-elastic(d={d}, s={shards}, c={queues_per_thread})"),
+            } => format!("multiqueue(d={d}, s={shards}, c={queues_per_thread})"),
             QueueSpec::CoarseHeap => "coarse-heap".to_string(),
             QueueSpec::SkipList => "skiplist".to_string(),
             QueueSpec::KLsm { relaxation } => format!("klsm(k={relaxation})"),
@@ -135,7 +124,7 @@ pub fn build_queue<V: Send + 'static>(
                 .with_choice(ChoiceRule::uniform(d))
                 .with_seed(seed),
         )),
-        QueueSpec::MultiQueueElastic {
+        QueueSpec::MultiQueueSharded {
             d,
             shards,
             queues_per_thread,
@@ -143,7 +132,6 @@ pub fn build_queue<V: Send + 'static>(
             MultiQueueConfig::for_threads_with_factor(threads, queues_per_thread)
                 .with_choice(ChoiceRule::uniform(d))
                 .with_shards(shards)
-                .with_elastic(ElasticPolicy::default())
                 .with_seed(seed),
         )),
         QueueSpec::CoarseHeap => Arc::new(CoarseHeap::new()),
@@ -193,13 +181,16 @@ mod tests {
     }
 
     #[test]
-    fn elastic_spec_builds_a_resizable_queue() {
-        let spec = QueueSpec::multiqueue_elastic(4, 2);
-        assert_eq!(spec.label(), "mq-elastic(d=4, s=2, c=4)");
+    fn sharded_spec_builds_a_sharded_queue() {
+        let spec = QueueSpec::MultiQueueSharded {
+            d: 4,
+            shards: 2,
+            queues_per_thread: 4,
+        };
+        assert_eq!(spec.label(), "multiqueue(d=4, s=2, c=4)");
         let q = build_queue::<u64>(spec, 2, 7);
         let shape = q.topology_dyn();
-        assert_eq!(shape.max_lanes, 8, "2 threads × c=4 capacity");
-        assert!(shape.active_lanes < shape.max_lanes, "starts at the floor");
+        assert_eq!(shape.lanes, 8, "2 threads × c=4");
         assert_eq!(shape.shards, 2);
         let mut h = q.register_dyn();
         h.insert(1, 10);

@@ -1,8 +1,8 @@
 //! choice-check: a deterministic-interleaving explorer (loom-lite).
 //!
-//! Concurrency arguments in this workspace — the epoch-stamped lane-table
-//! resize, count-based quiescence termination, mirrored credit windows —
-//! were hand-argued prose. This crate mechanically checks such protocols:
+//! Concurrency arguments in this workspace — count-based quiescence
+//! termination, mirrored credit windows, the flight recorder's seqlock
+//! slots — were hand-argued prose. This crate mechanically checks such protocols:
 //! a *model* (a closure using [`spawn`], [`sync::Mutex`], and the
 //! [`sync`] atomics) is executed under **every** interleaving of its
 //! schedule points (bounded DFS), or under a seeded sample of random

@@ -1,107 +1,6 @@
-//! MultiQueue configuration: sizing, choice rule, sharding and elasticity.
+//! MultiQueue configuration: sizing, choice rule and sharding.
 
 pub use rank_stats::choice::ChoiceRule;
-
-/// Runtime resizing policy of an elastic [`MultiQueue`](crate::MultiQueue).
-///
-/// A static MultiQueue fixes the lane count `n` at construction; the paper's
-/// rank bounds scale with `n`, so over-provisioning buys contention headroom
-/// with both rank quality and cache locality (sparse lanes mean sampled tops
-/// that are usually empty). An *elastic* queue instead keeps `queues` lanes
-/// allocated but only a prefix of them **active**, and a cooperative
-/// controller — ticked by ordinary operations, no background thread — moves
-/// the active count between [`min_lanes`](ElasticPolicy::min_lanes) and the
-/// configured capacity based on two live signals:
-///
-/// * the **lock-contention rate** (try-lock failures per operation, on both
-///   the insert and the delete path) — high contention means the active
-///   lanes are too few, so the controller *grows*;
-/// * the **sparse-sampling rate** (deleteMin samples whose every sampled top
-///   looked empty while the structure was not) — high sparseness means
-///   elements are spread over more lanes than the load needs, so the
-///   controller *shrinks*.
-///
-/// Hysteresis comes from three guards: growth and shrink thresholds are
-/// separated (a gap no rate can sit on both sides of), decisions are made
-/// over windows of [`check_interval`](ElasticPolicy::check_interval)
-/// operations rather than per-op, and every resize is followed by
-/// [`cooldown_checks`](ElasticPolicy::cooldown_checks) windows in which the
-/// controller only observes. See `DESIGN.md` §7 for the resize-epoch
-/// correctness argument.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ElasticPolicy {
-    /// Floor (and starting value) of the active lane count. Clamped up to
-    /// the shard count at queue construction so every shard always owns at
-    /// least one active lane.
-    pub min_lanes: usize,
-    /// Operations between controller decisions (the sampling window).
-    pub check_interval: u64,
-    /// Grow one step when `lock retries / ops` in the window exceeds this.
-    pub grow_threshold: f64,
-    /// Shrink one step when `sparse samples / ops` exceeds this **and** the
-    /// lock-contention rate sits below half of
-    /// [`grow_threshold`](ElasticPolicy::grow_threshold).
-    pub shrink_threshold: f64,
-    /// Decision windows skipped after every resize (hysteresis).
-    pub cooldown_checks: u32,
-}
-
-impl Default for ElasticPolicy {
-    fn default() -> Self {
-        Self {
-            min_lanes: 2,
-            check_interval: 1_024,
-            grow_threshold: 0.02,
-            shrink_threshold: 0.20,
-            cooldown_checks: 1,
-        }
-    }
-}
-
-impl ElasticPolicy {
-    /// Sets the active-lane floor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min_lanes == 0`.
-    pub fn with_min_lanes(mut self, min_lanes: usize) -> Self {
-        assert!(min_lanes > 0, "need at least one active lane");
-        self.min_lanes = min_lanes;
-        self
-    }
-
-    /// Sets the decision window length in operations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `check_interval == 0`.
-    pub fn with_check_interval(mut self, check_interval: u64) -> Self {
-        assert!(check_interval > 0, "check interval must be positive");
-        self.check_interval = check_interval;
-        self
-    }
-
-    /// Sets the grow/shrink rate thresholds.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both thresholds are finite and non-negative.
-    pub fn with_thresholds(mut self, grow: f64, shrink: f64) -> Self {
-        assert!(
-            grow.is_finite() && grow >= 0.0 && shrink.is_finite() && shrink >= 0.0,
-            "thresholds must be finite and non-negative"
-        );
-        self.grow_threshold = grow;
-        self.shrink_threshold = shrink;
-        self
-    }
-
-    /// Sets the post-resize cooldown (in decision windows).
-    pub fn with_cooldown_checks(mut self, cooldown_checks: u32) -> Self {
-        self.cooldown_checks = cooldown_checks;
-        self
-    }
-}
 
 /// Configuration of a [`MultiQueue`](crate::queue::MultiQueue).
 ///
@@ -125,20 +24,16 @@ impl ElasticPolicy {
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct MultiQueueConfig {
-    /// Total number of internal sequential queues `n`. For an elastic queue
-    /// this is the *capacity* — the maximum active lane count; the live
-    /// count moves between [`ElasticPolicy::min_lanes`] and this value.
+    /// Total number of internal sequential queues `n`, fixed for the
+    /// queue's lifetime.
     pub queues: usize,
-    /// Number of insert shards the active lanes are partitioned into
-    /// (strided: shard `s` owns active lanes `s, s + shards, …`). Each
-    /// session handle holds affinity to one shard and publishes its inserts
-    /// there — sticky-lane generalised to sticky-shard — while `delete_min`
-    /// keeps sampling across *all* active lanes, so the paper's rank
-    /// argument is untouched. `1` (the default) disables sharding.
+    /// Number of insert shards the lanes are partitioned into (strided:
+    /// shard `s` owns lanes `s, s + shards, …`). Each session handle holds
+    /// affinity to one shard and publishes its inserts there — sticky-lane
+    /// generalised to sticky-shard — while `delete_min` keeps sampling
+    /// across *all* lanes, so the paper's rank argument is untouched. `1`
+    /// (the default) disables sharding.
     pub shards: usize,
-    /// Elastic resizing policy; `None` (the default) keeps every lane
-    /// active forever (the static paper structure).
-    pub elastic: Option<ElasticPolicy>,
     /// The lane-sampling rule used by `delete_min`. The default is the
     /// classic two-choice rule ([`ChoiceRule::TwoChoice`], `d = 2`); the
     /// paper's (1 + β) variants are [`ChoiceRule::OnePlusBeta`], and
@@ -152,10 +47,9 @@ pub struct MultiQueueConfig {
     pub max_retries: usize,
     /// Contended-retry count at (or above) which a publish records a
     /// `LaneContention` flight-recorder event, whichever lane took the
-    /// element. The blocking floor-lane fallback always records one; this
-    /// threshold makes contention that fresh lane draws absorbed (failed
-    /// try-locks followed by a successful one) visible to the flight
-    /// recorder too, not just to the elastic controller's rate window.
+    /// element. The blocking fallback always records one; this threshold
+    /// makes contention that fresh lane draws absorbed (failed try-locks
+    /// followed by a successful one) visible to the flight recorder too.
     pub contention_event_threshold: u64,
 }
 
@@ -171,14 +65,9 @@ impl MultiQueueConfig {
     /// Panics if `queues == 0`.
     pub fn with_queues(queues: usize) -> Self {
         assert!(queues > 0, "need at least one queue");
-        assert!(
-            queues <= u32::MAX as usize,
-            "lane count must fit the packed lane table"
-        );
         Self {
             queues,
             shards: 1,
-            elastic: None,
             choice: ChoiceRule::TwoChoice,
             seed: 0x5EED_CAFE,
             max_retries: 64,
@@ -248,34 +137,16 @@ impl MultiQueueConfig {
     /// # Panics
     ///
     /// Panics if `shards == 0` or `shards > queues` (every shard must own at
-    /// least one lane at full capacity).
+    /// least one lane).
     pub fn with_shards(mut self, shards: usize) -> Self {
         assert!(shards > 0, "need at least one shard");
         assert!(
             shards <= self.queues,
-            "shard count {shards} exceeds the lane capacity {}",
+            "shard count {shards} exceeds the lane count {}",
             self.queues
         );
         self.shards = shards;
         self
-    }
-
-    /// Enables elastic lane resizing with the given policy (see
-    /// [`ElasticPolicy`]).
-    pub fn with_elastic(mut self, policy: ElasticPolicy) -> Self {
-        self.elastic = Some(policy);
-        self
-    }
-
-    /// The always-active lane floor: `max(policy.min_lanes, shards)` for an
-    /// elastic queue (every shard keeps at least one active lane), the full
-    /// capacity for a static one. Lanes below this index are never retired,
-    /// which the blocking fallback paths rely on.
-    pub fn min_active_lanes(&self) -> usize {
-        match &self.elastic {
-            Some(policy) => policy.min_lanes.max(self.shards).min(self.queues),
-            None => self.queues,
-        }
     }
 
     /// Sets the RNG seed.
@@ -317,18 +188,18 @@ impl MultiQueueConfig {
 
     /// Human-readable label used by the benchmark tables, e.g.
     /// `"multiqueue(n=16, beta=0.75)"`, `"multiqueue(n=16, d=4)"` or
-    /// `"multiqueue(n=4..16, s=2, d=4)"` for an elastic sharded queue.
+    /// `"multiqueue(n=16, s=2, d=4)"` for a sharded queue.
     pub fn label(&self) -> String {
-        let lanes = match &self.elastic {
-            Some(_) => format!("n={}..{}", self.min_active_lanes(), self.queues),
-            None => format!("n={}", self.queues),
-        };
         let shards = if self.shards > 1 {
             format!(", s={}", self.shards)
         } else {
             String::new()
         };
-        format!("multiqueue({lanes}{shards}, {})", self.choice.label())
+        format!(
+            "multiqueue(n={}{shards}, {})",
+            self.queues,
+            self.choice.label()
+        )
     }
 }
 
@@ -396,34 +267,11 @@ mod tests {
     }
 
     #[test]
-    fn shard_and_elastic_builders() {
-        let cfg = MultiQueueConfig::with_queues(16)
-            .with_shards(4)
-            .with_elastic(ElasticPolicy::default().with_min_lanes(2));
+    fn shard_builder_and_label() {
+        let cfg = MultiQueueConfig::with_queues(16).with_shards(4);
         assert_eq!(cfg.shards, 4);
-        // The floor is clamped up to the shard count.
-        assert_eq!(cfg.min_active_lanes(), 4);
-        assert_eq!(cfg.label(), "multiqueue(n=4..16, s=4, d=2)");
-        // A static config's floor is the full capacity.
-        assert_eq!(MultiQueueConfig::with_queues(8).min_active_lanes(), 8);
-        // The floor never exceeds the capacity.
-        let wide = MultiQueueConfig::with_queues(4)
-            .with_elastic(ElasticPolicy::default().with_min_lanes(100));
-        assert_eq!(wide.min_active_lanes(), 4);
-    }
-
-    #[test]
-    fn elastic_policy_builders_chain() {
-        let p = ElasticPolicy::default()
-            .with_min_lanes(3)
-            .with_check_interval(512)
-            .with_thresholds(0.1, 0.4)
-            .with_cooldown_checks(5);
-        assert_eq!(p.min_lanes, 3);
-        assert_eq!(p.check_interval, 512);
-        assert_eq!(p.grow_threshold, 0.1);
-        assert_eq!(p.shrink_threshold, 0.4);
-        assert_eq!(p.cooldown_checks, 5);
+        assert_eq!(cfg.label(), "multiqueue(n=16, s=4, d=2)");
+        assert_eq!(MultiQueueConfig::with_queues(16).shards, 1);
     }
 
     #[test]
@@ -433,27 +281,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds the lane capacity")]
+    #[should_panic(expected = "exceeds the lane count")]
     fn more_shards_than_lanes_panics() {
         let _ = MultiQueueConfig::with_queues(4).with_shards(5);
-    }
-
-    #[test]
-    #[should_panic(expected = "need at least one active lane")]
-    fn zero_min_lanes_panics() {
-        let _ = ElasticPolicy::default().with_min_lanes(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "check interval must be positive")]
-    fn zero_check_interval_panics() {
-        let _ = ElasticPolicy::default().with_check_interval(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "thresholds must be finite")]
-    fn nan_thresholds_panic() {
-        let _ = ElasticPolicy::default().with_thresholds(f64::NAN, 0.1);
     }
 
     #[test]

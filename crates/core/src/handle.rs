@@ -228,17 +228,13 @@ impl<'q, V> MqHandle<'q, V> {
     }
 
     /// The sticky lane hint for one insert, refreshing it (within the
-    /// session's shard, over the currently active lanes) when exhausted. A
-    /// hint that goes stale across a shrink is simply ignored by the insert
-    /// path.
+    /// session's shard) when exhausted.
     fn insert_hint(&mut self) -> Option<usize> {
         if self.policy.sticky_ops == 0 {
             return None;
         }
         if self.sticky_left == 0 {
-            self.sticky_lane =
-                self.queue
-                    .stride_lane(&mut self.rng, self.shard, self.queue.active_lanes());
+            self.sticky_lane = self.queue.stride_lane(&mut self.rng, self.shard);
             self.sticky_left = self.policy.sticky_ops;
         }
         self.sticky_left -= 1;
@@ -360,7 +356,7 @@ impl<V: Send> PqHandle<V> for MqHandle<'_, V> {
             obs.queue_obs.delete_min_ns.record(elapsed);
             // The shadow rank probe rides the same sampled tick: the clock
             // reads are already paid, the probe adds one relaxed top load
-            // per active lane (see `MultiQueue::lane_rank_bound`).
+            // per lane (see `MultiQueue::lane_rank_bound`).
             if let Some((key, _)) = &result {
                 obs.queue_obs
                     .rank_error
@@ -618,7 +614,7 @@ mod tests {
     fn batched_flush_on_a_held_single_lane_lands_when_the_holder_releases() {
         // Regression: with every lane held, insert_batch_with used to
         // busy-spin forever. Once the retry budget is spent the flush
-        // blocks on a floor lane instead, and lands as soon as the holder
+        // blocks on a lane instead, and lands as soon as the holder
         // releases it.
         let q = std::sync::Arc::new(MultiQueue::<u64>::new(
             MultiQueueConfig::with_queues(1)

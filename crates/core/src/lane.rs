@@ -53,7 +53,7 @@ impl<V> Lane<V> {
     }
 
     /// Takes the lane lock, blocking until the holder releases it. Only the
-    /// fallbacks (floor-lane insert, steal scan), resizes and
+    /// fallbacks (an insert whose retry budget ran out, the steal scan) and
     /// [`MultiQueue::with_lane_locked`](crate::MultiQueue::with_lane_locked)
     /// block.
     pub(crate) fn lock(&self) -> LaneGuard<'_, V> {

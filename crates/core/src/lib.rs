@@ -58,7 +58,7 @@ pub mod queue;
 pub(crate) mod sync;
 pub mod traits;
 
-pub use config::{ChoiceRule, ElasticPolicy, MultiQueueConfig};
+pub use config::{ChoiceRule, MultiQueueConfig};
 pub use flat::{FlatHandle, FlatOps};
 pub use handle::{HandlePolicy, MqHandle};
 pub use obs::QueueObs;

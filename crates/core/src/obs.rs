@@ -5,9 +5,8 @@
 //! ([`MultiQueue::attach_obs`]) so the hot path pays exactly one branch when
 //! telemetry is disabled and one sharded, uncontended `fetch_add` per
 //! operation when enabled. Latency profiling is sampled 1-in-N at the handle
-//! layer (see [`LatencySampler`]); structural events (resizes, controller
-//! decisions, floor-lane contention) are rare by construction and go to the
-//! flight recorder off the lock-free fast path.
+//! layer (see [`LatencySampler`]); contended publishes are rare by
+//! construction and go to the flight recorder as `LaneContention` events.
 //!
 //! [`MultiQueue`]: crate::MultiQueue
 //! [`MultiQueue::attach_obs`]: crate::MultiQueue::attach_obs
@@ -30,17 +29,13 @@ pub const DEFAULT_SAMPLE_EVERY: u32 = 64;
 pub struct QueueObs {
     recorder: Arc<FlightRecorder>,
     label: String,
-    /// Operations folded into the controller tick (inserts, batch elements,
-    /// removal attempts).
+    /// Operations counted by [`on_ops`](Self::on_ops) (inserts, batch
+    /// elements, removal attempts).
     pub(crate) ops_total: Arc<Counter>,
     /// Retry-loop iterations lost to lock contention.
     pub(crate) lock_retries_total: Arc<Counter>,
     /// Retry-loop iterations where every sampled top looked empty.
     pub(crate) sparse_retries_total: Arc<Counter>,
-    /// Completed lane-table resizes.
-    pub(crate) resizes_total: Arc<Counter>,
-    /// Elastic-controller decision windows closed.
-    pub(crate) controller_ticks_total: Arc<Counter>,
     /// Sampled `insert` latency (ns).
     pub(crate) insert_ns: Arc<Histogram>,
     /// Sampled `delete_min` latency (ns).
@@ -97,8 +92,6 @@ impl QueueObs {
             ops_total: m.counter("mq_ops_total", labels),
             lock_retries_total: m.counter("mq_lock_retries_total", labels),
             sparse_retries_total: m.counter("mq_sparse_retries_total", labels),
-            resizes_total: m.counter("mq_resizes_total", labels),
-            controller_ticks_total: m.counter("mq_controller_ticks_total", labels),
             insert_ns: m.histogram("mq_op_ns", &[("queue", queue), ("op", "insert")]),
             delete_min_ns: m.histogram("mq_op_ns", &[("queue", queue), ("op", "delete_min")]),
             delete_min_batch_ns: m
@@ -135,36 +128,13 @@ impl QueueObs {
         &self.rank_error
     }
 
-    /// A committed lane-table resize (called with the resize mutex held;
-    /// the record itself is lock-free).
-    pub(crate) fn on_resize(&self, epoch: u64, from: usize, to: usize) {
-        self.resizes_total.inc();
-        self.recorder.record(
-            EventKind::Resize,
-            &self.label,
-            [epoch, from as u64, to as u64],
-        );
-    }
-
-    /// An elastic-controller window closed (`decision`: 0 hold, 1 grow,
-    /// 2 shrink).
-    pub(crate) fn on_controller_tick(&self, decision: u64, lock: u64, sparse: u64) {
-        self.controller_ticks_total.inc();
-        self.recorder.record(
-            EventKind::ControllerTick,
-            &self.label,
-            [decision, lock, sparse],
-        );
-    }
-
     /// An insert's publish was contended: it either fell through to the
-    /// floor-lane arm (always recorded, whatever the retry count), or
+    /// blocking arm (always recorded, whatever the retry count), or
     /// published on a later draw after accumulating at least
     /// [`contention_event_threshold`](crate::MultiQueueConfig::contention_event_threshold)
     /// contended retries. `lane` is the lane that finally took the
     /// elements, `retries` the full count — so contention that fresh draws
-    /// absorbed reaches the flight recorder, not just the elastic
-    /// controller's rate window.
+    /// absorbed reaches the flight recorder too.
     pub(crate) fn on_lane_contention(&self, lane: usize, retries: u64) {
         self.recorder.record(
             EventKind::LaneContention,
@@ -190,16 +160,12 @@ impl QueueObs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ElasticPolicy, MultiQueueConfig};
+    use crate::config::MultiQueueConfig;
     use crate::traits::{PqHandle, SharedPq};
     use crate::MultiQueue;
 
     fn observed_queue(hub: &Arc<ObsHub>) -> MultiQueue<u64> {
-        let mut q = MultiQueue::new(
-            MultiQueueConfig::with_queues(8)
-                .with_seed(42)
-                .with_elastic(ElasticPolicy::default().with_min_lanes(2)),
-        );
+        let mut q = MultiQueue::new(MultiQueueConfig::with_queues(8).with_seed(42));
         q.attach_obs(QueueObs::with_sample_every(hub, "q0", 1));
         q
     }
@@ -227,33 +193,6 @@ mod tests {
             .histogram("mq_op_ns", &[("op", "delete_min"), ("queue", "q0")])
             .expect("delete histogram registered");
         assert!(del_ns.count() >= 100, "failed removals are timed too");
-    }
-
-    #[test]
-    fn resizes_record_epoch_stamped_events() {
-        let hub = ObsHub::new();
-        let q = observed_queue(&hub);
-        assert!(q.resize_active(8));
-        assert!(q.resize_active(2));
-        let events = hub.recorder().events();
-        let resizes: Vec<_> = events
-            .iter()
-            .filter(|e| e.kind == EventKind::Resize)
-            .collect();
-        assert_eq!(resizes.len(), 2);
-        assert_eq!(resizes[0].fields, [1, 2, 8], "epoch 1: 2 -> 8 lanes");
-        assert_eq!(resizes[1].fields, [2, 8, 2], "epoch 2: 8 -> 2 lanes");
-        assert!(resizes.iter().all(|e| e.label == "q0"));
-        assert_eq!(
-            q.topology().resize_epoch,
-            2,
-            "recorded epochs match the lane table"
-        );
-        let snap = hub.metrics().snapshot();
-        assert_eq!(
-            snap.counter("mq_resizes_total", &[("queue", "q0")]),
-            Some(2)
-        );
     }
 
     #[test]

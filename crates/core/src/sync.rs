@@ -1,5 +1,4 @@
-//! Sync-primitive indirection for the lanes, the lane table and the handle
-//! hot path.
+//! Sync-primitive indirection for the lanes and the queue's counters.
 //!
 //! Normally these are the real primitives (`parking_lot::Mutex`, the `std`
 //! atomics) with zero overhead. Under the `check` cargo feature they become

@@ -87,9 +87,8 @@ pub struct HandleStats {
     /// on **both** the removal and the insert side. Removal side: a sampled
     /// lane's lock was held, every sampled top looked empty while the
     /// structure was not, or a lane emptied between the unsynchronised peek
-    /// and the lock. Insert side: a failed try-lock **and** a revalidation
-    /// failure after a successful one (the lane was retired under foot) each
-    /// count one retry, after which the insert draws another lane. Always
+    /// and the lock. Insert side: each lost `try_lock` counts one retry,
+    /// after which the insert draws another lane. Always
     /// `0` for exact centralized structures, which block instead of
     /// retrying. Retries are *not* operations and do not count towards
     /// [`operations`](HandleStats::operations).
@@ -131,52 +130,26 @@ impl HandleStats {
     }
 }
 
-/// A snapshot of a queue's internal layout, returned by
-/// [`SharedPq::topology`].
-///
-/// For the elastic MultiQueue this reports the live lane table (active
-/// prefix, capacity, shard count, resize history); centralized structures
-/// report the trivial [`QueueTopology::centralized`] shape. Diagnostic, not
-/// linearizable: an elastic queue may resize between the load of the lane
-/// table and the loads of the event counters.
+/// A queue's internal layout, returned by [`SharedPq::topology`]: the
+/// MultiQueue reports its lane and shard counts, centralized structures the
+/// trivial [`QueueTopology::centralized`] shape. Both are fixed at
+/// construction.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueueTopology {
-    /// Currently active lanes (the prefix of the allocated lane table).
-    pub active_lanes: usize,
-    /// Allocated lane capacity (the ceiling of `active_lanes`).
-    pub max_lanes: usize,
-    /// Insert shard count the active lanes are partitioned into.
+    /// Number of lanes (the paper's `n`).
+    pub lanes: usize,
+    /// Insert shard count the lanes are partitioned into.
     pub shards: usize,
-    /// Completed grow events since construction.
-    pub grows: u64,
-    /// Completed shrink events since construction.
-    pub shrinks: u64,
-    /// The lane-table resize epoch at snapshot time (incremented by every
-    /// completed grow or shrink), letting external observers correlate this
-    /// snapshot with epoch-stamped flight-recorder resize events. Reads from
-    /// the same packed lane-table word as `active_lanes`, so the pair is
-    /// mutually consistent even mid-resize.
-    pub resize_epoch: u64,
 }
 
 impl QueueTopology {
-    /// The shape of a centralized (single-structure) queue: one permanent
-    /// lane, one shard, no resize history. The default for every backend
-    /// without a lane table.
+    /// The shape of a centralized (single-structure) queue: one lane, one
+    /// shard. The default for every backend without lanes.
     pub fn centralized() -> Self {
         Self {
-            active_lanes: 1,
-            max_lanes: 1,
+            lanes: 1,
             shards: 1,
-            grows: 0,
-            shrinks: 0,
-            resize_epoch: 0,
         }
-    }
-
-    /// Total completed resizes (grows plus shrinks).
-    pub fn resize_events(&self) -> u64 {
-        self.grows + self.shrinks
     }
 }
 
@@ -344,10 +317,9 @@ pub trait SharedPq<V>: Send + Sync {
         self.approx_len() == 0
     }
 
-    /// A snapshot of the structure's internal layout (lane table, shards,
-    /// resize history). The default reports the trivial
-    /// [`QueueTopology::centralized`] shape; the MultiQueue overrides it
-    /// with its live lane table.
+    /// The structure's internal layout (lanes and shards). The default
+    /// reports the trivial [`QueueTopology::centralized`] shape; the
+    /// MultiQueue overrides it with its lane and shard counts.
     fn topology(&self) -> QueueTopology {
         QueueTopology::centralized()
     }
@@ -721,10 +693,8 @@ mod tests {
         let q = Locked::new();
         let shape = q.topology();
         assert_eq!(shape, QueueTopology::centralized());
-        assert_eq!(shape.active_lanes, 1);
-        assert_eq!(shape.max_lanes, 1);
+        assert_eq!(shape.lanes, 1);
         assert_eq!(shape.shards, 1);
-        assert_eq!(shape.resize_events(), 0);
         // Through the erased form too.
         let e: &dyn DynSharedPq<u64> = &q;
         assert_eq!(e.topology_dyn(), QueueTopology::centralized());

@@ -8,7 +8,7 @@
 //!   is one uncontended `fetch_add`; [`MetricsRegistry::snapshot`] merges
 //!   the shards consistently and renders Prometheus exposition text.
 //! * [`recorder`] — a [`FlightRecorder`]: a fixed-size lock-free ring of
-//!   structured events (resizes, controller ticks, quota refusals, session
+//!   structured events (lane contention, quota refusals, session
 //!   lifecycle, quiescence, panics) with deterministic-clock support and
 //!   panic-hook dumps for post-mortem traces.
 //! * [`trace`] — a [`SpanRing`]: the same lock-free ring discipline
@@ -31,10 +31,10 @@
 //! let hub = ObsHub::new();
 //! let ops = hub.metrics().counter("ops_total", &[("queue", "default")]);
 //! ops.inc();
-//! hub.recorder().record(EventKind::Resize, "default", [1, 4, 8]);
+//! hub.recorder().record(EventKind::LaneContention, "default", [1, 4, 0]);
 //! let snapshot = hub.metrics().snapshot();
 //! assert_eq!(snapshot.counter("ops_total", &[("queue", "default")]), Some(1));
-//! assert!(hub.recorder().dump_text().contains("resize"));
+//! assert!(hub.recorder().dump_text().contains("lane-contention"));
 //! ```
 
 #![forbid(unsafe_code)]

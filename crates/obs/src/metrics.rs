@@ -7,7 +7,7 @@
 //! Each thread is assigned one shard index round-robin on first use
 //! (a thread-local, set once), so a hot-path increment is a single
 //! `fetch_add` on a cache line no other thread is writing — the same
-//! false-sharing discipline the MultiQueue lane table uses. [`snapshot`]
+//! false-sharing discipline the MultiQueue's cache-padded lanes use. [`snapshot`]
 //! merges the shards with plain atomic loads.
 //!
 //! # Consistency

@@ -49,16 +49,9 @@ pub const MAX_LABEL_BYTES: usize = 24;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u8)]
 pub enum EventKind {
-    /// An elastic lane-table resize committed. Fields: `epoch`,
-    /// `from_lanes`, `to_lanes`; label: queue name.
-    Resize = 1,
-    /// An elastic-controller window closed and took a decision. Fields:
-    /// `decision` (0 hold, 1 grow, 2 shrink), `window_lock_retries`,
-    /// `window_sparse_retries`; label: queue name.
-    ControllerTick = 2,
-    /// An insert fell back to the blocking floor-lane path after exhausting
-    /// its lock attempts. Fields: `lane`, `retries`, unused; label: queue
-    /// name.
+    /// An insert fell back to a blocking lane lock after exhausting its
+    /// lock attempts, or lost at least the queue's contention threshold of
+    /// them. Fields: `lane`, `retries`, unused; label: queue name.
     LaneContention = 3,
     /// An admission gate refused an operation. Fields: `category` (see
     /// [`refusal_category_name`]), `key`, `inflight`; label: tenant/queue
@@ -79,8 +72,6 @@ pub enum EventKind {
 impl EventKind {
     fn from_code(code: u64) -> Option<Self> {
         Some(match code {
-            1 => EventKind::Resize,
-            2 => EventKind::ControllerTick,
             3 => EventKind::LaneContention,
             4 => EventKind::QuotaRefusal,
             5 => EventKind::SessionOpen,
@@ -94,8 +85,6 @@ impl EventKind {
     /// A short lowercase name for dumps.
     pub fn name(self) -> &'static str {
         match self {
-            EventKind::Resize => "resize",
-            EventKind::ControllerTick => "controller-tick",
             EventKind::LaneContention => "lane-contention",
             EventKind::QuotaRefusal => "quota-refusal",
             EventKind::SessionOpen => "session-open",
@@ -108,8 +97,6 @@ impl EventKind {
     /// Names for the three numeric fields, used by the dumps.
     pub fn field_names(self) -> [&'static str; 3] {
         match self {
-            EventKind::Resize => ["epoch", "from_lanes", "to_lanes"],
-            EventKind::ControllerTick => ["decision", "lock_retries", "sparse_retries"],
             EventKind::LaneContention => ["lane", "retries", "_"],
             EventKind::QuotaRefusal => ["category", "key", "inflight"],
             EventKind::SessionOpen | EventKind::SessionClose => ["session", "_", "_"],
@@ -535,7 +522,7 @@ mod tests {
         let clock = ManualClock::new();
         let rec = FlightRecorder::with_manual_clock(16, &clock);
         clock.set_ns(100);
-        rec.record(EventKind::Resize, "default", [1, 4, 8]);
+        rec.record(EventKind::LaneContention, "default", [1, 4, 8]);
         clock.advance_ns(50);
         rec.record(
             EventKind::QuotaRefusal,
@@ -546,7 +533,7 @@ mod tests {
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].seq, 0);
         assert_eq!(events[0].ts_ns, 100);
-        assert_eq!(events[0].kind, EventKind::Resize);
+        assert_eq!(events[0].kind, EventKind::LaneContention);
         assert_eq!(events[0].fields, [1, 4, 8]);
         assert_eq!(events[0].label, "default");
         assert_eq!(events[1].ts_ns, 150);
@@ -612,7 +599,7 @@ mod tests {
                 let rec = Arc::clone(&rec);
                 s.spawn(move || {
                     for i in 0..5_000u64 {
-                        rec.record(EventKind::ControllerTick, "q", [t, i, t * i]);
+                        rec.record(EventKind::LaneContention, "q", [t, i, t * i]);
                     }
                 });
             }
@@ -639,15 +626,14 @@ mod tests {
         let clock = ManualClock::new();
         let rec = FlightRecorder::with_manual_clock(8, &clock);
         clock.set_ns(42);
-        rec.record(EventKind::Resize, "default", [3, 4, 8]);
+        rec.record(EventKind::Quiescence, "default", [3, 4, 8]);
         let text = rec.dump_text();
-        assert!(text.contains("resize"));
-        assert!(text.contains("epoch=3"));
-        assert!(text.contains("from_lanes=4"));
-        assert!(text.contains("to_lanes=8"));
+        assert!(text.contains("quiescence"));
+        assert!(text.contains("worker=3"));
+        assert!(text.contains("executed=4"));
         assert!(text.contains("default"));
         let json = rec.dump_json();
-        assert!(json.contains("\"kind\":\"resize\""));
+        assert!(json.contains("\"kind\":\"quiescence\""));
         assert!(json.contains("\"ts_ns\":42"));
         assert!(json.contains("\"fields\":[3,4,8]"));
         assert!(json.starts_with('{') && json.ends_with('}'));

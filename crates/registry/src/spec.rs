@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use choice_obs::ObsHub;
-use choice_pq::{DynSharedPq, ElasticPolicy, MultiQueue, MultiQueueConfig, QueueObs};
+use choice_pq::{DynSharedPq, MultiQueue, MultiQueueConfig, QueueObs};
 use pq_baselines::{CoarseHeap, KLsmConfig, KLsmQueue, SkipListQueue};
 
 /// Which backend a named queue runs on, with its sizing parameters.
@@ -30,17 +30,6 @@ pub enum BackendSpec {
         lanes: u32,
         /// Lanes sampled per `delete_min`.
         d: u32,
-    },
-    /// The sharded elastic MultiQueue (lane capacity `lanes`, default
-    /// [`ElasticPolicy`] controller — each queue gets its own controller
-    /// instance, so tenants resize independently).
-    Elastic {
-        /// Lane capacity (the elastic ceiling).
-        lanes: u32,
-        /// Lanes sampled per `delete_min`.
-        d: u32,
-        /// Insert shard count (clamped to `lanes`).
-        shards: u32,
     },
     /// The coarse-locked exact binary heap.
     CoarseHeap,
@@ -61,11 +50,11 @@ impl BackendSpec {
         BackendSpec::MultiQueue { lanes: 8, d: 2 }
     }
 
-    /// The wire code byte identifying this backend family.
+    /// The wire code byte identifying this backend family. Code `1` named
+    /// a backend that no longer exists; it stays unassigned.
     pub fn code(&self) -> u8 {
         match self {
             BackendSpec::MultiQueue { .. } => 0,
-            BackendSpec::Elastic { .. } => 1,
             BackendSpec::CoarseHeap => 2,
             BackendSpec::KLsm { .. } => 3,
             BackendSpec::SkipList => 4,
@@ -76,7 +65,6 @@ impl BackendSpec {
     pub fn params(&self) -> (u32, u32, u32) {
         match *self {
             BackendSpec::MultiQueue { lanes, d } => (lanes, d, 0),
-            BackendSpec::Elastic { lanes, d, shards } => (lanes, d, shards),
             BackendSpec::CoarseHeap => (0, 0, 0),
             BackendSpec::KLsm {
                 threads,
@@ -87,14 +75,11 @@ impl BackendSpec {
     }
 
     /// Reassembles a spec from its wire form; `None` for an unknown code.
-    pub fn from_wire(code: u8, p1: u32, p2: u32, p3: u32) -> Option<Self> {
+    /// No current backend reads the third parameter; the wire layout keeps
+    /// it.
+    pub fn from_wire(code: u8, p1: u32, p2: u32, _p3: u32) -> Option<Self> {
         match code {
             0 => Some(BackendSpec::MultiQueue { lanes: p1, d: p2 }),
-            1 => Some(BackendSpec::Elastic {
-                lanes: p1,
-                d: p2,
-                shards: p3,
-            }),
             2 => Some(BackendSpec::CoarseHeap),
             3 => Some(BackendSpec::KLsm {
                 threads: p1,
@@ -111,12 +96,6 @@ impl BackendSpec {
             BackendSpec::MultiQueue { lanes, d } => {
                 format!("multiqueue(n={}, d={})", lanes.max(1), d.max(1))
             }
-            BackendSpec::Elastic { lanes, d, shards } => format!(
-                "mq-elastic(n={}, d={}, s={})",
-                lanes.max(1),
-                d.max(1),
-                shards.max(1).min(lanes.max(1))
-            ),
             BackendSpec::CoarseHeap => "coarse-heap".to_string(),
             BackendSpec::KLsm {
                 threads,
@@ -127,8 +106,8 @@ impl BackendSpec {
     }
 
     /// Builds the described queue, type-erased. Zero-valued parameters are
-    /// clamped up to `1` (and shard counts down to the lane count), so every
-    /// wire-decodable spec constructs without panicking.
+    /// clamped up to `1`, so every wire-decodable spec constructs without
+    /// panicking.
     pub fn build(&self, seed: u64) -> Arc<dyn DynSharedPq<u64>> {
         match *self {
             BackendSpec::MultiQueue { lanes, d } => Arc::new(MultiQueue::<u64>::new(
@@ -136,16 +115,6 @@ impl BackendSpec {
                     .with_d(d.max(1) as usize)
                     .with_seed(seed),
             )),
-            BackendSpec::Elastic { lanes, d, shards } => {
-                let lanes = lanes.max(1) as usize;
-                Arc::new(MultiQueue::<u64>::new(
-                    MultiQueueConfig::with_queues(lanes)
-                        .with_d(d.max(1) as usize)
-                        .with_shards((shards.max(1) as usize).min(lanes))
-                        .with_elastic(ElasticPolicy::default())
-                        .with_seed(seed),
-                ))
-            }
             BackendSpec::CoarseHeap => Arc::new(CoarseHeap::new()),
             BackendSpec::KLsm {
                 threads,
@@ -175,18 +144,6 @@ impl BackendSpec {
                 let mut q = MultiQueue::<u64>::new(
                     MultiQueueConfig::with_queues(lanes.max(1) as usize)
                         .with_d(d.max(1) as usize)
-                        .with_seed(seed),
-                );
-                q.attach_obs(QueueObs::new(hub, queue_name));
-                Arc::new(q)
-            }
-            BackendSpec::Elastic { lanes, d, shards } => {
-                let lanes = lanes.max(1) as usize;
-                let mut q = MultiQueue::<u64>::new(
-                    MultiQueueConfig::with_queues(lanes)
-                        .with_d(d.max(1) as usize)
-                        .with_shards((shards.max(1) as usize).min(lanes))
-                        .with_elastic(ElasticPolicy::default())
                         .with_seed(seed),
                 );
                 q.attach_obs(QueueObs::new(hub, queue_name));
@@ -288,11 +245,6 @@ mod tests {
     fn every_backend_round_trips_through_the_wire_form() {
         let specs = [
             BackendSpec::MultiQueue { lanes: 8, d: 2 },
-            BackendSpec::Elastic {
-                lanes: 16,
-                d: 4,
-                shards: 2,
-            },
             BackendSpec::CoarseHeap,
             BackendSpec::KLsm {
                 threads: 4,
@@ -305,17 +257,13 @@ mod tests {
             assert_eq!(BackendSpec::from_wire(spec.code(), p1, p2, p3), Some(spec));
         }
         assert_eq!(BackendSpec::from_wire(99, 0, 0, 0), None);
+        assert_eq!(BackendSpec::from_wire(1, 16, 4, 2), None, "unassigned");
     }
 
     #[test]
     fn every_backend_builds_a_working_queue() {
         let specs = [
             BackendSpec::MultiQueue { lanes: 4, d: 2 },
-            BackendSpec::Elastic {
-                lanes: 8,
-                d: 2,
-                shards: 2,
-            },
             BackendSpec::CoarseHeap,
             BackendSpec::KLsm {
                 threads: 2,
@@ -336,22 +284,13 @@ mod tests {
 
     #[test]
     fn zero_parameters_are_clamped_not_panics() {
-        for code in 0..=4u8 {
+        for code in [0u8, 2, 3, 4] {
             let spec = BackendSpec::from_wire(code, 0, 0, 0).unwrap();
             let q = spec.build(1);
             let mut h = q.register_dyn();
             h.insert(1, 1);
             assert_eq!(h.delete_min(), Some((1, 1)), "code {code}");
         }
-        // Shards beyond lanes clamp down instead of tripping the config
-        // assertion.
-        let spec = BackendSpec::Elastic {
-            lanes: 2,
-            d: 2,
-            shards: 100,
-        };
-        let q = spec.build(1);
-        assert!(q.topology_dyn().shards <= 2);
     }
 
     #[test]

@@ -54,7 +54,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use choice_obs::{EventKind, ObsHub};
-use choice_pq::{check_key, HandlePolicy, HandleStats, Key, PqHandle, QueueTopology, SharedPq};
+use choice_pq::{check_key, HandlePolicy, HandleStats, Key, PqHandle, SharedPq};
 use rank_stats::histogram::LogHistogram;
 use rank_stats::timing::OpsTimer;
 
@@ -280,10 +280,6 @@ pub struct SchedulerReport {
     pub inversions: LogHistogram,
     /// Per-worker breakdowns.
     pub workers: Vec<WorkerReport>,
-    /// The queue's layout as the pool observed it after quiescence: lane
-    /// table, shard count, and — for an elastic backend — how many resizes
-    /// the run triggered. Centralized backends report the trivial shape.
-    pub topology: QueueTopology,
 }
 
 impl SchedulerReport {
@@ -427,7 +423,6 @@ impl<'q, V: Send, Q: SharedPq<V> + ?Sized> Scheduler<'q, V, Q> {
             tasks_per_second: 0.0,
             inversions: LogHistogram::new(),
             workers: Vec::with_capacity(per_worker.len()),
-            topology: self.queue.topology(),
         };
         let mut states = Vec::with_capacity(per_worker.len());
         for (worker, inversions, state) in per_worker {
@@ -703,30 +698,6 @@ mod tests {
         let (report, sums) = sched.run(|_worker| 0u64, |sum, _ctx, _deadline, task| *sum += task);
         assert_eq!(report.executed, 100);
         assert_eq!(sums.iter().sum::<u64>(), (0..100u64).sum());
-    }
-
-    #[test]
-    fn report_carries_the_queue_topology() {
-        use choice_pq::ElasticPolicy;
-        let q = MultiQueue::<u64>::new(
-            MultiQueueConfig::with_queues(8)
-                .with_seed(12)
-                .with_elastic(ElasticPolicy::default().with_min_lanes(2)),
-        );
-        let sched = Scheduler::new(&q, SchedulerConfig::new(2));
-        {
-            let mut seeder = sched.injector();
-            for i in 0..200u64 {
-                seeder.inject(i, i);
-            }
-        }
-        // Force a grow mid-run so the resize shows up in the report.
-        q.resize_active(8);
-        let (report, _) = sched.run_simple(|_, _, _| {});
-        assert_eq!(report.executed, 200);
-        assert_eq!(report.topology.max_lanes, 8);
-        assert!(report.topology.grows >= 1);
-        assert!(report.topology.active_lanes >= 2);
     }
 
     #[test]

@@ -7,9 +7,6 @@
 //!
 //! * [`BinaryHeap`] — an array-backed binary min-heap;
 //!   the default lane used by the concurrent MultiQueue.
-//! * [`PairingHeap`] — a pointer-based pairing heap
-//!   with `O(1)` insert and amortised `O(log n)` pop; useful when the workload
-//!   is insert-heavy.
 //! * [`SkipListPq`] — a randomized skiplist keeping all
 //!   elements in sorted order, mirroring the structure used by skiplist-based
 //!   concurrent priority queues such as Linden–Jonsson.
@@ -40,12 +37,10 @@
 
 pub mod binary_heap;
 pub mod bucket_queue;
-pub mod pairing_heap;
 pub mod skiplist;
 
 pub use binary_heap::BinaryHeap;
 pub use bucket_queue::BucketQueue;
-pub use pairing_heap::PairingHeap;
 pub use skiplist::SkipListPq;
 
 /// The priority key type used throughout the workspace.
@@ -86,30 +81,6 @@ pub trait SequentialPriorityQueue<V> {
     fn clear(&mut self);
 }
 
-/// Which sequential queue implementation to use for a MultiQueue lane.
-///
-/// This is a plain configuration enum so benchmarks can sweep backends.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum Backend {
-    /// Array-backed binary min-heap (default).
-    #[default]
-    BinaryHeap,
-    /// Pairing heap.
-    PairingHeap,
-    /// Skiplist-based priority queue.
-    SkipList,
-}
-
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Backend::BinaryHeap => write!(f, "binary-heap"),
-            Backend::PairingHeap => write!(f, "pairing-heap"),
-            Backend::SkipList => write!(f, "skiplist"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod trait_tests {
     use super::*;
@@ -133,15 +104,6 @@ mod trait_tests {
     #[test]
     fn all_backends_satisfy_the_trait_contract() {
         exercise::<BinaryHeap<u64>>();
-        exercise::<PairingHeap<u64>>();
         exercise::<SkipListPq<u64>>();
-    }
-
-    #[test]
-    fn backend_display_names() {
-        assert_eq!(Backend::BinaryHeap.to_string(), "binary-heap");
-        assert_eq!(Backend::PairingHeap.to_string(), "pairing-heap");
-        assert_eq!(Backend::SkipList.to_string(), "skiplist");
-        assert_eq!(Backend::default(), Backend::BinaryHeap);
     }
 }

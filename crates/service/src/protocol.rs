@@ -393,8 +393,8 @@ pub struct QueueStats {
 /// server has accepted, the merged [`HandleStats`] over every session on
 /// every queue — live connections contribute their current counters,
 /// closed ones their final counters, dropped queues their counters as of
-/// the drop — a snapshot of the backing queues' summed lane topology, and
-/// (v3) the per-queue breakdown.
+/// the drop — the backing queues' summed lane count, and (v3) the
+/// per-queue breakdown.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Connections accepted over the server's lifetime.
@@ -402,19 +402,18 @@ pub struct ServiceStats {
     /// Per-session counters folded with [`HandleStats::merge`], including
     /// refusals issued by admission control.
     pub totals: HandleStats,
-    /// Currently active lanes summed over the instantiated queues (`1` per
-    /// centralized backend, which reports the trivial topology).
+    /// Lanes summed over the instantiated queues (`1` per centralized
+    /// backend, which reports the trivial topology). Lane counts are fixed,
+    /// so this always equals `max_lanes`.
     pub active_lanes: u64,
-    /// Allocated lane capacity summed over the instantiated queues.
+    /// Lanes summed over the instantiated queues (the same sum as
+    /// `active_lanes`; the wire layout keeps both fields).
     pub max_lanes: u64,
-    /// Completed resize events (grows plus shrinks) summed over the
-    /// instantiated queues; `0` for non-elastic backends.
+    /// Always `0`: lane counts never change. Kept so the Stats layout is
+    /// unchanged.
     pub resize_events: u64,
-    /// v4: lane-table resize epochs summed over the instantiated queues —
-    /// unlike `resize_events` (derived from grow/shrink counters) this is
-    /// the epoch stamp external observers correlate with epoch-carrying
-    /// flight-recorder `Resize` events. `0` when decoded from a pre-v4
-    /// frame.
+    /// v4: always `0`, like `resize_events`; kept so the Stats layout is
+    /// unchanged. `0` when decoded from a pre-v4 frame as well.
     pub resize_epoch: u64,
     /// v3: per-queue breakdown, sorted by name. Empty when decoded from a
     /// v2 frame (the legacy layout has no rows).
@@ -1429,11 +1428,6 @@ mod tests {
         // Every backend family and a fully-populated quota.
         for backend in [
             BackendSpec::MultiQueue { lanes: 8, d: 2 },
-            BackendSpec::Elastic {
-                lanes: 16,
-                d: 4,
-                shards: 2,
-            },
             BackendSpec::CoarseHeap,
             BackendSpec::KLsm {
                 threads: 4,
@@ -1630,11 +1624,7 @@ mod tests {
             let mut buf = Vec::new();
             Request::CreateQueue {
                 name: "tenant/a".to_string(),
-                backend: BackendSpec::Elastic {
-                    lanes: 16,
-                    d: 4,
-                    shards: 2,
-                },
+                backend: BackendSpec::MultiQueue { lanes: 16, d: 4 },
                 quota: QuotaSpec::unlimited().with_rate(1000, 50),
             }
             .encode(&mut buf);
@@ -1999,27 +1989,33 @@ mod tests {
 
     #[test]
     fn unknown_backend_codes_and_oversized_row_counts_are_malformed() {
-        // CreateQueue with an unassigned backend code.
-        let mut buf = Vec::new();
-        encode_frame(&mut buf, WIRE_VERSION, OP_CREATE_QUEUE, |out| {
-            out.push(0); // v5 envelope: no trace
-            out.push(1);
-            out.push(b'q');
-            out.push(99); // unknown backend family
-            for _ in 0..3 {
-                put_u32(out, 0);
-            }
-            for _ in 0..5 {
-                put_u64(out, 0);
-            }
-        });
-        assert!(matches!(
-            Request::decode(&buf),
-            Err(WireError::MalformedPayload {
-                opcode: OP_CREATE_QUEUE,
-                ..
-            })
-        ));
+        // CreateQueue with an unassigned backend code (1 is the retired
+        // elastic family).
+        for code in [1u8, 99] {
+            let mut buf = Vec::new();
+            encode_frame(&mut buf, WIRE_VERSION, OP_CREATE_QUEUE, |out| {
+                out.push(0); // v5 envelope: no trace
+                out.push(1);
+                out.push(b'q');
+                out.push(code);
+                for _ in 0..3 {
+                    put_u32(out, 0);
+                }
+                for _ in 0..5 {
+                    put_u64(out, 0);
+                }
+            });
+            assert!(
+                matches!(
+                    Request::decode(&buf),
+                    Err(WireError::MalformedPayload {
+                        opcode: OP_CREATE_QUEUE,
+                        ..
+                    })
+                ),
+                "backend code {code} must be malformed"
+            );
+        }
         // QueueList promising more rows than the registry can hold is
         // refused before allocation.
         let mut buf = Vec::new();
@@ -2506,6 +2502,9 @@ mod tests {
         }
     }
 
+    /// The assigned `BackendSpec` wire codes (1 is unassigned).
+    const BACKEND_CODES: [u8; 4] = [0, 2, 3, 4];
+
     /// Builds a valid queue name from a numeric seed (the proptest shim has
     /// no string strategies).
     fn name_from_seed(seed: u64) -> String {
@@ -2531,8 +2530,13 @@ mod tests {
                 5 => Request::Shutdown,
                 6 => Request::CreateQueue {
                     name,
-                    backend: BackendSpec::from_wire((key % 5) as u8, max, max / 2, max / 3)
-                        .expect("codes 0..=4 are assigned"),
+                    backend: BackendSpec::from_wire(
+                        BACKEND_CODES[(key % 4) as usize],
+                        max,
+                        max / 2,
+                        max / 3,
+                    )
+                    .expect("assigned backend code"),
                     quota: QuotaSpec {
                         max_inflight: key,
                         max_sessions: value,
@@ -2683,7 +2687,7 @@ mod tests {
             let mut buf = Vec::new();
             Request::CreateQueue {
                 name: name_from_seed(seed),
-                backend: BackendSpec::from_wire((seed % 5) as u8, 8, 2, 1).unwrap(),
+                backend: BackendSpec::from_wire(BACKEND_CODES[(seed % 4) as usize], 8, 2, 1).unwrap(),
                 quota: QuotaSpec::unlimited().with_max_inflight(seed),
             }
             .encode(&mut buf);

@@ -182,21 +182,15 @@ impl Shared {
         totals.refusals = totals
             .refusals
             .saturating_add(self.registry.unbound_refusals());
-        // The lane-table snapshot (summed over the instantiated queues)
-        // rides along so remote operators can watch elastic backends resize
-        // themselves under their load.
-        let mut active_lanes = 0u64;
-        let mut max_lanes = 0u64;
-        let mut resize_events = 0u64;
-        let mut resize_epoch = 0u64;
+        // The lane count summed over the instantiated queues fills both
+        // lane fields of the Stats layout; lane counts never change, so
+        // both resize fields stay 0.
+        let mut lanes = 0u64;
         let mut queues = Vec::new();
         for snap in self.registry.stats() {
             totals.merge(&snap.totals);
             if let Some(topology) = &snap.topology {
-                active_lanes += topology.active_lanes as u64;
-                max_lanes += topology.max_lanes as u64;
-                resize_events += topology.resize_events();
-                resize_epoch += topology.resize_epoch;
+                lanes += topology.lanes as u64;
             }
             queues.push(QueueStats {
                 name: snap.name,
@@ -208,10 +202,10 @@ impl Shared {
         ServiceStats {
             sessions: self.sessions_opened.load(Ordering::Relaxed),
             totals,
-            active_lanes,
-            max_lanes,
-            resize_events,
-            resize_epoch,
+            active_lanes: lanes,
+            max_lanes: lanes,
+            resize_events: 0,
+            resize_epoch: 0,
             queues,
         }
     }
@@ -1079,26 +1073,21 @@ mod tests {
     }
 
     #[test]
-    fn stats_report_the_elastic_lane_topology_over_the_wire() {
-        use choice_pq::ElasticPolicy;
+    fn stats_report_the_lane_count_over_the_wire() {
         let queue = Arc::new(MultiQueue::<u64>::new(
             MultiQueueConfig::with_queues(16)
-                .with_seed(4)
-                .with_elastic(ElasticPolicy::default().with_min_lanes(2)),
+                .with_shards(2)
+                .with_seed(4),
         ));
         let erased: Arc<dyn DynSharedPq<u64>> = Arc::clone(&queue) as _;
         let server = PqServer::spawn(erased, "127.0.0.1:0", ServerConfig::default()).expect("bind");
-        queue.resize_active(8);
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         match request_reply(&mut stream, &Request::Stats) {
             Response::Stats(stats) => {
-                assert_eq!(stats.active_lanes, 8);
+                assert_eq!(stats.active_lanes, 16);
                 assert_eq!(stats.max_lanes, 16);
-                assert!(stats.resize_events >= 1);
-                assert!(
-                    stats.resize_epoch >= 1,
-                    "the committed resize bumps the epoch over the wire"
-                );
+                assert_eq!(stats.resize_events, 0);
+                assert_eq!(stats.resize_epoch, 0);
             }
             other => panic!("expected stats, got {other:?}"),
         }

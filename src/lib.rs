@@ -98,8 +98,8 @@ pub mod prelude {
     pub use balls_bins::{AllocationProcess, ChoiceRule};
     pub use choice_obs::{EventKind, FlightRecorder, MetricsRegistry, ObsHub};
     pub use choice_pq::{
-        DynSharedPq, ElasticPolicy, HandlePolicy, HandleStats, Key, MultiQueue, MultiQueueConfig,
-        PqHandle, QueueTopology, SharedPq,
+        DynSharedPq, HandlePolicy, HandleStats, Key, MultiQueue, MultiQueueConfig, PqHandle,
+        QueueTopology, SharedPq,
     };
     pub use choice_process::{
         BiasSpec, ExponentialTopProcess, ProcessConfig, RankCostSummary, SequentialProcess,
@@ -111,7 +111,7 @@ pub mod prelude {
     pub use choice_wire::{PqClient, PqServer, ServerConfig, ServiceStats};
     pub use pq_baselines::{CoarseHeap, KLsmConfig, KLsmQueue, SkipListQueue};
     pub use rank_stats::inversion::InversionCounter;
-    pub use seq_pq::{BinaryHeap, PairingHeap, SequentialPriorityQueue, SkipListPq};
+    pub use seq_pq::{BinaryHeap, SequentialPriorityQueue, SkipListPq};
     pub use sssp_graph::{dijkstra, grid_graph, parallel_sssp, random_geometric_graph, Graph};
 }
 

@@ -1,8 +1,8 @@
 //! Integration tests for the choice-obs layer: snapshot consistency of the
 //! sharded metrics registry under concurrent writers, the wire-level
-//! `Stats`/`MetricsDump` ops racing queue churn and elastic resizes, and
-//! the acceptance check that a forced quota refusal plus elastic resizes
-//! land in the flight recorder with their tenants and epochs intact.
+//! `Stats`/`MetricsDump` ops racing queue churn, and the acceptance check
+//! that a forced quota refusal lands in the flight recorder with its tenant
+//! intact.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -104,23 +104,20 @@ fn counter_sums_are_conserved_across_shard_merges_under_churn() {
 }
 
 /// `Stats` and `MetricsDump` polled flat-out while other connections churn
-/// a named queue through create/insert/drop cycles and a third thread
-/// grows/shrinks the elastic default queue. Neither op may ever error or
-/// tear: the summed `resize_epoch` stays monotonic (only the never-dropped
-/// default queue has a topology) and every dump line stays scrapeable.
+/// a named queue through create/insert/drop cycles and write to the default
+/// queue. Neither op may ever error or tear: the summed lane count stays
+/// that of the never-dropped default queue plus at most one lane for the
+/// coarse-heap tenant while it exists, and every dump line stays
+/// scrapeable.
 #[test]
-fn stats_and_metrics_dump_race_queue_churn_and_resizes() {
-    let queue = Arc::new(MultiQueue::<u64>::new(
-        MultiQueueConfig::with_queues(8)
-            .with_seed(11)
-            .with_elastic(ElasticPolicy::default().with_min_lanes(2)),
-    ));
-    let erased: Arc<dyn DynSharedPq<u64>> = Arc::clone(&queue) as _;
+fn stats_and_metrics_dump_race_queue_churn() {
+    let queue = MultiQueue::<u64>::new(MultiQueueConfig::with_queues(8).with_seed(11));
+    let erased: Arc<dyn DynSharedPq<u64>> = Arc::new(queue);
     let server = PqServer::spawn(erased, "127.0.0.1:0", ServerConfig::default()).expect("bind");
     let addr = server.local_addr();
     let done = AtomicBool::new(false);
 
-    let (observer_epoch, committed) = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let writers: Vec<_> = (0..2u64)
             .map(|w| {
                 scope.spawn(move || {
@@ -154,28 +151,22 @@ fn stats_and_metrics_dump_race_queue_churn_and_resizes() {
                 client.drop_queue("tenant/ephemeral").expect("drop tenant");
             }
         });
-        let resizer = scope.spawn(|| {
-            let mut committed = 0u64;
-            for i in 0..60usize {
-                if queue.resize_active(if i % 2 == 0 { 8 } else { 2 }) {
-                    committed += 1;
-                }
-                std::thread::yield_now();
-            }
-            committed
-        });
         let observer = scope.spawn(|| {
             let mut client = PqClient::connect(addr).expect("connect observer");
-            let mut last_epoch = 0u64;
             let mut polls = 0u64;
             loop {
                 let stats = client.stats().expect("Stats never errors mid-churn");
                 assert!(
-                    stats.resize_epoch >= last_epoch,
-                    "summed resize_epoch went backwards: {} < {last_epoch}",
-                    stats.resize_epoch
+                    (8..=9).contains(&stats.active_lanes) && stats.max_lanes == stats.active_lanes,
+                    "torn lane count mid-churn: {} active / {} max",
+                    stats.active_lanes,
+                    stats.max_lanes
                 );
-                last_epoch = stats.resize_epoch;
+                assert_eq!(
+                    (stats.resize_events, stats.resize_epoch),
+                    (0, 0),
+                    "lane counts never change"
+                );
                 let dump = client
                     .metrics_dump(polls.is_multiple_of(2))
                     .expect("MetricsDump never errors mid-churn");
@@ -196,37 +187,32 @@ fn stats_and_metrics_dump_race_queue_churn_and_resizes() {
                     break;
                 }
             }
-            (last_epoch, polls)
+            polls
         });
         for w in writers {
             w.join().expect("writer");
         }
         churner.join().expect("churner");
-        let committed = resizer.join().expect("resizer");
         done.store(true, Ordering::Relaxed);
-        let (last_epoch, polls) = observer.join().expect("observer");
+        let polls = observer.join().expect("observer");
         assert!(polls >= 1, "the observer must have raced at least one poll");
-        (last_epoch, committed)
     });
 
     let mut client = PqClient::connect(addr).expect("connect for final stats");
     let final_stats = client.stats().expect("final stats");
-    assert!(
-        final_stats.resize_epoch >= committed.max(observer_epoch),
-        "the final epoch ({}) accounts for every committed resize ({committed}) \
-         and never regresses below the last observed value ({observer_epoch})",
-        final_stats.resize_epoch
+    assert_eq!(
+        final_stats.active_lanes, 8,
+        "only the default queue is left once the tenant is dropped"
     );
     client.shutdown_server().expect("shutdown");
     server.join();
 }
 
-/// The issue's acceptance check: force a quota refusal on a tenant queue
-/// and two elastic resizes, then verify the flight recorder carries both
-/// event kinds with the correct tenant, refusal category, epochs and lane
-/// counts — in the structured events and in both dump renderings.
+/// Force a quota refusal on a tenant queue, then verify the flight recorder
+/// carries it with the correct tenant, refusal category, key and in-flight
+/// depth — in the structured events and in every dump rendering.
 #[test]
-fn quota_refusal_and_resize_dump_carries_epochs_and_tenants() {
+fn quota_refusal_dump_carries_the_tenant() {
     let hub = ObsHub::with_capacity(64);
 
     // One tenant queue with an in-flight quota of 1: the second admission
@@ -246,17 +232,6 @@ fn quota_refusal_and_resize_dump_carries_epochs_and_tenants() {
         .admit_insert(6)
         .expect_err("the second in-flight insert is over quota");
 
-    // An elastic MultiQueue resized twice: each committed resize records
-    // its epoch and the lane counts either side.
-    let mut queue = MultiQueue::<u64>::new(
-        MultiQueueConfig::with_queues(8)
-            .with_seed(3)
-            .with_elastic(ElasticPolicy::default().with_min_lanes(2)),
-    );
-    queue.attach_obs(QueueObs::new(&hub, "elastic"));
-    assert!(queue.resize_active(4), "grow from the floor commits");
-    assert!(queue.resize_active(8), "grow to the ceiling commits");
-
     let events = hub.recorder().events();
     let refusals: Vec<_> = events
         .iter()
@@ -273,42 +248,22 @@ fn quota_refusal_and_resize_dump_carries_epochs_and_tenants() {
         "refusal fields are [category, refused key, in-flight depth]"
     );
 
-    let resizes: Vec<_> = events
-        .iter()
-        .filter(|e| e.kind == EventKind::Resize)
-        .collect();
-    assert_eq!(resizes.len(), 2, "both committed resizes are recorded");
-    for r in &resizes {
-        assert_eq!(r.label, "elastic", "each resize names its queue");
-    }
-    assert_eq!(
-        resizes[0].fields,
-        [1, 2, 4],
-        "first resize: epoch 1, floor of 2 lanes grown to 4"
-    );
-    assert_eq!(
-        resizes[1].fields,
-        [2, 4, 8],
-        "second resize: epoch 2, 4 lanes grown to 8"
-    );
-
-    // The human-readable dump and the JSON dump both carry both kinds.
+    // The human-readable dump, the JSON dump and the exposition dump all
+    // carry it.
     let text = hub.recorder().dump_text();
     assert!(text.contains("quota-refusal") && text.contains("tenant/a"));
-    assert!(text.contains("resize") && text.contains("epoch=2"));
+    assert!(text.contains("key=6") && text.contains("inflight=1"));
     let json = hub.recorder().dump_json();
     assert!(json.contains("\"kind\":\"quota-refusal\""));
-    assert!(json.contains("\"kind\":\"resize\""));
     let exposition = hub.render_dump(true);
     assert!(exposition.contains("# flight recorder"));
-    assert!(exposition.contains("quota-refusal") && exposition.contains("resize"));
+    assert!(exposition.contains("quota-refusal") && exposition.contains("tenant/a"));
 }
 
 /// The contention-event rule: a publish that accumulates `lock_retries >=
 /// contention_event_threshold` records a `LaneContention` event even when a
-/// fresh lane draw published — not just the blocking floor-lane fallback,
-/// which used to be the only emitter while absorbed retries reached only
-/// the elastic controller. Pinned so the emission rule cannot silently
+/// fresh lane draw published — not just the blocking fallback, which used
+/// to be the only emitter. Pinned so the emission rule cannot silently
 /// regress to fallback-only.
 #[test]
 fn fast_path_contention_reaches_the_flight_recorder() {

@@ -1,100 +1,59 @@
-//! Conformance and stress semantics of the sharded **elastic** engine —
-//! the suite every current and future backend must pass.
+//! Conformance and stress semantics of the sharded engine — the suite
+//! every current and future backend must pass.
 //!
 //! Three layers of guarantees:
 //!
-//! 1. **Exactly-once delivery and key conservation across forced
-//!    grow/shrink events**, run over all four backends through the erased
-//!    [`DynSharedPq`] interface at 4 and 8 threads. Backends without a lane
-//!    table take the trivial resize policy (forcing a resize is a no-op) and
-//!    must pass the identical property.
-//! 2. **Property tests**: random operation sequences interleaved with random
-//!    resize commands preserve the multiset of keys and never surface the
-//!    reserved `Key::MAX`.
+//! 1. **Exactly-once delivery and key conservation**, run over all four
+//!    backends through the erased [`DynSharedPq`] interface at 4 and 8
+//!    threads, with the MultiQueue split into two insert shards.
+//! 2. **Property tests**: random operation sequences on a sharded queue
+//!    preserve the multiset of keys and never surface the reserved
+//!    `Key::MAX`.
 //! 3. **Replay determinism**: a single-handle script over a fixed-seed
-//!    elastic sharded queue is byte-identical run to run; the golden trace
-//!    below is pinned so a future engine change that silently perturbs the
-//!    removal stream fails loudly (the same methodology as
+//!    sharded queue is byte-identical run to run; the golden trace below is
+//!    pinned so a future engine change that silently perturbs the removal
+//!    stream through the shard stride fails loudly (the same methodology as
 //!    `tests/choice_semantics.rs`).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use power_of_choice::multiqueue::{ElasticPolicy, QueueTopology};
+use power_of_choice::multiqueue::QueueTopology;
 use power_of_choice::prelude::*;
 use proptest::prelude::*;
 
-/// One backend under conformance test: its erased queue plus a resize hook
-/// (the trivial policy — a no-op — for backends without a lane table).
-struct Backend {
-    name: &'static str,
-    queue: Arc<dyn DynSharedPq<u64>>,
-    /// Forces the active lane set towards `target`; returns whether anything
-    /// changed. Trivial (always `false`) for non-elastic backends.
-    resize: Box<dyn Fn(usize) -> bool + Send + Sync>,
-}
-
-/// The four backends of the paper's comparison, each behind `DynSharedPq`.
-/// Only the MultiQueue takes a real elastic policy; the rest take the
-/// trivial one, so the conformance property is identical for all.
-fn backends(threads: usize, seed: u64) -> Vec<Backend> {
-    let elastic = Arc::new(MultiQueue::<u64>::new(
-        MultiQueueConfig::for_threads_with_factor(threads, 4)
-            .with_shards(2)
-            .with_seed(seed)
-            .with_elastic(ElasticPolicy::default().with_min_lanes(2)),
-    ));
-    let resize_handle = Arc::clone(&elastic);
+/// The four backends of the paper's comparison, each behind `DynSharedPq`
+/// and named for the failure messages.
+fn backends(threads: usize, seed: u64) -> Vec<(&'static str, Arc<dyn DynSharedPq<u64>>)> {
     vec![
-        Backend {
-            name: "multiqueue-elastic",
-            queue: elastic,
-            resize: Box::new(move |target| resize_handle.resize_active(target)),
-        },
-        Backend {
-            name: "coarse-heap",
-            queue: Arc::new(CoarseHeap::new()),
-            resize: Box::new(|_| false),
-        },
-        Backend {
-            name: "skiplist",
-            queue: Arc::new(SkipListQueue::with_seed(seed)),
-            resize: Box::new(|_| false),
-        },
-        Backend {
-            name: "klsm",
-            queue: Arc::new(KLsmQueue::new(
+        (
+            "multiqueue-sharded",
+            Arc::new(MultiQueue::<u64>::new(
+                MultiQueueConfig::for_threads_with_factor(threads, 4)
+                    .with_shards(2)
+                    .with_seed(seed),
+            )),
+        ),
+        ("coarse-heap", Arc::new(CoarseHeap::new())),
+        ("skiplist", Arc::new(SkipListQueue::with_seed(seed))),
+        (
+            "klsm",
+            Arc::new(KLsmQueue::new(
                 KLsmConfig::for_threads(threads).with_relaxation(256),
             )),
-            resize: Box::new(|_| false),
-        },
+        ),
     ]
 }
 
 /// The conformance property: `threads` workers insert disjoint key ranges
-/// interleaved with removals while a controller thread forces grow/shrink
-/// events; afterwards the union of everything removed and everything still
-/// drainable must be exactly the inserted set — nothing lost, nothing
-/// duplicated, and never the reserved `Key::MAX`.
-fn exactly_once_under_forced_resizes(threads: usize, per_thread: u64, seed: u64) {
-    for backend in backends(threads, seed) {
-        let queue = &backend.queue;
-        let stop = AtomicBool::new(false);
+/// interleaved with single and batched removals; afterwards the union of
+/// everything removed and everything still drainable must be exactly the
+/// inserted set — nothing lost, nothing duplicated, and never the reserved
+/// `Key::MAX`.
+fn exactly_once(threads: usize, per_thread: u64, seed: u64) {
+    for (name, queue) in backends(threads, seed) {
+        let queue = &queue;
         let removed: Vec<u64> = std::thread::scope(|scope| {
-            let resizer = scope.spawn(|| {
-                // Sweep the whole range so both single-step and multi-step
-                // grows/shrinks happen; trivial-policy backends just spin
-                // no-ops, preserving the identical thread interleaving
-                // pressure.
-                let targets = [2usize, 64, 4, 16, 2, 64];
-                let mut i = 0;
-                while !stop.load(Ordering::Relaxed) {
-                    (backend.resize)(targets[i % targets.len()]);
-                    i += 1;
-                    std::thread::yield_now();
-                }
-            });
             let mut workers = Vec::new();
             for t in 0..threads as u64 {
                 let queue = Arc::clone(queue);
@@ -123,19 +82,15 @@ fn exactly_once_under_forced_resizes(threads: usize, per_thread: u64, seed: u64)
                     got
                 }));
             }
-            let removed: Vec<u64> = workers
+            workers
                 .into_iter()
                 .flat_map(|w| w.join().unwrap())
-                .collect();
-            stop.store(true, Ordering::Relaxed);
-            resizer.join().unwrap();
-            removed
+                .collect()
         });
 
         assert!(
             removed.iter().all(|&k| k != Key::MAX),
-            "{}: the reserved key must never surface",
-            backend.name
+            "{name}: the reserved key must never surface"
         );
         let mut all = removed;
         let mut drainer = queue.register_dyn();
@@ -147,96 +102,59 @@ fn exactly_once_under_forced_resizes(threads: usize, per_thread: u64, seed: u64)
         assert_eq!(
             all.len(),
             expected.len(),
-            "{} at {} threads: lost or duplicated keys",
-            backend.name,
-            threads
+            "{name} at {threads} threads: lost or duplicated keys"
         );
         assert_eq!(
             all, expected,
-            "{} at {} threads: multiset mismatch",
-            backend.name, threads
+            "{name} at {threads} threads: multiset mismatch"
         );
     }
 }
 
 #[test]
-fn exactly_once_under_forced_resizes_at_4_threads() {
-    exactly_once_under_forced_resizes(4, 4_000, 0xE1A5);
+fn exactly_once_on_every_backend_at_4_threads() {
+    exactly_once(4, 4_000, 0xE1A5);
 }
 
 #[test]
-fn exactly_once_under_forced_resizes_at_8_threads() {
-    exactly_once_under_forced_resizes(8, 2_000, 0xE1A6);
+fn exactly_once_on_every_backend_at_8_threads() {
+    exactly_once(8, 2_000, 0xE1A6);
 }
 
-/// Forced shrinks while another session's private insert buffer is still
-/// unflushed: the buffered elements are outside the structure by contract,
-/// and flushing *after* the shrink must still land them in active lanes.
-#[test]
-fn buffered_inserts_survive_resizes_around_the_flush() {
-    let q = MultiQueue::<u64>::new(
-        MultiQueueConfig::with_queues(16)
-            .with_shards(2)
-            .with_seed(77)
-            .with_elastic(ElasticPolicy::default().with_min_lanes(2)),
-    );
-    q.resize_active(16);
-    let mut buffered = q.register_policy(HandlePolicy::default().with_insert_batch(64));
-    for k in 0..32u64 {
-        buffered.insert(k, k);
-    }
-    assert_eq!(q.approx_len(), 0, "still private");
-    assert!(q.resize_active(2), "shrink with the buffer outstanding");
-    buffered.flush();
-    assert_eq!(q.approx_len(), 32);
-    let lengths = q.lane_lengths();
-    assert!(
-        lengths[2..].iter().all(|&l| l == 0),
-        "the late flush must respect the shrunk lane table: {lengths:?}"
-    );
-    drop(buffered);
-    let mut h = q.register();
-    let mut out: Vec<u64> = Vec::new();
-    while let Some((k, _)) = h.delete_min() {
-        out.push(k);
-    }
-    out.sort_unstable();
-    assert_eq!(out, (0..32u64).collect::<Vec<_>>());
-}
-
-/// The topology snapshot is wired through the erased interface for every
-/// backend: centralized structures report the trivial shape, the elastic
-/// MultiQueue its live lane table.
+/// The topology is wired through the erased interface for every backend:
+/// centralized structures report the trivial shape, the MultiQueue its lane
+/// and shard counts.
 #[test]
 fn every_backend_reports_a_topology() {
-    for backend in backends(2, 3) {
-        let shape = backend.queue.topology_dyn();
-        if backend.name == "multiqueue-elastic" {
-            assert_eq!(shape.max_lanes, 8);
-            assert_eq!(shape.shards, 2);
-            assert!(shape.active_lanes >= 2);
+    for (name, queue) in backends(2, 3) {
+        let shape = queue.topology_dyn();
+        if name == "multiqueue-sharded" {
+            assert_eq!(
+                shape,
+                QueueTopology {
+                    lanes: 8,
+                    shards: 2
+                }
+            );
         } else {
             assert_eq!(
                 shape,
                 QueueTopology::centralized(),
-                "{}: centralized backends report the trivial shape",
-                backend.name
+                "{name}: centralized backends report the trivial shape"
             );
         }
     }
 }
 
 /// Applies one scripted op to the queue-under-test and the reference
-/// multiset. Ops: 0 = insert, 1 = delete_min, 2 = batched delete, 3 =
-/// resize.
+/// multiset. Ops: 0 = insert, 1 = delete_min, 2 = batched delete.
 fn apply_op(
-    q: &MultiQueue<u64>,
     h: &mut <MultiQueue<u64> as SharedPq<u64>>::Handle<'_>,
     live: &mut HashMap<u64, u64>,
     op: u8,
     arg: u64,
 ) {
-    match op % 4 {
+    match op % 3 {
         0 => {
             let key = arg % (Key::MAX - 1); // never the reserved key
             h.insert(key, key);
@@ -253,7 +171,7 @@ fn apply_op(
                 }
             }
         }
-        2 => {
+        _ => {
             let mut out = Vec::new();
             h.delete_min_batch_into((arg % 7) as usize + 1, &mut out);
             for (k, v) in out {
@@ -266,20 +184,17 @@ fn apply_op(
                 }
             }
         }
-        _ => {
-            q.resize_active((arg % 40) as usize); // clamps internally
-        }
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random op sequences interleaved with random resize commands preserve
-    /// the multiset of keys (checked against a reference counter) and never
-    /// return the reserved `Key::MAX`.
+    /// Random op sequences on a sharded queue preserve the multiset of keys
+    /// (checked against a reference counter) and never return the reserved
+    /// `Key::MAX`.
     #[test]
-    fn prop_random_ops_and_resizes_conserve_the_multiset(
+    fn prop_random_ops_conserve_the_multiset(
         seed in 0u64..10_000,
         shards in 1usize..5,
         ops in proptest::collection::vec(0u8..=255, 1..400),
@@ -288,18 +203,12 @@ proptest! {
         let q = MultiQueue::<u64>::new(
             MultiQueueConfig::with_queues(32)
                 .with_shards(shards)
-                .with_seed(seed)
-                .with_elastic(
-                    ElasticPolicy::default()
-                        .with_min_lanes(2)
-                        .with_check_interval(64)
-                        .with_cooldown_checks(0),
-                ),
+                .with_seed(seed),
         );
         let mut h = q.register();
         let mut live: HashMap<u64, u64> = HashMap::new();
         for (i, &op) in ops.iter().enumerate() {
-            apply_op(&q, &mut h, &mut live, op, args[i % args.len()].wrapping_add(i as u64));
+            apply_op(&mut h, &mut live, op, args[i % args.len()].wrapping_add(i as u64));
         }
         // The structure's count matches the reference multiset…
         prop_assert_eq!(q.approx_len() as u64, live.values().sum::<u64>());
@@ -318,8 +227,9 @@ proptest! {
         prop_assert_eq!(out, expected);
     }
 
-    /// Replay determinism under elasticity: the same seed and script produce
-    /// the identical removal stream on two independently built queues.
+    /// Replay determinism on a sharded queue: the same seed and script
+    /// produce the identical removal stream on two independently built
+    /// queues.
     #[test]
     fn prop_single_handle_replay_is_deterministic(
         seed in 0u64..5_000,
@@ -328,26 +238,18 @@ proptest! {
         let build = || MultiQueue::<u64>::new(
             MultiQueueConfig::with_queues(16)
                 .with_shards(2)
-                .with_seed(seed)
-                .with_elastic(ElasticPolicy::default().with_min_lanes(2).with_check_interval(32)),
+                .with_seed(seed),
         );
         let (qa, qb) = (build(), build());
         let mut ha = qa.register();
         let mut hb = qb.register();
         for (i, &op) in ops.iter().enumerate() {
             let arg = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            match op % 3 {
-                0 => {
-                    ha.insert(arg % 1_000, 0);
-                    hb.insert(arg % 1_000, 0);
-                }
-                1 => {
-                    prop_assert_eq!(ha.delete_min(), hb.delete_min());
-                }
-                _ => {
-                    qa.resize_active((arg % 20) as usize);
-                    qb.resize_active((arg % 20) as usize);
-                }
+            if op % 2 == 0 {
+                ha.insert(arg % 1_000, 0);
+                hb.insert(arg % 1_000, 0);
+            } else {
+                prop_assert_eq!(ha.delete_min(), hb.delete_min());
             }
         }
         loop {
@@ -357,25 +259,17 @@ proptest! {
                 break;
             }
         }
-        prop_assert_eq!(qa.resize_epoch(), qb.resize_epoch());
-        prop_assert_eq!(qa.active_lanes(), qb.active_lanes());
     }
 }
 
-/// A fixed single-handle script over the elastic sharded engine: 48
-/// scrambled inserts with two explicit resizes woven in, then a full drain.
-/// Returns the popped keys.
-fn scripted_elastic_trace(q: &MultiQueue<u64>) -> Vec<u64> {
+/// A fixed single-handle script over the sharded engine: 48 scrambled
+/// inserts with a removal after every eighth, then a full drain. Returns the
+/// popped keys.
+fn scripted_sharded_trace(q: &MultiQueue<u64>) -> Vec<u64> {
     let mut h = q.register();
     let mut out = Vec::new();
     for k in 0..48u64 {
         h.insert(k * 11 % 48, k);
-        if k == 15 {
-            q.resize_active(16); // grow mid-insert
-        }
-        if k == 31 {
-            q.resize_active(4); // shrink with 32 elements live
-        }
         if k % 8 == 7 {
             if let Some((popped, _)) = h.delete_min() {
                 out.push(popped);
@@ -388,31 +282,31 @@ fn scripted_elastic_trace(q: &MultiQueue<u64>) -> Vec<u64> {
     out
 }
 
-/// Golden trace of the elastic engine (16-lane capacity, 2 shards, floor 4,
-/// seed 1234): pinned at the PR that introduced elasticity. A change to the
-/// RNG stream consumption, the shard stride, the resize protocol or the
-/// refugee redistribution order will break this loudly — that is the point.
+/// Golden trace of the sharded engine (16 lanes, 2 shards, seed 1234),
+/// captured before the lane set became fixed at construction. It is the
+/// only pinned trace through the shard stride: a change to the RNG stream
+/// consumption or the stride layout will break this loudly — that is the
+/// point.
 #[test]
-fn elastic_replay_reproduces_the_pinned_golden_trace() {
+fn sharded_replay_reproduces_the_pinned_golden_trace() {
     let build = || {
         MultiQueue::<u64>::new(
             MultiQueueConfig::with_queues(16)
                 .with_shards(2)
-                .with_seed(1234)
-                .with_elastic(ElasticPolicy::default().with_min_lanes(4)),
+                .with_seed(1234),
         )
     };
     let golden = [
-        0u64, 3, 6, 5, 2, 1, 9, 8, 10, 4, 7, 17, 20, 13, 11, 16, 19, 12, 32, 14, 43, 15, 25, 28,
-        30, 34, 35, 18, 37, 21, 22, 40, 41, 45, 23, 24, 26, 27, 46, 47, 29, 31, 33, 36, 38, 39, 42,
-        44,
+        22u64, 21, 6, 0, 5, 9, 1, 28, 2, 13, 20, 12, 10, 34, 4, 16, 3, 38, 7, 25, 39, 30, 19, 46,
+        42, 32, 26, 27, 41, 14, 18, 31, 35, 8, 40, 11, 15, 23, 17, 43, 24, 29, 45, 47, 33, 36, 44,
+        37,
     ];
-    let trace = scripted_elastic_trace(&build());
+    let trace = scripted_sharded_trace(&build());
     // Run-to-run determinism first (a fresh queue, the same script)…
-    assert_eq!(trace, scripted_elastic_trace(&build()));
+    assert_eq!(trace, scripted_sharded_trace(&build()));
     // …then the pinned capture.
     assert_eq!(
         trace, golden,
-        "elastic replay diverged from the pinned trace"
+        "sharded replay diverged from the pinned trace"
     );
 }
