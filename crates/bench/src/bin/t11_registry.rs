@@ -1,7 +1,7 @@
 //! T11 — the registry workload: many named queues behind one server, and
 //! quota isolation under a noisy neighbour.
 //!
-//! Two scenarios, both end to end over loopback TCP against the v3
+//! Two scenarios, both end to end over loopback TCP against the
 //! choice-wire server fronting a [`QueueRegistry`]:
 //!
 //! **Spread** — the same total operation budget pushed through 1 / 8 / 64

@@ -59,7 +59,6 @@ const CONFIG_KEYS: &[&str] = &[
     "window",
     "lanes",
     "shards",
-    "max_lanes",
     "aggressor_connections",
     "victim_ops",
     "victim_rate",

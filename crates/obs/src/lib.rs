@@ -11,9 +11,9 @@
 //!   structured events (lane contention, quota refusals, session
 //!   lifecycle, quiescence, panics) with deterministic-clock support and
 //!   panic-hook dumps for post-mortem traces.
-//! * [`trace`] — a [`SpanRing`]: the same lock-free ring discipline
-//!   carrying per-request stage timings (recv → decode → admit → queue-op
-//!   → flush) for wire-v5 traced requests.
+//! * [`trace`] — a [`SpanRing`]: the same lock-free ring carrying
+//!   per-request stage timings (recv → decode → admit → queue-op → flush)
+//!   for traced wire requests.
 //! * [`window`] — a [`RateWindow`] of periodic [`MetricsSnapshot`] deltas,
 //!   turning cumulative counters into ops/s and lifetime histograms into
 //!   last-window p99s.
@@ -42,6 +42,7 @@
 
 pub mod metrics;
 pub mod recorder;
+mod ring;
 pub mod sample;
 pub mod trace;
 pub mod window;

@@ -3,27 +3,16 @@
 //!
 //! # Ring discipline
 //!
-//! The ring holds `capacity` (a power of two) slots. Writers claim a
-//! *ticket* with one `fetch_add` on the head counter; the ticket selects a
-//! slot (`ticket % capacity`) and a per-slot sequence protocol makes the
-//! write observable without locks (all plain atomics — the crate forbids
-//! `unsafe`):
-//!
-//! * a slot storing ticket `t`'s event holds sequence `2t + 2` when
-//!   complete and `2t + 1` while being written;
-//! * a writer claims the slot by CAS-ing whatever completed (even)
-//!   sequence it currently holds — any *older* lap's, so a dropped ticket
-//!   never wedges its slot — to its own in-progress value, then stores the
-//!   payload words, then releases the completed sequence.
-//!
-//! When writers wrap the ring faster than a lagging writer finishes, the
-//! claim fails and the event is **dropped, counted** in
-//! [`dropped`](FlightRecorder::dropped) — the recorder is lock-free and
-//! lossy under overwrite pressure, never blocking the hot path. Readers
-//! ([`events`](FlightRecorder::events)) re-check the sequence after reading
-//! the payload and skip slots that changed mid-read, so a dump contains
-//! only complete, untorn events (the most recent `capacity` of them, in
-//! record order).
+//! Events live in the crate's one seqlock ring (`SeqRing`, shared with the
+//! [`SpanRing`](crate::SpanRing)); the recorder only encodes an event into
+//! eight payload words and decodes it back. A writer claims a ticket with
+//! one `fetch_add` and a slot with one CAS, so recording is lock-free and
+//! never blocks the hot path. When writers wrap the ring faster than a
+//! lagging writer finishes, the event is **dropped, counted** in
+//! [`dropped`](FlightRecorder::dropped). Readers
+//! ([`events`](FlightRecorder::events)) skip slots that change mid-read, so
+//! a dump contains only complete, untorn events (the most recent
+//! `capacity` of them, in record order).
 //!
 //! # Time
 //!
@@ -40,6 +29,8 @@ use std::sync::{Arc, Once, Weak};
 use std::time::Instant;
 
 use parking_lot::Mutex;
+
+use crate::ring::SeqRing;
 
 /// Maximum label bytes stored inline per event; longer labels are truncated
 /// at a UTF-8 boundary.
@@ -185,22 +176,11 @@ enum ClockSource {
 /// three label words.
 const SLOT_WORDS: usize = 8;
 
-#[derive(Debug)]
-struct Slot {
-    /// `0` = never written; `2t + 1` = ticket `t` in progress; `2t + 2` =
-    /// ticket `t` complete.
-    seq: AtomicU64,
-    words: [AtomicU64; SLOT_WORDS],
-}
-
 /// The fixed-size lock-free event ring. See the module docs for the slot
 /// protocol and overwrite semantics.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    slots: Box<[Slot]>,
-    mask: u64,
-    head: AtomicU64,
-    dropped: AtomicU64,
+    ring: SeqRing<SLOT_WORDS>,
     clock: ClockSource,
 }
 
@@ -220,39 +200,26 @@ impl FlightRecorder {
     }
 
     fn build(capacity: usize, clock: ClockSource) -> Self {
-        let capacity = capacity.max(8).next_power_of_two();
-        let slots = (0..capacity)
-            .map(|_| Slot {
-                seq: AtomicU64::new(0),
-                words: std::array::from_fn(|_| AtomicU64::new(0)),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         Self {
-            slots,
-            mask: capacity as u64 - 1,
-            head: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
+            ring: SeqRing::new(capacity),
             clock,
         }
     }
 
     /// The ring's slot count.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.ring.capacity()
     }
 
     /// Events dropped because a lapped slot was still being written.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.ring.dropped()
     }
 
-    /// Total events recorded (dropped ones excluded). Loads `dropped`
-    /// before `head` (and saturates) so concurrent drops between the two
-    /// loads can never make the difference go negative.
+    /// Total events recorded (dropped ones excluded; never negative under
+    /// concurrent drops).
     pub fn recorded(&self) -> u64 {
-        let dropped = self.dropped();
-        self.head.load(Ordering::Relaxed).saturating_sub(dropped)
+        self.ring.recorded()
     }
 
     /// The current time on this recorder's clock, in nanoseconds.
@@ -271,92 +238,46 @@ impl FlightRecorder {
     /// Records an event with an explicit timestamp (callers that already
     /// read a clock thread it through, like the token bucket).
     pub fn record_at(&self, now_ns: u64, kind: EventKind, label: &str, fields: [u64; 3]) {
-        let ticket = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(ticket & self.mask) as usize];
-        // Claim the slot by CAS-ing whatever *completed* sequence it holds —
-        // 0 (never written) or `2u + 2` for any older ticket `u < ticket`,
-        // not just the immediately previous lap: if an earlier ticket mapped
-        // here was dropped, the slot still holds an older lap's sequence and
-        // must be skipped over, not wedged forever. Drop only when the slot
-        // is mid-write (odd) or a newer ticket already owns it.
-        let claimed = loop {
-            let seq = slot.seq.load(Ordering::Relaxed);
-            if seq % 2 == 1 || seq > 2 * ticket + 1 {
-                break false;
-            }
-            if slot
-                .seq
-                .compare_exchange_weak(seq, 2 * ticket + 1, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-            {
-                break true;
-            }
-        };
-        if !claimed {
-            // A lagging writer from a previous lap is still writing the slot
-            // (or a faster one already lapped us): drop, count, stay
-            // lock-free.
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
         let mut label_bytes = [0u8; MAX_LABEL_BYTES];
         let mut len = label.len().min(MAX_LABEL_BYTES);
         while len > 0 && !label.is_char_boundary(len) {
             len -= 1;
         }
         label_bytes[..len].copy_from_slice(&label.as_bytes()[..len]);
-        slot.words[0].store(kind as u64 | ((len as u64) << 8), Ordering::Relaxed);
-        slot.words[1].store(now_ns, Ordering::Relaxed);
-        slot.words[2].store(fields[0], Ordering::Relaxed);
-        slot.words[3].store(fields[1], Ordering::Relaxed);
-        slot.words[4].store(fields[2], Ordering::Relaxed);
-        for (i, chunk) in label_bytes.chunks_exact(8).enumerate() {
-            let mut word = [0u8; 8];
-            word.copy_from_slice(chunk);
-            slot.words[5 + i].store(u64::from_le_bytes(word), Ordering::Relaxed);
+        let mut words = [0u64; SLOT_WORDS];
+        words[0] = kind as u64 | ((len as u64) << 8);
+        words[1] = now_ns;
+        words[2..5].copy_from_slice(&fields);
+        for (word, chunk) in words[5..].iter_mut().zip(label_bytes.chunks_exact(8)) {
+            *word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunks"));
         }
-        slot.seq.store(2 * ticket + 2, Ordering::Release);
+        self.ring.write(words);
     }
 
     /// Decodes every complete, untorn event currently in the ring, in
     /// record order (ascending `seq`).
     pub fn events(&self) -> Vec<EventRecord> {
-        let mut out = Vec::with_capacity(self.slots.len());
-        for slot in self.slots.iter() {
-            let seq1 = slot.seq.load(Ordering::Acquire);
-            if seq1 == 0 || seq1 % 2 == 1 {
-                continue; // never written, or mid-write
-            }
-            let words: [u64; SLOT_WORDS] =
-                std::array::from_fn(|i| slot.words[i].load(Ordering::Relaxed));
-            // Seqlock reader recipe: the fence orders the relaxed payload
-            // loads above before the validating seq re-load, so a torn read
-            // cannot pass the check on weakly-ordered hardware.
-            std::sync::atomic::fence(Ordering::Acquire);
-            if slot.seq.load(Ordering::Relaxed) != seq1 {
-                continue; // overwritten while we read: skip the torn slot
-            }
-            let ticket = seq1 / 2 - 1;
-            let Some(kind) = EventKind::from_code(words[0] & 0xFF) else {
-                continue;
-            };
-            let len = ((words[0] >> 8) & 0xFF) as usize;
-            let mut label_bytes = [0u8; MAX_LABEL_BYTES];
-            for (i, chunk) in label_bytes.chunks_exact_mut(8).enumerate() {
-                chunk.copy_from_slice(&words[5 + i].to_le_bytes());
-            }
-            let label =
-                String::from_utf8_lossy(&label_bytes[..len.min(MAX_LABEL_BYTES)]).into_owned();
-            out.push(EventRecord {
-                seq: ticket,
-                ts_ns: words[1],
-                kind,
-                fields: [words[2], words[3], words[4]],
-                label,
-            });
-        }
-        out.sort_by_key(|e| e.seq);
-        out
+        self.ring
+            .read()
+            .into_iter()
+            .filter_map(|(ticket, words)| {
+                let kind = EventKind::from_code(words[0] & 0xFF)?;
+                let len = ((words[0] >> 8) & 0xFF) as usize;
+                let mut label_bytes = [0u8; MAX_LABEL_BYTES];
+                for (chunk, word) in label_bytes.chunks_exact_mut(8).zip(&words[5..]) {
+                    chunk.copy_from_slice(&word.to_le_bytes());
+                }
+                let label =
+                    String::from_utf8_lossy(&label_bytes[..len.min(MAX_LABEL_BYTES)]).into_owned();
+                Some(EventRecord {
+                    seq: ticket,
+                    ts_ns: words[1],
+                    kind,
+                    fields: [words[2], words[3], words[4]],
+                    label,
+                })
+            })
+            .collect()
     }
 
     /// A human-readable dump: one line per event plus a drop summary.
@@ -555,30 +476,6 @@ mod tests {
         let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, (12..20).collect::<Vec<_>>());
         assert_eq!(rec.dropped(), 0, "a single writer never drops");
-    }
-
-    /// Regression: a dropped (or otherwise never-completed) ticket must not
-    /// wedge its slot. Skipping a ticket leaves the slot holding an old
-    /// lap's sequence; every later writer mapped there must skip over the
-    /// stale lap and claim the slot, not drop forever.
-    #[test]
-    fn a_skipped_ticket_does_not_wedge_its_slot() {
-        let clock = ManualClock::new();
-        let rec = FlightRecorder::with_manual_clock(8, &clock);
-        for i in 0..8u64 {
-            rec.record(EventKind::SessionOpen, "", [i, 0, 0]);
-        }
-        // Simulate a writer that took ticket 8 but never wrote (the shape a
-        // CAS-failure drop leaves behind): slot 0 keeps lap 0's sequence.
-        rec.head.fetch_add(1, Ordering::Relaxed);
-        for i in 9..33u64 {
-            rec.record(EventKind::SessionOpen, "", [i, 0, 0]);
-        }
-        assert_eq!(rec.dropped(), 0, "stale laps are skipped, not dropped");
-        let events = rec.events();
-        assert_eq!(events.len(), 8);
-        let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, (25..33).collect::<Vec<_>>(), "slot 0 kept recording");
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! Request spans: a fixed-size lock-free ring of per-request stage timings.
 //!
-//! Wire v5 frames may carry an 8-byte trace id; for each sampled (traced)
+//! Wire frames may carry an 8-byte trace id; for each sampled (traced)
 //! request the server measures how long the request spent in each pipeline
 //! stage — socket recv, frame decode, admission, the queue operation
 //! itself, and the response flush — and records one [`SpanRecord`] here.
-//! The ring rides beside the [`FlightRecorder`](crate::FlightRecorder) and
-//! follows its slot discipline exactly: a `fetch_add` ticket per writer, a
-//! per-slot sequence protocol (`2t + 1` in progress, `2t + 2` complete),
-//! lossy-but-counted drops under overwrite pressure, and torn-read
-//! detection on the reader side. See the recorder module docs for the full
-//! protocol; `tests/check_recorder.rs` model-checks it (including a broken
-//! torn-read variant) under the `choice-check` explorer.
+//! The spans live in the crate's one seqlock ring (`SeqRing`, shared with
+//! the [`FlightRecorder`](crate::FlightRecorder)): a `fetch_add` ticket per
+//! writer, lossy-but-counted drops under overwrite pressure, and torn-read
+//! detection on the reader side. This module only encodes a span into
+//! eight payload words and decodes it back; `tests/check_recorder.rs`
+//! model-checks the ring protocol (including broken variants) under the
+//! `choice-check` explorer.
 //!
 //! Spans are exported two ways: aggregated into `svc_stage_ns{stage=...}`
 //! histograms by the server (always on for traced requests), and dumped
@@ -18,8 +18,9 @@
 //! comment lines and the panic path.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
+
+use crate::ring::SeqRing;
 
 /// Number of timed pipeline stages per request span.
 pub const SPAN_STAGES: usize = 5;
@@ -90,126 +91,64 @@ impl SpanRecord {
 /// Payload words per slot: opcode, timestamp, trace id, five stage timings.
 const SLOT_WORDS: usize = 8;
 
-#[derive(Debug)]
-struct Slot {
-    /// `0` = never written; `2t + 1` = ticket `t` in progress; `2t + 2` =
-    /// ticket `t` complete.
-    seq: AtomicU64,
-    words: [AtomicU64; SLOT_WORDS],
-}
-
-/// The fixed-size lock-free span ring. Identical slot protocol to the
-/// [`FlightRecorder`](crate::FlightRecorder) ring (see that module's docs);
-/// only the payload layout differs.
+/// The fixed-size lock-free span ring: the crate's seqlock ring with a
+/// span payload layout.
 #[derive(Debug)]
 pub struct SpanRing {
-    slots: Box<[Slot]>,
-    mask: u64,
-    head: AtomicU64,
-    dropped: AtomicU64,
+    ring: SeqRing<SLOT_WORDS>,
 }
 
 impl SpanRing {
     /// A ring holding the most recent `capacity` spans (rounded up to a
     /// power of two, minimum 8).
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(8).next_power_of_two();
-        let slots = (0..capacity)
-            .map(|_| Slot {
-                seq: AtomicU64::new(0),
-                words: std::array::from_fn(|_| AtomicU64::new(0)),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         Self {
-            slots,
-            mask: capacity as u64 - 1,
-            head: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
+            ring: SeqRing::new(capacity),
         }
     }
 
     /// The ring's slot count.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.ring.capacity()
     }
 
     /// Spans dropped because a lapped slot was still being written.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.ring.dropped()
     }
 
-    /// Total spans recorded (dropped ones excluded). Loads `dropped` before
-    /// `head` (and saturates) so concurrent drops between the two loads can
-    /// never make the difference go negative.
+    /// Total spans recorded (dropped ones excluded; never negative under
+    /// concurrent drops).
     pub fn recorded(&self) -> u64 {
-        let dropped = self.dropped();
-        self.head.load(Ordering::Relaxed).saturating_sub(dropped)
+        self.ring.recorded()
     }
 
     /// Records one span. Lock-free and lossy: when the claimed slot is
     /// mid-write from a lagging lap (or a faster writer already lapped us)
     /// the span is dropped and counted, never blocking the hot path.
     pub fn record(&self, trace_id: u64, opcode: u8, ts_ns: u64, stage_ns: [u64; SPAN_STAGES]) {
-        let ticket = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(ticket & self.mask) as usize];
-        // Same claim rule as the flight recorder: CAS any *completed* (even)
-        // sequence — including an older lap's, so a dropped ticket never
-        // wedges its slot — to our in-progress value.
-        let claimed = loop {
-            let seq = slot.seq.load(Ordering::Relaxed);
-            if seq % 2 == 1 || seq > 2 * ticket + 1 {
-                break false;
-            }
-            if slot
-                .seq
-                .compare_exchange_weak(seq, 2 * ticket + 1, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-            {
-                break true;
-            }
-        };
-        if !claimed {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        slot.words[0].store(opcode as u64, Ordering::Relaxed);
-        slot.words[1].store(ts_ns, Ordering::Relaxed);
-        slot.words[2].store(trace_id, Ordering::Relaxed);
-        for (i, ns) in stage_ns.iter().enumerate() {
-            slot.words[3 + i].store(*ns, Ordering::Relaxed);
-        }
-        slot.seq.store(2 * ticket + 2, Ordering::Release);
+        let mut words = [0u64; SLOT_WORDS];
+        words[0] = opcode as u64;
+        words[1] = ts_ns;
+        words[2] = trace_id;
+        words[3..].copy_from_slice(&stage_ns);
+        self.ring.write(words);
     }
 
     /// Decodes every complete, untorn span currently in the ring, in record
     /// order (ascending `seq`).
     pub fn spans(&self) -> Vec<SpanRecord> {
-        let mut out = Vec::with_capacity(self.slots.len());
-        for slot in self.slots.iter() {
-            let seq1 = slot.seq.load(Ordering::Acquire);
-            if seq1 == 0 || seq1 % 2 == 1 {
-                continue; // never written, or mid-write
-            }
-            let words: [u64; SLOT_WORDS] =
-                std::array::from_fn(|i| slot.words[i].load(Ordering::Relaxed));
-            // Seqlock reader recipe (same as the flight recorder): the fence
-            // orders the relaxed payload loads before the validating re-load.
-            std::sync::atomic::fence(Ordering::Acquire);
-            if slot.seq.load(Ordering::Relaxed) != seq1 {
-                continue; // overwritten while we read: skip the torn slot
-            }
-            let ticket = seq1 / 2 - 1;
-            out.push(SpanRecord {
+        self.ring
+            .read()
+            .into_iter()
+            .map(|(ticket, words)| SpanRecord {
                 seq: ticket,
                 trace_id: words[2],
                 opcode: (words[0] & 0xFF) as u8,
                 ts_ns: words[1],
                 stage_ns: std::array::from_fn(|i| words[3 + i]),
-            });
-        }
-        out.sort_by_key(|s| s.seq);
-        out
+            })
+            .collect()
     }
 
     /// A human-readable dump: one line per span plus a drop summary.

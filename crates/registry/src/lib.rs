@@ -21,9 +21,9 @@
 //!   into a single accumulator, dropped queues retire into a
 //!   registry-level roll-up.
 //!
-//! The service crate (`choice-wire`) exposes all of this over the wire as
-//! protocol v3 (`CreateQueue` / `DropQueue` / `ListQueues` / `UseQueue`);
-//! v2 clients transparently operate on the [`DEFAULT_QUEUE`].
+//! The service crate (`choice-wire`) exposes all of this over the wire
+//! (`CreateQueue` / `DropQueue` / `ListQueues` / `UseQueue`); a connection
+//! starts bound to the [`DEFAULT_QUEUE`] when the registry holds one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -43,7 +43,7 @@ use crate::spec::{BackendSpec, QuotaSpec};
 /// protocol sizes its list/stats frames against this).
 pub const MAX_QUEUES: usize = 1024;
 
-/// The queue every v2 (single-queue) client is bound to.
+/// The queue every service connection starts bound to (when it exists).
 pub const DEFAULT_QUEUE: &str = "default";
 
 /// Maximum queue-name length in bytes (names ride in one-byte-length wire

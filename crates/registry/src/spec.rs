@@ -18,7 +18,7 @@ use pq_baselines::{CoarseHeap, KLsmConfig, KLsmQueue, SkipListQueue};
 ///
 /// Mirrors the bench harness's `QueueSpec` line-up, but sized in absolute
 /// lanes/threads (a registry does not know how many workers a tenant will
-/// bring) and encodable in four small wire fields: a code byte plus three
+/// bring) and encodable in three small wire fields: a code byte plus two
 /// `u32` parameters (unused parameters are ignored; zero parameters are
 /// clamped up to `1` so any wire value builds *some* valid queue rather
 /// than panicking a construction deep inside the server).
@@ -61,23 +61,20 @@ impl BackendSpec {
         }
     }
 
-    /// The three positional wire parameters (unused ones are zero).
-    pub fn params(&self) -> (u32, u32, u32) {
+    /// The two positional wire parameters (unused ones are zero).
+    pub fn params(&self) -> (u32, u32) {
         match *self {
-            BackendSpec::MultiQueue { lanes, d } => (lanes, d, 0),
-            BackendSpec::CoarseHeap => (0, 0, 0),
+            BackendSpec::MultiQueue { lanes, d } => (lanes, d),
             BackendSpec::KLsm {
                 threads,
                 relaxation,
-            } => (threads, relaxation, 0),
-            BackendSpec::SkipList => (0, 0, 0),
+            } => (threads, relaxation),
+            BackendSpec::CoarseHeap | BackendSpec::SkipList => (0, 0),
         }
     }
 
     /// Reassembles a spec from its wire form; `None` for an unknown code.
-    /// No current backend reads the third parameter; the wire layout keeps
-    /// it.
-    pub fn from_wire(code: u8, p1: u32, p2: u32, _p3: u32) -> Option<Self> {
+    pub fn from_wire(code: u8, p1: u32, p2: u32) -> Option<Self> {
         match code {
             0 => Some(BackendSpec::MultiQueue { lanes: p1, d: p2 }),
             2 => Some(BackendSpec::CoarseHeap),
@@ -253,11 +250,11 @@ mod tests {
             BackendSpec::SkipList,
         ];
         for spec in specs {
-            let (p1, p2, p3) = spec.params();
-            assert_eq!(BackendSpec::from_wire(spec.code(), p1, p2, p3), Some(spec));
+            let (p1, p2) = spec.params();
+            assert_eq!(BackendSpec::from_wire(spec.code(), p1, p2), Some(spec));
         }
-        assert_eq!(BackendSpec::from_wire(99, 0, 0, 0), None);
-        assert_eq!(BackendSpec::from_wire(1, 16, 4, 2), None, "unassigned");
+        assert_eq!(BackendSpec::from_wire(99, 0, 0), None);
+        assert_eq!(BackendSpec::from_wire(1, 16, 4), None, "unassigned");
     }
 
     #[test]
@@ -285,7 +282,7 @@ mod tests {
     #[test]
     fn zero_parameters_are_clamped_not_panics() {
         for code in [0u8, 2, 3, 4] {
-            let spec = BackendSpec::from_wire(code, 0, 0, 0).unwrap();
+            let spec = BackendSpec::from_wire(code, 0, 0).unwrap();
             let q = spec.build(1);
             let mut h = q.register_dyn();
             h.insert(1, 1);

@@ -28,7 +28,7 @@
 //! # Request tracing
 //!
 //! With tracing enabled ([`set_trace_every`](PqClient::set_trace_every)),
-//! every N-th request carries a v5 trace id. The server echoes the id back
+//! every N-th request carries a trace id. The server echoes the id back
 //! together with its measured handling time (decode + admit + queue-op),
 //! which lets the client split the observed round trip into "server work"
 //! versus "everything else" (client buffering, the wire, kernel queues,
@@ -49,7 +49,7 @@ use choice_registry::{BackendSpec, QuotaSpec};
 
 use crate::protocol::{
     read_frame_bytes, ErrorCode, QueueListRow, Request, Response, ServiceStats, TraceContext,
-    WireError, WIRE_VERSION,
+    WireError,
 };
 
 /// Process-wide trace-id allocator: ids stay unique across every client in
@@ -250,12 +250,12 @@ impl PqClient {
         })
     }
 
-    /// Encodes `request` (with a trace envelope when sampled) into the send
+    /// Encodes `request` (with a trace id when sampled) into the send
     /// buffer and enqueues its in-flight slot.
     fn send(&mut self, request: &Request) -> Result<(), ClientError> {
         let trace = self.next_trace();
         self.scratch.clear();
-        request.encode_traced(&mut self.scratch, WIRE_VERSION, trace);
+        request.encode_traced(&mut self.scratch, trace);
         self.writer.write_all(&self.scratch)?;
         self.inflight
             .push_back((Instant::now(), trace.map(|t| t.trace_id)));
@@ -295,7 +295,7 @@ impl PqClient {
                 "server closed the connection with requests in flight",
             )));
         }
-        let (response, _version, echo, _used) = Response::decode_traced(&self.frame)?;
+        let (response, echo, _used) = Response::decode_traced(&self.frame)?;
         let rtt = sent_at.elapsed();
         if let Some(echo) = echo {
             let split = TraceSplit {
@@ -379,7 +379,7 @@ impl PqClient {
         }
     }
 
-    /// Reads the server's metrics exposition text (one round trip, v4+):
+    /// Reads the server's metrics exposition text (one round trip):
     /// Prometheus-style metric lines, plus the flight-recorder events as
     /// comment lines when `include_events` is set.
     pub fn metrics_dump(&mut self, include_events: bool) -> Result<String, ClientError> {

@@ -3,15 +3,14 @@
 //! Everything below `crates/service` turns the in-process session API into
 //! a TCP front door, in three layers (`std::net` only — no async runtime):
 //!
-//! * [`protocol`] — a versioned, length-prefixed binary wire protocol:
-//!   `Insert` / `DeleteMin` / `DeleteMinBatch(n)` / `ApproxLen` / `Stats` /
-//!   `Shutdown` frames plus the v3 queue-lifecycle ops `CreateQueue` /
-//!   `DropQueue` / `ListQueues` / `UseQueue` and the v4 observability op
-//!   `MetricsDump`, with total, panic-free decoding and explicit error
-//!   types for truncated and malformed bytes. Older clients keep working:
-//!   the server answers every frame at the version it arrived with — a v2
-//!   session is simply bound to the `"default"` queue forever, and a v3
-//!   Stats reply omits the v4 `resize_epoch` counter.
+//! * [`protocol`] — a length-prefixed binary wire protocol with one
+//!   version and one fixed frame header (length, version, opcode, trace
+//!   flags): `Insert` / `DeleteMin` / `DeleteMinBatch(n)` / `ApproxLen` /
+//!   `Stats` / `Shutdown` frames plus the queue-lifecycle ops
+//!   `CreateQueue` / `DropQueue` / `ListQueues` / `UseQueue` and the
+//!   observability op `MetricsDump`, with total, panic-free decoding and
+//!   explicit error types for truncated and malformed bytes. A frame
+//!   stamped with any other version is a protocol error.
 //! * [`server`] — a multi-threaded server fronting a
 //!   [`QueueRegistry`] of **named queues**:
 //!   each accepted connection binds a queue (the `"default"` queue until it
@@ -76,7 +75,7 @@ pub mod server;
 pub use client::{ClientError, PqClient, TimedResponse, TraceSplit, TraceTotals};
 pub use protocol::{
     ErrorCode, QueueListRow, QueueStats, Request, Response, ServiceStats, TraceContext, TraceEcho,
-    WireError, MAX_BATCH, MAX_FRAME_LEN, MIN_WIRE_VERSION, WIRE_VERSION,
+    WireError, MAX_BATCH, MAX_FRAME_LEN, WIRE_VERSION,
 };
 pub use server::{PqServer, ServerConfig};
 

@@ -1,24 +1,26 @@
-//! The choice-wire protocol: versioned, length-prefixed binary frames.
+//! The choice-wire protocol: length-prefixed binary frames.
 //!
-//! Every frame — in both directions — has the same 6-byte header:
+//! Every frame — in both directions — starts with the same 7-byte header:
 //!
 //! ```text
-//! [ length: u32 LE ][ version: u8 ][ opcode: u8 ][ payload ... ]
+//! [ length: u32 LE ][ version: u8 = 6 ][ opcode: u8 ][ trace flags: u8 ][ trace fields ][ payload ... ]
 //! ```
 //!
-//! `length` counts everything after the length field itself (version byte,
-//! opcode byte, payload), so a reader can always consume exactly one frame
-//! knowing only the first four bytes. The version byte rides in every frame
-//! rather than a one-shot handshake: it keeps the protocol stateless per
-//! frame (a mid-stream corruption cannot silently re-version a connection)
-//! and costs one byte. The current version is [`WIRE_VERSION`]; every
-//! version down to [`MIN_WIRE_VERSION`] still decodes, and responders echo
-//! the request's version so old clients keep working unchanged.
+//! `length` counts everything after the length field itself, so a reader
+//! can always consume exactly one frame knowing only the first four bytes.
+//! The version byte rides in every frame rather than a one-shot handshake:
+//! it keeps the protocol stateless per frame and costs one byte. It is
+//! always [`WIRE_VERSION`]; a frame stamped with any other version decodes
+//! as [`WireError::UnknownVersion`], whatever follows the stamp. The trace
+//! flags byte is always present: `0` on an untraced frame,
+//! [`TRACE_FLAG_SAMPLED`] when trace fields follow it (a request's
+//! [`TraceContext`], a response's [`TraceEcho`]).
 //!
 //! Integers are little-endian throughout. Payloads are fixed-layout —
 //! nothing is self-describing — which keeps encode/decode branch-free and
-//! the frames small: an `Insert` is 22 bytes on the wire, a `DeleteMin` 6.
-//! Queue names ride as a one-byte length followed by 1..=64 bytes of UTF-8.
+//! the frames small: an untraced `Insert` is 23 bytes on the wire, a
+//! `DeleteMin` 7. Queue names ride as a one-byte length followed by 1..=64
+//! bytes of UTF-8.
 //!
 //! Decoding is *total*: any byte sequence produces either a frame or a
 //! [`WireError`], never a panic (property-tested, including truncations and
@@ -38,55 +40,36 @@ use std::io::{self, Read, Write};
 use choice_pq::{HandleStats, Key};
 use choice_registry::{BackendSpec, QuotaSpec, MAX_NAME_LEN, MAX_QUEUES};
 
-/// The protocol version this build speaks (the default for every encoded
-/// frame).
-///
-/// Version history: v1 carried a 7-counter Stats payload; v2 extended it
-/// with the queue-topology triple (`active_lanes`, `max_lanes`,
-/// `resize_events`); v3 adds the queue-registry operations (`CreateQueue` /
-/// `DropQueue` / `ListQueues` / `UseQueue`), a `refusals` counter, and a
-/// per-queue breakdown in the Stats reply; v4 adds the telemetry op
-/// `MetricsDump` (a Prometheus-style exposition dump with an optional
-/// flight-recorder event tail) and a `resize_epoch` field in the Stats
-/// topology row; v5 (current) prepends a one-byte trace envelope to every
-/// payload — a flags byte, plus (when [`TRACE_FLAG_SAMPLED`] is set) a
-/// request-side `trace_id` and a response-side `trace_id` + `server_ns`
-/// echo — so sampled requests carry end-to-end trace context while
-/// unsampled traffic pays exactly one byte. Fixed layouts are not
-/// self-describing, so any layout change is a version bump.
-pub const WIRE_VERSION: u8 = 5;
+/// The protocol version every frame carries, and the only one this build
+/// decodes. Fixed layouts are not self-describing, so any layout change is
+/// a version bump; versions 1–5 were earlier layouts.
+pub const WIRE_VERSION: u8 = 6;
 
-/// The oldest version this build still decodes and answers. v2 frames
-/// carry no registry opcodes and receive the legacy 9-counter Stats
-/// layout; a v2 peer is implicitly bound to the server's default queue and
-/// never observes v3 at all.
-pub const MIN_WIRE_VERSION: u8 = 2;
-
-/// Hard ceiling on `length` (version + opcode + payload, bytes). Large
-/// enough for a [`MAX_BATCH`]-entry batch response and for a Stats or
-/// ListQueues reply carrying [`MAX_QUEUES`] per-queue rows, small enough
-/// that a malicious length prefix cannot make either side allocate
-/// unboundedly.
+/// Hard ceiling on `length` (header bytes after the length prefix, trace
+/// fields and payload). Large enough for a [`MAX_BATCH`]-entry batch
+/// response and for a Stats or ListQueues reply carrying [`MAX_QUEUES`]
+/// per-queue rows, small enough that a malicious length prefix cannot make
+/// either side allocate unboundedly.
 pub const MAX_FRAME_LEN: u32 = 256 * 1024;
 
 /// Largest `DeleteMinBatch` size the protocol will carry in one frame.
 /// Servers clamp larger requests to their own (possibly smaller) limit.
 pub const MAX_BATCH: u32 = 4096;
 
-/// v5 trace-envelope flag: the frame carries trace fields (request:
-/// `trace_id u64`; response: `trace_id u64` + `server_ns u64`). All other
-/// flag bits are unassigned and decode as [`WireError::MalformedPayload`] —
-/// a future version that assigns one is a version bump, so v5 peers never
-/// silently skip fields they do not understand.
+/// Trace flag: the frame carries trace fields (request: `trace_id u64`;
+/// response: `trace_id u64` + `server_ns u64`). All other flag bits are
+/// unassigned and decode as [`WireError::MalformedPayload`], so a peer
+/// never silently skips fields it does not understand.
 pub const TRACE_FLAG_SAMPLED: u8 = 0x01;
 
-/// Largest v5 trace envelope either direction can carry (flags byte +
-/// response-side `trace_id` + `server_ns`). Encoders that bound a payload
-/// against [`MAX_FRAME_LEN`] leave this much headroom so splicing the
-/// envelope in can never push a frame over the ceiling.
-const MAX_TRACE_ENVELOPE: usize = 17;
+/// Header bytes after the length prefix: version, opcode, trace flags.
+const HEADER_LEN: usize = 3;
 
-/// The trace context a v5 client stamps on a sampled request: an opaque
+/// Largest payload an encoder writes: room for the header and the widest
+/// trace fields (a response's 16 bytes) stays under [`MAX_FRAME_LEN`].
+const MAX_PAYLOAD: usize = MAX_FRAME_LEN as usize - HEADER_LEN - 16;
+
+/// The trace context a client stamps on a sampled request: an opaque
 /// 8-byte id the server echoes back so the client can pair the response
 /// (and its server-side timing) with the request it measured.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -95,7 +78,7 @@ pub struct TraceContext {
     pub trace_id: u64,
 }
 
-/// The trace echo a v5 server stamps on the response to a sampled request.
+/// The trace echo a server stamps on the response to a sampled request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceEcho {
     /// The request's trace id, echoed verbatim.
@@ -109,6 +92,45 @@ pub struct TraceEcho {
     pub server_ns: u64,
 }
 
+/// The trace fields a sampled frame carries right after its flags byte:
+/// a [`TraceContext`] on requests, a [`TraceEcho`] on responses.
+trait TraceFields: Copy {
+    /// The header layout, reported by [`WireError::MalformedPayload`].
+    const LAYOUT: &'static str;
+    fn put(self, out: &mut Vec<u8>);
+    fn take(p: &mut Payload<'_>) -> Result<Self, WireError>;
+}
+
+impl TraceFields for TraceContext {
+    const LAYOUT: &'static str = "trace flags u8 (0 or 1) [+ trace_id u64]";
+
+    fn put(self, out: &mut Vec<u8>) {
+        put_u64(out, self.trace_id);
+    }
+
+    fn take(p: &mut Payload<'_>) -> Result<Self, WireError> {
+        Ok(TraceContext {
+            trace_id: p.take_u64()?,
+        })
+    }
+}
+
+impl TraceFields for TraceEcho {
+    const LAYOUT: &'static str = "trace flags u8 (0 or 1) [+ trace_id u64 + server_ns u64]";
+
+    fn put(self, out: &mut Vec<u8>) {
+        put_u64(out, self.trace_id);
+        put_u64(out, self.server_ns);
+    }
+
+    fn take(p: &mut Payload<'_>) -> Result<Self, WireError> {
+        Ok(TraceEcho {
+            trace_id: p.take_u64()?,
+            server_ns: p.take_u64()?,
+        })
+    }
+}
+
 /// Everything that can go wrong turning bytes into frames.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WireError {
@@ -120,17 +142,15 @@ pub enum WireError {
         needed: usize,
     },
     /// The length prefix exceeds [`MAX_FRAME_LEN`] (or is too small to hold
-    /// the mandatory version and opcode bytes).
+    /// the version, opcode and trace-flags bytes).
     BadLength(u32),
-    /// The version byte falls outside
-    /// [`MIN_WIRE_VERSION`]`..=`[`WIRE_VERSION`].
+    /// The version byte is not [`WIRE_VERSION`].
     UnknownVersion(u8),
-    /// The opcode byte names no known frame type (for the direction being
-    /// decoded) — including v3-only opcodes arriving in an older-version
-    /// frame, which that version never assigned.
+    /// The opcode byte names no known frame type for the direction being
+    /// decoded.
     UnknownOpcode(u8),
-    /// The opcode was recognised but the payload does not have the exact
-    /// layout that opcode requires.
+    /// The opcode was recognised but the trace fields or the payload do not
+    /// have the exact layout that opcode requires.
     MalformedPayload {
         /// The offending opcode.
         opcode: u8,
@@ -155,12 +175,12 @@ impl fmt::Display for WireError {
             }
             WireError::BadLength(len) => write!(
                 f,
-                "frame length {len} outside the valid range 2..={MAX_FRAME_LEN}"
+                "frame length {len} outside the valid range {HEADER_LEN}..={MAX_FRAME_LEN}"
             ),
             WireError::UnknownVersion(v) => {
                 write!(
                     f,
-                    "unsupported wire version {v} (this build speaks {MIN_WIRE_VERSION}..={WIRE_VERSION})"
+                    "unsupported wire version {v} (this build speaks {WIRE_VERSION})"
                 )
             }
             WireError::UnknownOpcode(op) => write!(f, "unknown opcode {op:#04x}"),
@@ -196,15 +216,15 @@ pub enum Request {
     },
     /// Read the bound queue's (relaxed) element count.
     ApproxLen,
-    /// Read the server's aggregated statistics, including (v3) the
-    /// per-queue breakdown.
+    /// Read the server's aggregated statistics, including the per-queue
+    /// breakdown.
     Stats,
     /// Ask the server process to shut down (drains cleanly; the response is
     /// [`Response::ShuttingDown`]).
     Shutdown,
-    /// v3: register a new named queue built from a declarative backend spec
-    /// and a resource quota. Creation is lazy — the structure is built on
-    /// first use.
+    /// Register a new named queue built from a declarative backend spec and
+    /// a resource quota. Creation is lazy — the structure is built on first
+    /// use.
     CreateQueue {
         /// Registry name, 1..=[`MAX_NAME_LEN`] bytes.
         name: String,
@@ -213,22 +233,22 @@ pub enum Request {
         /// The queue's resource budget.
         quota: QuotaSpec,
     },
-    /// v3: drop a named queue. Sessions bound to it receive typed
+    /// Drop a named queue. Sessions bound to it receive typed
     /// [`ErrorCode::QueueDropped`] refusals from then on.
     DropQueue {
         /// The queue to drop.
         name: String,
     },
-    /// v3: list every registered queue.
+    /// List every registered queue.
     ListQueues,
-    /// v3: rebind this connection's session to the named queue. On success
-    /// the old session ends (its counters roll up into its queue) and a
-    /// fresh session opens on the target.
+    /// Rebind this connection's session to the named queue. On success the
+    /// old session ends (its counters roll up into its queue) and a fresh
+    /// session opens on the target.
     UseQueue {
         /// The queue to bind.
         name: String,
     },
-    /// v4: read the server's telemetry as a Prometheus-style text dump,
+    /// Read the server's telemetry as a Prometheus-style text dump,
     /// answered with [`Response::MetricsText`]. Purely diagnostic: not
     /// charged against any quota and served whatever queue (if any) the
     /// session is bound to.
@@ -262,17 +282,17 @@ pub enum Response {
     /// Acknowledges a [`Request::Shutdown`]; the connection closes after
     /// this frame.
     ShuttingDown,
-    /// v3: acknowledges a [`Request::CreateQueue`].
+    /// Acknowledges a [`Request::CreateQueue`].
     QueueCreated,
-    /// v3: acknowledges a [`Request::DropQueue`].
+    /// Acknowledges a [`Request::DropQueue`].
     QueueDropped,
-    /// v3: answers a [`Request::ListQueues`].
+    /// Answers a [`Request::ListQueues`].
     QueueList(Vec<QueueListRow>),
-    /// v3: acknowledges a [`Request::UseQueue`]; subsequent session
-    /// operations run against the new queue.
+    /// Acknowledges a [`Request::UseQueue`]; subsequent session operations
+    /// run against the new queue.
     Using,
-    /// v4: answers a [`Request::MetricsDump`] with the rendered exposition
-    /// text (UTF-8; servers truncate it to fit [`MAX_FRAME_LEN`]).
+    /// Answers a [`Request::MetricsDump`] with the rendered exposition text
+    /// (UTF-8; encoders truncate it to fit [`MAX_FRAME_LEN`]).
     MetricsText(String),
     /// The request was understood but refused.
     Error {
@@ -302,10 +322,6 @@ pub struct QueueListRow {
 }
 
 /// Machine-readable refusal reasons carried by [`Response::Error`].
-///
-/// Codes above [`ErrorCode::Unavailable`] are v3 additions; when a response
-/// must be encoded for a v2 peer they are mapped down to `Unavailable`
-/// (the strongest "not served" signal that version can express).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ErrorCode {
     /// The insert key was `Key::MAX`, which the queues reserve as their
@@ -316,19 +332,19 @@ pub enum ErrorCode {
     Protocol,
     /// The server is shutting down and no longer serves operations.
     Unavailable,
-    /// v3: a per-queue quota (in-flight elements, session count, or op
-    /// rate) refused the operation.
+    /// A per-queue quota (in-flight elements, session count, or op rate)
+    /// refused the operation.
     QuotaExceeded,
-    /// v3: the named queue does not exist (never created, dropped, or the
+    /// The named queue does not exist (never created, dropped, or the
     /// session's queue vanished).
     NoSuchQueue,
-    /// v3: `CreateQueue` targeted a name that already exists.
+    /// `CreateQueue` targeted a name that already exists.
     QueueExists,
-    /// v3: the session's queue was dropped while the session was live.
+    /// The session's queue was dropped while the session was live.
     QueueDropped,
-    /// v3: the registry is at its queue-count ceiling.
+    /// The registry is at its queue-count ceiling.
     RegistryFull,
-    /// v3: the queue name is empty, too long, or holds characters outside
+    /// The queue name is empty, too long, or holds characters outside
     /// `[A-Za-z0-9._/-]`.
     BadQueueName,
 }
@@ -348,17 +364,6 @@ impl ErrorCode {
         }
     }
 
-    /// The byte actually sent for `version`: v3 codes collapse to
-    /// `Unavailable` on a v2 frame.
-    fn to_wire(self, version: u8) -> u8 {
-        let code = self.to_u8();
-        if version < 3 && code > ErrorCode::Unavailable.to_u8() {
-            ErrorCode::Unavailable.to_u8()
-        } else {
-            code
-        }
-    }
-
     fn from_u8(code: u8) -> Option<Self> {
         match code {
             1 => Some(ErrorCode::ReservedKey),
@@ -375,7 +380,7 @@ impl ErrorCode {
     }
 }
 
-/// Per-queue entry in a v3 [`ServiceStats`] breakdown.
+/// Per-queue entry in a [`ServiceStats`] breakdown.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// The queue's registry name.
@@ -393,8 +398,8 @@ pub struct QueueStats {
 /// server has accepted, the merged [`HandleStats`] over every session on
 /// every queue — live connections contribute their current counters,
 /// closed ones their final counters, dropped queues their counters as of
-/// the drop — the backing queues' summed lane count, and (v3) the
-/// per-queue breakdown.
+/// the drop — the backing queues' summed lane count, and the per-queue
+/// breakdown.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Connections accepted over the server's lifetime.
@@ -403,20 +408,9 @@ pub struct ServiceStats {
     /// refusals issued by admission control.
     pub totals: HandleStats,
     /// Lanes summed over the instantiated queues (`1` per centralized
-    /// backend, which reports the trivial topology). Lane counts are fixed,
-    /// so this always equals `max_lanes`.
-    pub active_lanes: u64,
-    /// Lanes summed over the instantiated queues (the same sum as
-    /// `active_lanes`; the wire layout keeps both fields).
-    pub max_lanes: u64,
-    /// Always `0`: lane counts never change. Kept so the Stats layout is
-    /// unchanged.
-    pub resize_events: u64,
-    /// v4: always `0`, like `resize_events`; kept so the Stats layout is
-    /// unchanged. `0` when decoded from a pre-v4 frame as well.
-    pub resize_epoch: u64,
-    /// v3: per-queue breakdown, sorted by name. Empty when decoded from a
-    /// v2 frame (the legacy layout has no rows).
+    /// backend, which reports the trivial topology).
+    pub lanes: u64,
+    /// Per-queue breakdown, sorted by name.
     pub queues: Vec<QueueStats>,
 }
 
@@ -448,26 +442,8 @@ const OP_USING: u8 = 0x8B;
 const OP_METRICS_DUMP_REPLY: u8 = 0x8C;
 const OP_ERROR: u8 = 0xFF;
 
-/// The oldest version at which a request opcode exists ([`MIN_WIRE_VERSION`]
-/// for the original set). A frame carrying an opcode younger than its
-/// version byte decodes as [`WireError::UnknownOpcode`] — that version
-/// never assigned it.
-fn request_opcode_min_version(opcode: u8) -> u8 {
-    match opcode {
-        OP_CREATE_QUEUE | OP_DROP_QUEUE | OP_LIST_QUEUES | OP_USE_QUEUE => 3,
-        OP_METRICS_DUMP => 4,
-        _ => MIN_WIRE_VERSION,
-    }
-}
-
-/// The oldest version at which a response opcode exists.
-fn response_opcode_min_version(opcode: u8) -> u8 {
-    match opcode {
-        OP_QUEUE_CREATED | OP_QUEUE_DROPPED | OP_QUEUE_LIST | OP_USING => 3,
-        OP_METRICS_DUMP_REPLY => 4,
-        _ => MIN_WIRE_VERSION,
-    }
-}
+/// The layout message of every opcode that carries no payload.
+const EMPTY: &str = "empty payload";
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -475,6 +451,38 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends the six [`HandleStats`] counters in their wire order.
+fn put_handle_stats(out: &mut Vec<u8>, stats: &HandleStats) {
+    for counter in [
+        stats.inserts,
+        stats.removals,
+        stats.failed_removals,
+        stats.empty_polls,
+        stats.contended_retries,
+        stats.refusals,
+    ] {
+        put_u64(out, counter);
+    }
+}
+
+/// Appends a `Batch` payload: the entry count, then the entries.
+///
+/// # Panics
+///
+/// Panics if `entries` holds more than [`MAX_BATCH`] elements.
+fn put_batch(out: &mut Vec<u8>, entries: &[(Key, u64)]) {
+    assert!(
+        entries.len() <= MAX_BATCH as usize,
+        "batch of {} exceeds the wire limit {MAX_BATCH}",
+        entries.len()
+    );
+    put_u32(out, entries.len() as u32);
+    for (key, value) in entries {
+        put_u64(out, *key);
+        put_u64(out, *value);
+    }
 }
 
 /// Appends a length-prefixed name/label field.
@@ -491,6 +499,16 @@ fn put_name(out: &mut Vec<u8>, name: &str) {
     );
     out.push(name.len() as u8);
     out.extend_from_slice(name.as_bytes());
+}
+
+/// The longest prefix of `text` within `cap` bytes that ends on a char
+/// boundary.
+fn clip(text: &str, cap: usize) -> &str {
+    let mut end = text.len().min(cap);
+    while !text.is_char_boundary(end) {
+        end -= 1;
+    }
+    &text[..end]
 }
 
 /// Fixed-layout payload reader: every `take_*` either yields the next field
@@ -540,6 +558,15 @@ impl<'a> Payload<'a> {
         Ok(self.take(1)?[0])
     }
 
+    /// A strict boolean byte: `0` or `1`, anything else is malformed.
+    fn take_bool(&mut self) -> Result<bool, WireError> {
+        match self.take_u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(self.malformed()),
+        }
+    }
+
     /// A length-prefixed name/label field: 1..=[`MAX_NAME_LEN`] bytes of
     /// valid UTF-8, anything else is malformed.
     fn take_name(&mut self) -> Result<String, WireError> {
@@ -554,173 +581,109 @@ impl<'a> Payload<'a> {
         }
     }
 
-    fn finish(self) -> Result<(), WireError> {
+    /// The six [`HandleStats`] counters in their wire order.
+    fn take_handle_stats(&mut self) -> Result<HandleStats, WireError> {
+        Ok(HandleStats {
+            inserts: self.take_u64()?,
+            removals: self.take_u64()?,
+            failed_removals: self.take_u64()?,
+            empty_polls: self.take_u64()?,
+            contended_retries: self.take_u64()?,
+            refusals: self.take_u64()?,
+        })
+    }
+
+    /// Ends the layout: `value` if every byte was consumed, malformed if
+    /// any trail.
+    fn finish<V>(self, value: V) -> Result<V, WireError> {
         if self.bytes.is_empty() {
-            Ok(())
+            Ok(value)
         } else {
             Err(self.malformed())
         }
     }
 }
 
-/// Appends one framed message (header + payload) to `out`, stamping the
-/// given version byte.
-fn encode_frame(out: &mut Vec<u8>, version: u8, opcode: u8, build: impl FnOnce(&mut Vec<u8>)) {
+/// Appends one frame to `out`: the header (its flags byte set when `trace`
+/// is), the trace fields, then the payload `build` writes. The length
+/// prefix is patched last.
+fn encode_frame<T: TraceFields>(
+    out: &mut Vec<u8>,
+    opcode: u8,
+    trace: Option<T>,
+    build: impl FnOnce(&mut Vec<u8>),
+) {
     let len_at = out.len();
     put_u32(out, 0); // patched below
-    out.push(version);
-    out.push(opcode);
+    let flags = if trace.is_some() {
+        TRACE_FLAG_SAMPLED
+    } else {
+        0
+    };
+    out.extend_from_slice(&[WIRE_VERSION, opcode, flags]);
+    if let Some(trace) = trace {
+        trace.put(out);
+    }
     build(out);
     let len = (out.len() - len_at - 4) as u32;
     debug_assert!(len <= MAX_FRAME_LEN, "encoder produced an oversized frame");
     out[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
-/// Splits one frame off the front of `buf`: returns the frame's version,
-/// opcode, payload slice, and the total number of bytes it occupies.
-fn split_frame(buf: &[u8]) -> Result<(u8, u8, &[u8], usize), WireError> {
-    if buf.len() < 4 {
+/// The frame size a length prefix announces, if the prefix can be valid:
+/// at least the version byte, at most [`MAX_FRAME_LEN`]. How much header a
+/// frame must hold depends on its version, which [`split_frame`] checks
+/// first.
+fn frame_size(len: u32) -> Result<usize, WireError> {
+    if (1..=MAX_FRAME_LEN).contains(&len) {
+        Ok(4 + len as usize)
+    } else {
+        Err(WireError::BadLength(len))
+    }
+}
+
+/// One frame split off the front of a buffer, its header read.
+struct Frame<'a, T> {
+    opcode: u8,
+    trace: Option<T>,
+    payload: &'a [u8],
+    /// Bytes the whole frame occupies, length prefix included.
+    size: usize,
+}
+
+/// Splits one frame off the front of `buf` and reads its header.
+fn split_frame<T: TraceFields>(buf: &[u8]) -> Result<Frame<'_, T>, WireError> {
+    let Some(prefix) = buf.get(..4) else {
         return Err(WireError::Truncated {
             needed: 4 - buf.len(),
         });
-    }
-    let len = u32::from_le_bytes(buf[..4].try_into().unwrap());
-    if !(2..=MAX_FRAME_LEN).contains(&len) {
-        return Err(WireError::BadLength(len));
-    }
-    let total = 4 + len as usize;
+    };
+    let len = u32::from_le_bytes(prefix.try_into().expect("a 4-byte prefix"));
+    let total = frame_size(len)?;
     if buf.len() < total {
         return Err(WireError::Truncated {
             needed: total - buf.len(),
         });
     }
-    let version = buf[4];
-    if !(MIN_WIRE_VERSION..=WIRE_VERSION).contains(&version) {
-        return Err(WireError::UnknownVersion(version));
+    if buf[4] != WIRE_VERSION {
+        return Err(WireError::UnknownVersion(buf[4]));
     }
-    Ok((version, buf[5], &buf[6..total], total))
-}
-
-/// Inserts `envelope` at the payload head of the frame that starts at
-/// `start` in `out` (right after the 6-byte header) and patches the length
-/// prefix. Keeping the envelope a post-pass means the per-opcode body
-/// encoders stay identical across versions.
-fn splice_envelope(out: &mut Vec<u8>, start: usize, envelope: &[u8]) {
-    let insert_at = start + 6;
-    out.splice(insert_at..insert_at, envelope.iter().copied());
-    let len = u32::from_le_bytes(out[start..start + 4].try_into().unwrap());
-    let len = len + envelope.len() as u32;
-    debug_assert!(len <= MAX_FRAME_LEN, "trace envelope overflowed the frame");
-    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
-}
-
-/// Splices the v5 request envelope (flags byte, plus the trace id when
-/// sampled) into the frame at `start`. Pre-v5 frames have no envelope, so
-/// a trace handed to an old-version encoder is silently dropped — tracing
-/// is a v5 feature, not something to smuggle into frozen layouts.
-fn splice_request_envelope(
-    out: &mut Vec<u8>,
-    start: usize,
-    version: u8,
-    trace: Option<TraceContext>,
-) {
-    if version < 5 {
-        return;
+    if (len as usize) < HEADER_LEN {
+        return Err(WireError::BadLength(len));
     }
-    let mut env = [0u8; 9];
-    let used = match trace {
-        Some(t) => {
-            env[0] = TRACE_FLAG_SAMPLED;
-            env[1..9].copy_from_slice(&t.trace_id.to_le_bytes());
-            9
-        }
-        None => 1,
+    let opcode = buf[5];
+    let mut p = Payload::new(&buf[4 + HEADER_LEN..total], opcode, T::LAYOUT);
+    let trace = match buf[6] {
+        0 => None,
+        TRACE_FLAG_SAMPLED => Some(T::take(&mut p)?),
+        _ => return Err(p.malformed()),
     };
-    splice_envelope(out, start, &env[..used]);
-}
-
-/// Splices the v5 response envelope (flags byte, plus the trace id and
-/// server-time echo when sampled) into the frame at `start`.
-fn splice_response_envelope(
-    out: &mut Vec<u8>,
-    start: usize,
-    version: u8,
-    trace: Option<TraceEcho>,
-) {
-    if version < 5 {
-        return;
-    }
-    let mut env = [0u8; MAX_TRACE_ENVELOPE];
-    let used = match trace {
-        Some(t) => {
-            env[0] = TRACE_FLAG_SAMPLED;
-            env[1..9].copy_from_slice(&t.trace_id.to_le_bytes());
-            env[9..17].copy_from_slice(&t.server_ns.to_le_bytes());
-            MAX_TRACE_ENVELOPE
-        }
-        None => 1,
-    };
-    splice_envelope(out, start, &env[..used]);
-}
-
-/// Strips the v5 request envelope off the payload head, validating the
-/// flags byte (unassigned bits are malformed). Pre-v5 payloads pass
-/// through untouched.
-fn strip_request_envelope(
-    version: u8,
-    opcode: u8,
-    payload: &[u8],
-) -> Result<(Option<TraceContext>, &[u8]), WireError> {
-    if version < 5 {
-        return Ok((None, payload));
-    }
-    let mut p = Payload::new(
-        payload,
+    Ok(Frame {
         opcode,
-        "v5 trace envelope: flags u8 [+ trace_id u64]",
-    );
-    let flags = p.take_u8()?;
-    if flags & !TRACE_FLAG_SAMPLED != 0 {
-        return Err(p.malformed());
-    }
-    let trace = if flags & TRACE_FLAG_SAMPLED != 0 {
-        Some(TraceContext {
-            trace_id: p.take_u64()?,
-        })
-    } else {
-        None
-    };
-    Ok((trace, p.bytes))
-}
-
-/// Strips the v5 response envelope off the payload head (flags byte, plus
-/// trace id and server-time echo when sampled).
-fn strip_response_envelope(
-    version: u8,
-    opcode: u8,
-    payload: &[u8],
-) -> Result<(Option<TraceEcho>, &[u8]), WireError> {
-    if version < 5 {
-        return Ok((None, payload));
-    }
-    let mut p = Payload::new(
-        payload,
-        opcode,
-        "v5 trace envelope: flags u8 [+ trace_id u64 + server_ns u64]",
-    );
-    let flags = p.take_u8()?;
-    if flags & !TRACE_FLAG_SAMPLED != 0 {
-        return Err(p.malformed());
-    }
-    let trace = if flags & TRACE_FLAG_SAMPLED != 0 {
-        Some(TraceEcho {
-            trace_id: p.take_u64()?,
-            server_ns: p.take_u64()?,
-        })
-    } else {
-        None
-    };
-    Ok((trace, p.bytes))
+        trace,
+        payload: p.bytes,
+        size: total,
+    })
 }
 
 impl Request {
@@ -742,146 +705,87 @@ impl Request {
         }
     }
 
-    /// Appends this request as one frame at [`WIRE_VERSION`].
+    /// Appends this request as one untraced frame.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        self.encode_versioned(out, WIRE_VERSION);
+        self.encode_traced(out, None);
     }
 
-    /// Appends this request as one frame stamped with `version`. The
-    /// payload layout of the shared opcodes is identical across supported
-    /// versions (v5 adds the one-byte trace envelope); encoding a v3-only
-    /// request at v2 produces a frame peers reject as
-    /// [`WireError::UnknownOpcode`] (useful for compatibility tests, never
-    /// for production traffic).
-    pub fn encode_versioned(&self, out: &mut Vec<u8>, version: u8) {
-        self.encode_traced(out, version, None);
-    }
-
-    /// Appends this request as one frame stamped with `version`, carrying
-    /// `trace` in the v5 envelope. At pre-v5 versions the trace is dropped
-    /// (the frozen layouts have nowhere to put it), so a client can call
-    /// this unconditionally with whatever version it negotiated.
-    pub fn encode_traced(&self, out: &mut Vec<u8>, version: u8, trace: Option<TraceContext>) {
-        let start = out.len();
-        self.encode_body(out, version);
-        splice_request_envelope(out, start, version, trace);
-    }
-
-    /// The per-opcode frame body, identical across versions; the v5 trace
-    /// envelope is spliced in after the fact.
-    fn encode_body(&self, out: &mut Vec<u8>, version: u8) {
-        match self {
-            Request::Insert { key, value } => encode_frame(out, version, OP_INSERT, |out| {
+    /// Appends this request as one frame, carrying `trace` when it is
+    /// sampled.
+    pub fn encode_traced(&self, out: &mut Vec<u8>, trace: Option<TraceContext>) {
+        encode_frame(out, self.opcode(), trace, |out| match self {
+            Request::Insert { key, value } => {
                 put_u64(out, *key);
                 put_u64(out, *value);
-            }),
-            Request::DeleteMin => encode_frame(out, version, OP_DELETE_MIN, |_| {}),
-            Request::DeleteMinBatch { max } => {
-                encode_frame(out, version, OP_DELETE_MIN_BATCH, |out| {
-                    put_u32(out, *max);
-                })
             }
-            Request::ApproxLen => encode_frame(out, version, OP_APPROX_LEN, |_| {}),
-            Request::Stats => encode_frame(out, version, OP_STATS, |_| {}),
-            Request::Shutdown => encode_frame(out, version, OP_SHUTDOWN, |_| {}),
+            Request::DeleteMinBatch { max } => put_u32(out, *max),
             Request::CreateQueue {
                 name,
                 backend,
                 quota,
-            } => encode_frame(out, version, OP_CREATE_QUEUE, |out| {
+            } => {
                 put_name(out, name);
                 out.push(backend.code());
-                let (p1, p2, p3) = backend.params();
+                let (p1, p2) = backend.params();
                 put_u32(out, p1);
                 put_u32(out, p2);
-                put_u32(out, p3);
                 put_u64(out, quota.max_inflight);
                 put_u64(out, quota.max_sessions);
                 put_u64(out, quota.ops_per_sec);
                 put_u64(out, quota.burst);
                 put_u64(out, quota.shed_key_bound);
-            }),
-            Request::DropQueue { name } => encode_frame(out, version, OP_DROP_QUEUE, |out| {
-                put_name(out, name);
-            }),
-            Request::ListQueues => encode_frame(out, version, OP_LIST_QUEUES, |_| {}),
-            Request::UseQueue { name } => encode_frame(out, version, OP_USE_QUEUE, |out| {
-                put_name(out, name);
-            }),
-            Request::MetricsDump { include_events } => {
-                encode_frame(out, version, OP_METRICS_DUMP, |out| {
-                    out.push(*include_events as u8);
-                })
             }
-        }
+            Request::DropQueue { name } | Request::UseQueue { name } => put_name(out, name),
+            Request::MetricsDump { include_events } => out.push(*include_events as u8),
+            Request::DeleteMin
+            | Request::ApproxLen
+            | Request::Stats
+            | Request::Shutdown
+            | Request::ListQueues => {}
+        });
     }
 
     /// Decodes one request frame from the front of `buf`, returning it and
     /// the number of bytes consumed.
     pub fn decode(buf: &[u8]) -> Result<(Request, usize), WireError> {
-        Self::decode_versioned(buf).map(|(request, _, used)| (request, used))
+        Self::decode_traced(buf).map(|(request, _, used)| (request, used))
     }
 
-    /// Decodes one request frame, also returning the version byte it
-    /// carried — servers echo that version in the response so older peers
-    /// receive frames they can decode.
-    pub fn decode_versioned(buf: &[u8]) -> Result<(Request, u8, usize), WireError> {
-        Self::decode_traced(buf).map(|(request, version, _, used)| (request, version, used))
-    }
-
-    /// Decodes one request frame, also returning the version byte and the
-    /// v5 trace context (always `None` for pre-v5 frames).
-    pub fn decode_traced(
-        buf: &[u8],
-    ) -> Result<(Request, u8, Option<TraceContext>, usize), WireError> {
-        let (version, opcode, payload, total) = split_frame(buf)?;
-        if version < request_opcode_min_version(opcode) {
-            return Err(WireError::UnknownOpcode(opcode));
-        }
-        let (trace, payload) = strip_request_envelope(version, opcode, payload)?;
+    /// Decodes one request frame, also returning its trace context (`None`
+    /// for an untraced frame).
+    pub fn decode_traced(buf: &[u8]) -> Result<(Request, Option<TraceContext>, usize), WireError> {
+        let Frame {
+            opcode,
+            trace,
+            payload,
+            size,
+        } = split_frame(buf)?;
+        let layout = |expected| Payload::new(payload, opcode, expected);
         let request = match opcode {
             OP_INSERT => {
-                let mut p = Payload::new(payload, opcode, "key u64 + value u64");
-                let key = p.take_u64()?;
-                let value = p.take_u64()?;
-                p.finish()?;
-                Request::Insert { key, value }
+                let mut p = layout("key u64 + value u64");
+                let request = Request::Insert {
+                    key: p.take_u64()?,
+                    value: p.take_u64()?,
+                };
+                p.finish(request)?
             }
-            OP_DELETE_MIN => {
-                Payload::new(payload, opcode, "empty payload").finish()?;
-                Request::DeleteMin
-            }
+            OP_DELETE_MIN => layout(EMPTY).finish(Request::DeleteMin)?,
             OP_DELETE_MIN_BATCH => {
-                let mut p = Payload::new(payload, opcode, "max u32");
+                let mut p = layout("max u32");
                 let max = p.take_u32()?;
-                p.finish()?;
-                Request::DeleteMinBatch { max }
+                p.finish(Request::DeleteMinBatch { max })?
             }
-            OP_APPROX_LEN => {
-                Payload::new(payload, opcode, "empty payload").finish()?;
-                Request::ApproxLen
-            }
-            OP_STATS => {
-                Payload::new(payload, opcode, "empty payload").finish()?;
-                Request::Stats
-            }
-            OP_SHUTDOWN => {
-                Payload::new(payload, opcode, "empty payload").finish()?;
-                Request::Shutdown
-            }
+            OP_APPROX_LEN => layout(EMPTY).finish(Request::ApproxLen)?,
+            OP_STATS => layout(EMPTY).finish(Request::Stats)?,
+            OP_SHUTDOWN => layout(EMPTY).finish(Request::Shutdown)?,
             OP_CREATE_QUEUE => {
-                let mut p = Payload::new(
-                    payload,
-                    opcode,
-                    "name + backend code u8 + 3 u32 params + 5 u64 quota fields",
-                );
+                let mut p = layout("name + backend code u8 + 2 u32 params + 5 u64 quota fields");
                 let name = p.take_name()?;
                 let code = p.take_u8()?;
                 let p1 = p.take_u32()?;
                 let p2 = p.take_u32()?;
-                let p3 = p.take_u32()?;
-                let backend =
-                    BackendSpec::from_wire(code, p1, p2, p3).ok_or_else(|| p.malformed())?;
+                let backend = BackendSpec::from_wire(code, p1, p2).ok_or_else(|| p.malformed())?;
                 let quota = QuotaSpec {
                     max_inflight: p.take_u64()?,
                     max_sessions: p.take_u64()?,
@@ -889,376 +793,226 @@ impl Request {
                     burst: p.take_u64()?,
                     shed_key_bound: p.take_u64()?,
                 };
-                p.finish()?;
-                Request::CreateQueue {
+                p.finish(Request::CreateQueue {
                     name,
                     backend,
                     quota,
-                }
+                })?
             }
             OP_DROP_QUEUE => {
-                let mut p = Payload::new(payload, opcode, "name (u8 len + 1..=64 utf8 bytes)");
+                let mut p = layout("name (u8 len + 1..=64 utf8 bytes)");
                 let name = p.take_name()?;
-                p.finish()?;
-                Request::DropQueue { name }
+                p.finish(Request::DropQueue { name })?
             }
-            OP_LIST_QUEUES => {
-                Payload::new(payload, opcode, "empty payload").finish()?;
-                Request::ListQueues
-            }
+            OP_LIST_QUEUES => layout(EMPTY).finish(Request::ListQueues)?,
             OP_USE_QUEUE => {
-                let mut p = Payload::new(payload, opcode, "name (u8 len + 1..=64 utf8 bytes)");
+                let mut p = layout("name (u8 len + 1..=64 utf8 bytes)");
                 let name = p.take_name()?;
-                p.finish()?;
-                Request::UseQueue { name }
+                p.finish(Request::UseQueue { name })?
             }
             OP_METRICS_DUMP => {
-                let mut p = Payload::new(payload, opcode, "include_events u8 (0 or 1)");
-                let include_events = match p.take_u8()? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(p.malformed()),
-                };
-                p.finish()?;
-                Request::MetricsDump { include_events }
+                let mut p = layout("include_events u8 (0 or 1)");
+                let include_events = p.take_bool()?;
+                p.finish(Request::MetricsDump { include_events })?
             }
             other => return Err(WireError::UnknownOpcode(other)),
         };
-        Ok((request, version, trace, total))
+        Ok((request, trace, size))
     }
 }
 
 impl Response {
-    /// Appends this response as one frame at [`WIRE_VERSION`].
+    fn opcode(&self) -> u8 {
+        match self {
+            Response::Inserted => OP_INSERTED,
+            Response::Entry { .. } => OP_ENTRY,
+            Response::Empty => OP_EMPTY,
+            Response::Batch(_) => OP_BATCH,
+            Response::Len(_) => OP_LEN,
+            Response::Stats(_) => OP_STATS_REPLY,
+            Response::ShuttingDown => OP_SHUTTING_DOWN,
+            Response::QueueCreated => OP_QUEUE_CREATED,
+            Response::QueueDropped => OP_QUEUE_DROPPED,
+            Response::QueueList(_) => OP_QUEUE_LIST,
+            Response::Using => OP_USING,
+            Response::MetricsText(_) => OP_METRICS_DUMP_REPLY,
+            Response::Error { .. } => OP_ERROR,
+        }
+    }
+
+    /// Appends this response as one untraced frame.
     ///
     /// # Panics
     ///
     /// Panics if a batch holds more than [`MAX_BATCH`] entries or a queue
-    /// list more than [`MAX_QUEUES`] rows — servers bound both before
-    /// building the response.
+    /// list or Stats reply more than [`MAX_QUEUES`] rows — servers bound
+    /// all three before building the response.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        self.encode_versioned(out, WIRE_VERSION);
+        self.encode_traced(out, None);
     }
 
-    /// Appends this response as one frame stamped with `version`,
-    /// downgrading the payload where the older layout requires it: a v2
-    /// Stats reply carries the legacy 9-counter layout (no `refusals`, no
-    /// per-queue rows) and v3 error codes collapse to
-    /// [`ErrorCode::Unavailable`].
+    /// Appends this response as one frame, carrying `trace` when the
+    /// request it answers was sampled.
     ///
     /// # Panics
     ///
     /// As [`encode`](Response::encode).
-    pub fn encode_versioned(&self, out: &mut Vec<u8>, version: u8) {
-        self.encode_traced(out, version, None);
-    }
-
-    /// Appends this response as one frame stamped with `version`, carrying
-    /// `trace` in the v5 envelope (dropped at pre-v5 versions, like the
-    /// request side).
-    ///
-    /// # Panics
-    ///
-    /// As [`encode`](Response::encode).
-    pub fn encode_traced(&self, out: &mut Vec<u8>, version: u8, trace: Option<TraceEcho>) {
-        let start = out.len();
-        self.encode_body(out, version);
-        splice_response_envelope(out, start, version, trace);
-    }
-
-    /// The per-opcode frame body, identical across versions; the v5 trace
-    /// envelope is spliced in after the fact.
-    fn encode_body(&self, out: &mut Vec<u8>, version: u8) {
-        match self {
-            Response::Inserted => encode_frame(out, version, OP_INSERTED, |_| {}),
-            Response::Entry { key, value } => encode_frame(out, version, OP_ENTRY, |out| {
+    pub fn encode_traced(&self, out: &mut Vec<u8>, trace: Option<TraceEcho>) {
+        encode_frame(out, self.opcode(), trace, |out| match self {
+            Response::Entry { key, value } => {
                 put_u64(out, *key);
                 put_u64(out, *value);
-            }),
-            Response::Empty => encode_frame(out, version, OP_EMPTY, |_| {}),
-            Response::Batch(entries) => {
-                assert!(
-                    entries.len() <= MAX_BATCH as usize,
-                    "batch of {} exceeds the wire limit {MAX_BATCH}",
-                    entries.len()
-                );
-                encode_frame(out, version, OP_BATCH, |out| {
-                    put_u32(out, entries.len() as u32);
-                    for (key, value) in entries {
-                        put_u64(out, *key);
-                        put_u64(out, *value);
-                    }
-                })
             }
-            Response::Len(len) => encode_frame(out, version, OP_LEN, |out| put_u64(out, *len)),
-            Response::Stats(stats) => encode_frame(out, version, OP_STATS_REPLY, |out| {
+            Response::Batch(entries) => put_batch(out, entries),
+            Response::Len(len) => put_u64(out, *len),
+            Response::Stats(stats) => {
+                assert!(
+                    stats.queues.len() <= MAX_QUEUES,
+                    "stats with {} queue rows exceeds the wire limit {MAX_QUEUES}",
+                    stats.queues.len()
+                );
                 put_u64(out, stats.sessions);
-                put_u64(out, stats.totals.inserts);
-                put_u64(out, stats.totals.removals);
-                put_u64(out, stats.totals.failed_removals);
-                put_u64(out, stats.totals.empty_polls);
-                put_u64(out, stats.totals.contended_retries);
-                if version >= 3 {
-                    put_u64(out, stats.totals.refusals);
+                put_handle_stats(out, &stats.totals);
+                put_u64(out, stats.lanes);
+                put_u32(out, stats.queues.len() as u32);
+                for queue in &stats.queues {
+                    put_name(out, &queue.name);
+                    put_u64(out, queue.sessions);
+                    put_handle_stats(out, &queue.totals);
+                    put_u64(out, queue.approx_len);
                 }
-                // Topology triple (positional; last of the v2 layout).
-                put_u64(out, stats.active_lanes);
-                put_u64(out, stats.max_lanes);
-                put_u64(out, stats.resize_events);
-                if version >= 4 {
-                    put_u64(out, stats.resize_epoch);
-                }
-                if version >= 3 {
-                    assert!(
-                        stats.queues.len() <= MAX_QUEUES,
-                        "stats with {} queue rows exceeds the wire limit {MAX_QUEUES}",
-                        stats.queues.len()
-                    );
-                    put_u32(out, stats.queues.len() as u32);
-                    for queue in &stats.queues {
-                        put_name(out, &queue.name);
-                        put_u64(out, queue.sessions);
-                        put_u64(out, queue.totals.inserts);
-                        put_u64(out, queue.totals.removals);
-                        put_u64(out, queue.totals.failed_removals);
-                        put_u64(out, queue.totals.empty_polls);
-                        put_u64(out, queue.totals.contended_retries);
-                        put_u64(out, queue.totals.refusals);
-                        put_u64(out, queue.approx_len);
-                    }
-                }
-            }),
-            Response::ShuttingDown => encode_frame(out, version, OP_SHUTTING_DOWN, |_| {}),
-            Response::QueueCreated => encode_frame(out, version, OP_QUEUE_CREATED, |_| {}),
-            Response::QueueDropped => encode_frame(out, version, OP_QUEUE_DROPPED, |_| {}),
+            }
             Response::QueueList(rows) => {
                 assert!(
                     rows.len() <= MAX_QUEUES,
                     "queue list of {} rows exceeds the wire limit {MAX_QUEUES}",
                     rows.len()
                 );
-                encode_frame(out, version, OP_QUEUE_LIST, |out| {
-                    put_u32(out, rows.len() as u32);
-                    for row in rows {
-                        put_name(out, &row.name);
-                        put_name(out, &row.backend);
-                        out.push(row.instantiated as u8);
-                        put_u64(out, row.sessions);
-                        put_u64(out, row.approx_len);
-                        put_u64(out, row.refusals);
-                    }
-                })
-            }
-            Response::Using => encode_frame(out, version, OP_USING, |_| {}),
-            Response::MetricsText(text) => {
-                // Bound the dump exactly like an error detail: truncate on a
-                // char boundary so the frame never exceeds MAX_FRAME_LEN,
-                // leaving headroom for the spliced trace envelope.
-                let mut text = text.as_str();
-                let cap = MAX_FRAME_LEN as usize - 2 - MAX_TRACE_ENVELOPE;
-                if text.len() > cap {
-                    let mut end = cap;
-                    while !text.is_char_boundary(end) {
-                        end -= 1;
-                    }
-                    text = &text[..end];
+                put_u32(out, rows.len() as u32);
+                for row in rows {
+                    put_name(out, &row.name);
+                    put_name(out, &row.backend);
+                    out.push(row.instantiated as u8);
+                    put_u64(out, row.sessions);
+                    put_u64(out, row.approx_len);
+                    put_u64(out, row.refusals);
                 }
-                encode_frame(out, version, OP_METRICS_DUMP_REPLY, |out| {
-                    out.extend_from_slice(text.as_bytes());
-                })
+            }
+            // Text rides unbounded by its own layout, so it is truncated on
+            // a char boundary to keep the frame within MAX_FRAME_LEN.
+            Response::MetricsText(text) => {
+                out.extend_from_slice(clip(text, MAX_PAYLOAD).as_bytes());
             }
             Response::Error { code, detail } => {
-                // Bound the detail so the frame stays within MAX_FRAME_LEN
-                // whatever the caller passes (truncate on a char boundary),
-                // leaving headroom for the spliced trace envelope.
-                let mut detail = detail.as_str();
-                let cap = MAX_FRAME_LEN as usize - 3 - MAX_TRACE_ENVELOPE;
-                if detail.len() > cap {
-                    let mut end = cap;
-                    while !detail.is_char_boundary(end) {
-                        end -= 1;
-                    }
-                    detail = &detail[..end];
-                }
-                encode_frame(out, version, OP_ERROR, |out| {
-                    out.push(code.to_wire(version));
-                    out.extend_from_slice(detail.as_bytes());
-                })
+                out.push(code.to_u8());
+                out.extend_from_slice(clip(detail, MAX_PAYLOAD - 1).as_bytes());
             }
-        }
+            Response::Inserted
+            | Response::Empty
+            | Response::ShuttingDown
+            | Response::QueueCreated
+            | Response::QueueDropped
+            | Response::Using => {}
+        });
     }
 
     /// Decodes one response frame from the front of `buf`, returning it and
     /// the number of bytes consumed.
     pub fn decode(buf: &[u8]) -> Result<(Response, usize), WireError> {
-        Self::decode_versioned(buf).map(|(response, _, used)| (response, used))
+        Self::decode_traced(buf).map(|(response, _, used)| (response, used))
     }
 
-    /// Decodes one response frame, also returning the version byte it
-    /// carried. A v2 Stats frame decodes with `refusals == 0` and no
-    /// per-queue rows — the legacy layout does not carry them.
-    pub fn decode_versioned(buf: &[u8]) -> Result<(Response, u8, usize), WireError> {
-        Self::decode_traced(buf).map(|(response, version, _, used)| (response, version, used))
-    }
-
-    /// Decodes one response frame, also returning the version byte and the
-    /// v5 trace echo (always `None` for pre-v5 frames).
-    pub fn decode_traced(
-        buf: &[u8],
-    ) -> Result<(Response, u8, Option<TraceEcho>, usize), WireError> {
-        let (version, opcode, payload, total) = split_frame(buf)?;
-        if version < response_opcode_min_version(opcode) {
-            return Err(WireError::UnknownOpcode(opcode));
-        }
-        let (trace, payload) = strip_response_envelope(version, opcode, payload)?;
+    /// Decodes one response frame, also returning its trace echo (`None`
+    /// for an untraced frame).
+    pub fn decode_traced(buf: &[u8]) -> Result<(Response, Option<TraceEcho>, usize), WireError> {
+        let Frame {
+            opcode,
+            trace,
+            payload,
+            size,
+        } = split_frame(buf)?;
+        let layout = |expected| Payload::new(payload, opcode, expected);
         let response = match opcode {
-            OP_INSERTED => {
-                Payload::new(payload, opcode, "empty payload").finish()?;
-                Response::Inserted
-            }
+            OP_INSERTED => layout(EMPTY).finish(Response::Inserted)?,
             OP_ENTRY => {
-                let mut p = Payload::new(payload, opcode, "key u64 + value u64");
-                let key = p.take_u64()?;
-                let value = p.take_u64()?;
-                p.finish()?;
-                Response::Entry { key, value }
+                let mut p = layout("key u64 + value u64");
+                let response = Response::Entry {
+                    key: p.take_u64()?,
+                    value: p.take_u64()?,
+                };
+                p.finish(response)?
             }
-            OP_EMPTY => {
-                Payload::new(payload, opcode, "empty payload").finish()?;
-                Response::Empty
-            }
+            OP_EMPTY => layout(EMPTY).finish(Response::Empty)?,
             OP_BATCH => {
-                let mut p = Payload::new(payload, opcode, "count u32 + count entries");
+                let mut p = layout("count u32 + count entries");
                 let count = p.take_u32()?;
                 if count > MAX_BATCH {
                     return Err(p.malformed());
                 }
                 let mut entries = Vec::with_capacity(count as usize);
                 for _ in 0..count {
-                    let key = p.take_u64()?;
-                    let value = p.take_u64()?;
-                    entries.push((key, value));
+                    entries.push((p.take_u64()?, p.take_u64()?));
                 }
-                p.finish()?;
-                Response::Batch(entries)
+                p.finish(Response::Batch(entries))?
             }
             OP_LEN => {
-                let mut p = Payload::new(payload, opcode, "len u64");
+                let mut p = layout("len u64");
                 let len = p.take_u64()?;
-                p.finish()?;
-                Response::Len(len)
+                p.finish(Response::Len(len))?
             }
             OP_STATS_REPLY => {
-                let expected = match version {
-                    4.. => "11 u64 counters + queue_count u32 + per-queue rows",
-                    3 => "10 u64 counters + queue_count u32 + per-queue rows",
-                    _ => "9 u64 counters",
-                };
-                let mut p = Payload::new(payload, opcode, expected);
+                let mut p = layout("8 u64 counters + queue_count u32 + per-queue rows");
                 let sessions = p.take_u64()?;
-                let inserts = p.take_u64()?;
-                let removals = p.take_u64()?;
-                let failed_removals = p.take_u64()?;
-                let empty_polls = p.take_u64()?;
-                let contended_retries = p.take_u64()?;
-                let refusals = if version >= 3 { p.take_u64()? } else { 0 };
-                let active_lanes = p.take_u64()?;
-                let max_lanes = p.take_u64()?;
-                let resize_events = p.take_u64()?;
-                let resize_epoch = if version >= 4 { p.take_u64()? } else { 0 };
-                let mut queues = Vec::new();
-                if version >= 3 {
-                    let count = p.take_u32()?;
-                    if count as usize > MAX_QUEUES {
-                        return Err(p.malformed());
-                    }
-                    queues.reserve(count as usize);
-                    for _ in 0..count {
-                        let name = p.take_name()?;
-                        let sessions = p.take_u64()?;
-                        let totals = HandleStats {
-                            inserts: p.take_u64()?,
-                            removals: p.take_u64()?,
-                            failed_removals: p.take_u64()?,
-                            empty_polls: p.take_u64()?,
-                            contended_retries: p.take_u64()?,
-                            refusals: p.take_u64()?,
-                        };
-                        let approx_len = p.take_u64()?;
-                        queues.push(QueueStats {
-                            name,
-                            sessions,
-                            totals,
-                            approx_len,
-                        });
-                    }
+                let totals = p.take_handle_stats()?;
+                let lanes = p.take_u64()?;
+                let count = p.take_u32()?;
+                if count as usize > MAX_QUEUES {
+                    return Err(p.malformed());
                 }
-                p.finish()?;
-                Response::Stats(ServiceStats {
+                let mut queues = Vec::with_capacity(count as usize);
+                for _ in 0..count {
+                    queues.push(QueueStats {
+                        name: p.take_name()?,
+                        sessions: p.take_u64()?,
+                        totals: p.take_handle_stats()?,
+                        approx_len: p.take_u64()?,
+                    });
+                }
+                p.finish(Response::Stats(ServiceStats {
                     sessions,
-                    totals: HandleStats {
-                        inserts,
-                        removals,
-                        failed_removals,
-                        empty_polls,
-                        contended_retries,
-                        refusals,
-                    },
-                    active_lanes,
-                    max_lanes,
-                    resize_events,
-                    resize_epoch,
+                    totals,
+                    lanes,
                     queues,
-                })
+                }))?
             }
-            OP_SHUTTING_DOWN => {
-                Payload::new(payload, opcode, "empty payload").finish()?;
-                Response::ShuttingDown
-            }
-            OP_QUEUE_CREATED => {
-                Payload::new(payload, opcode, "empty payload").finish()?;
-                Response::QueueCreated
-            }
-            OP_QUEUE_DROPPED => {
-                Payload::new(payload, opcode, "empty payload").finish()?;
-                Response::QueueDropped
-            }
+            OP_SHUTTING_DOWN => layout(EMPTY).finish(Response::ShuttingDown)?,
+            OP_QUEUE_CREATED => layout(EMPTY).finish(Response::QueueCreated)?,
+            OP_QUEUE_DROPPED => layout(EMPTY).finish(Response::QueueDropped)?,
             OP_QUEUE_LIST => {
-                let mut p = Payload::new(payload, opcode, "count u32 + count queue rows");
+                let mut p = layout("count u32 + count queue rows");
                 let count = p.take_u32()?;
                 if count as usize > MAX_QUEUES {
                     return Err(p.malformed());
                 }
                 let mut rows = Vec::with_capacity(count as usize);
                 for _ in 0..count {
-                    let name = p.take_name()?;
-                    let backend = p.take_name()?;
-                    let instantiated = match p.take_u8()? {
-                        0 => false,
-                        1 => true,
-                        _ => return Err(p.malformed()),
-                    };
                     rows.push(QueueListRow {
-                        name,
-                        backend,
-                        instantiated,
+                        name: p.take_name()?,
+                        backend: p.take_name()?,
+                        instantiated: p.take_bool()?,
                         sessions: p.take_u64()?,
                         approx_len: p.take_u64()?,
                         refusals: p.take_u64()?,
                     });
                 }
-                p.finish()?;
-                Response::QueueList(rows)
+                p.finish(Response::QueueList(rows))?
             }
-            OP_USING => {
-                Payload::new(payload, opcode, "empty payload").finish()?;
-                Response::Using
-            }
+            OP_USING => layout(EMPTY).finish(Response::Using)?,
             OP_METRICS_DUMP_REPLY => {
                 Response::MetricsText(String::from_utf8_lossy(payload).into_owned())
             }
             OP_ERROR => {
-                let mut p = Payload::new(payload, opcode, "code u8 + utf8 detail");
+                let mut p = layout("code u8 + utf8 detail");
                 let raw = p.take_u8()?;
                 let code = ErrorCode::from_u8(raw).ok_or_else(|| p.malformed())?;
                 let detail = String::from_utf8_lossy(p.bytes).into_owned();
@@ -1266,39 +1020,21 @@ impl Response {
             }
             other => return Err(WireError::UnknownOpcode(other)),
         };
-        Ok((response, version, trace, total))
+        Ok((response, trace, size))
     }
 }
 
-/// Encodes a `Batch` response frame from borrowed entries at `version` —
-/// byte-identical to `Response::Batch(entries.to_vec())
-/// .encode_traced(out, version, trace)` without giving up the caller's
-/// buffer, so a server can reuse one entries vector across requests.
+/// Encodes a `Batch` response frame from borrowed entries — the frame
+/// `Response::Batch(entries.to_vec()).encode_traced(out, trace)` writes,
+/// without giving up the caller's buffer, so a server can reuse one entries
+/// vector across requests.
 ///
 /// # Panics
 ///
 /// Panics if `entries` holds more than [`MAX_BATCH`] elements (servers
 /// clamp every batch below that).
-pub fn encode_batch_response(
-    out: &mut Vec<u8>,
-    entries: &[(Key, u64)],
-    version: u8,
-    trace: Option<TraceEcho>,
-) {
-    assert!(
-        entries.len() <= MAX_BATCH as usize,
-        "batch of {} exceeds the wire limit {MAX_BATCH}",
-        entries.len()
-    );
-    let start = out.len();
-    encode_frame(out, version, OP_BATCH, |out| {
-        put_u32(out, entries.len() as u32);
-        for (key, value) in entries {
-            put_u64(out, *key);
-            put_u64(out, *value);
-        }
-    });
-    splice_response_envelope(out, start, version, trace);
+pub fn encode_batch_response(out: &mut Vec<u8>, entries: &[(Key, u64)], trace: Option<TraceEcho>) {
+    encode_frame(out, OP_BATCH, trace, |out| put_batch(out, entries));
 }
 
 /// Reads exactly one frame's bytes from a blocking stream into `scratch`
@@ -1329,16 +1065,11 @@ pub fn read_frame_bytes<R: Read>(reader: &mut R, scratch: &mut Vec<u8>) -> io::R
             Err(e) => return Err(e),
         }
     }
-    let len = u32::from_le_bytes(header);
-    if !(2..=MAX_FRAME_LEN).contains(&len) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            WireError::BadLength(len),
-        ));
-    }
+    let total = frame_size(u32::from_le_bytes(header))
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
     scratch.clear();
     scratch.extend_from_slice(&header);
-    scratch.resize(4 + len as usize, 0);
+    scratch.resize(total, 0);
     reader.read_exact(&mut scratch[4..]).map_err(|e| {
         if e.kind() == io::ErrorKind::UnexpectedEof {
             io::Error::new(
@@ -1352,20 +1083,19 @@ pub fn read_frame_bytes<R: Read>(reader: &mut R, scratch: &mut Vec<u8>) -> io::R
     Ok(true)
 }
 
-/// Encodes and writes one response frame at `version` (no flush — the
-/// caller owns the credit-window flush policy).
+/// Encodes and writes one untraced response frame (no flush — the caller
+/// owns the credit-window flush policy).
 pub fn write_response<W: Write>(
     writer: &mut W,
     response: &Response,
     scratch: &mut Vec<u8>,
-    version: u8,
 ) -> io::Result<()> {
     scratch.clear();
-    response.encode_versioned(scratch, version);
+    response.encode(scratch);
     writer.write_all(scratch)
 }
 
-/// Encodes and writes one request frame at [`WIRE_VERSION`] (no flush).
+/// Encodes and writes one untraced request frame (no flush).
 pub fn write_request<W: Write>(
     writer: &mut W,
     request: &Request,
@@ -1384,19 +1114,53 @@ mod tests {
     fn roundtrip_request(r: Request) {
         let mut buf = Vec::new();
         r.encode(&mut buf);
-        let (decoded, version, used) = Request::decode_versioned(&buf).expect("round-trip");
+        assert_eq!(buf[4], WIRE_VERSION);
+        let (decoded, used) = Request::decode(&buf).expect("round-trip");
         assert_eq!(decoded, r);
-        assert_eq!(version, WIRE_VERSION);
         assert_eq!(used, buf.len());
     }
 
     fn roundtrip_response(r: Response) {
         let mut buf = Vec::new();
         r.encode(&mut buf);
-        let (decoded, version, used) = Response::decode_versioned(&buf).expect("round-trip");
+        assert_eq!(buf[4], WIRE_VERSION);
+        let (decoded, used) = Response::decode(&buf).expect("round-trip");
         assert_eq!(decoded, r);
-        assert_eq!(version, WIRE_VERSION);
         assert_eq!(used, buf.len());
+    }
+
+    /// An untraced frame whose payload `build` writes verbatim.
+    fn frame(opcode: u8, build: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_frame::<TraceContext>(&mut buf, opcode, None, build);
+        buf
+    }
+
+    /// A frame with any version and flags byte, followed by `body`
+    /// verbatim.
+    fn raw_frame(version: u8, opcode: u8, flags: u8, body: &[u8]) -> Vec<u8> {
+        let mut buf = ((HEADER_LEN + body.len()) as u32).to_le_bytes().to_vec();
+        buf.extend_from_slice(&[version, opcode, flags]);
+        buf.extend_from_slice(body);
+        buf
+    }
+
+    /// Every cut of every frame in `frames` asks both decoders for more
+    /// bytes.
+    fn assert_truncations_incomplete(frames: &[Vec<u8>]) {
+        for frame in frames {
+            for cut in 0..frame.len() {
+                let request_err = Request::decode(&frame[..cut]).err();
+                let response_err = Response::decode(&frame[..cut]).err();
+                for err in [request_err, response_err].into_iter().flatten() {
+                    assert!(
+                        err.is_incomplete(),
+                        "cut at {cut}/{} should be Truncated, got {err:?}",
+                        frame.len()
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1540,7 +1304,7 @@ mod tests {
         }
     }
 
-    /// A fully-populated v3 Stats response (all counters distinct so a
+    /// A fully-populated Stats response (all counters distinct so a
     /// field-order regression cannot cancel out), including two per-queue
     /// rows.
     fn full_stats() -> ServiceStats {
@@ -1554,10 +1318,7 @@ mod tests {
                 contended_retries: 0x0606,
                 refusals: 0x0A0A,
             },
-            active_lanes: 0x0707,
-            max_lanes: 0x0808,
-            resize_events: 0x0909,
-            resize_epoch: 0x1515,
+            lanes: 0x0707,
             queues: vec![
                 QueueStats {
                     name: "default".to_string(),
@@ -1582,7 +1343,7 @@ mod tests {
         }
     }
 
-    /// Every truncation of a v4 Stats reply — including cuts landing inside
+    /// Every truncation of a Stats reply — including cuts landing inside
     /// the per-queue rows — must report `Truncated` (the stream-reader
     /// "wait for more" signal), never decode a partial aggregate and never
     /// classify the prefix as garbage.
@@ -1591,19 +1352,18 @@ mod tests {
         let stats = full_stats();
         let mut buf = Vec::new();
         Response::Stats(stats.clone()).encode(&mut buf);
-        // Header (4 len + 1 version + 1 opcode) + 1 envelope flags byte +
-        // 11 × u64 + queue count + one row per queue (name field + 8 × u64
-        // each).
-        let expected_len = 6
-            + 1
-            + 11 * 8
+        // Length prefix + header, 8 × u64, queue count, and one row per
+        // queue (name field + 8 × u64 each).
+        let expected_len = 4
+            + HEADER_LEN
+            + 8 * 8
             + 4
             + stats
                 .queues
                 .iter()
                 .map(|q| 1 + q.name.len() + 8 * 8)
                 .sum::<usize>();
-        assert_eq!(buf.len(), expected_len, "v5 Stats layout drifted");
+        assert_eq!(buf.len(), expected_len, "Stats layout drifted");
         for cut in 0..buf.len() {
             let err = Response::decode(&buf[..cut]).expect_err("truncation must fail");
             assert!(
@@ -1614,213 +1374,96 @@ mod tests {
         }
     }
 
-    /// Every truncation of the new v3 frames is `Truncated`, and a length
-    /// prefix that excludes trailing fields is malformed — the layout check
-    /// is exact in both directions for every new opcode.
+    /// Every truncation of the registry frames is `Truncated`, in both
+    /// directions.
     #[test]
-    fn v3_frame_truncations_are_incomplete_at_every_offset() {
-        let frames: Vec<Vec<u8>> = {
-            let mut encoded = Vec::new();
-            let mut buf = Vec::new();
-            Request::CreateQueue {
-                name: "tenant/a".to_string(),
-                backend: BackendSpec::MultiQueue { lanes: 16, d: 4 },
-                quota: QuotaSpec::unlimited().with_rate(1000, 50),
-            }
-            .encode(&mut buf);
-            encoded.push(std::mem::take(&mut buf));
-            Request::DropQueue {
-                name: "tenant/a".to_string(),
-            }
-            .encode(&mut buf);
-            encoded.push(std::mem::take(&mut buf));
-            Request::ListQueues.encode(&mut buf);
-            encoded.push(std::mem::take(&mut buf));
-            Request::UseQueue {
-                name: "q".to_string(),
-            }
-            .encode(&mut buf);
-            encoded.push(std::mem::take(&mut buf));
-            Response::QueueCreated.encode(&mut buf);
-            encoded.push(std::mem::take(&mut buf));
-            Response::QueueList(vec![QueueListRow {
-                name: "default".to_string(),
-                backend: "coarse-heap".to_string(),
-                instantiated: true,
-                sessions: 1,
-                approx_len: 2,
-                refusals: 3,
-            }])
-            .encode(&mut buf);
-            encoded.push(std::mem::take(&mut buf));
-            Response::Using.encode(&mut buf);
-            encoded.push(std::mem::take(&mut buf));
-            encoded
-        };
-        for frame in frames {
-            for cut in 0..frame.len() {
-                let request_err = Request::decode(&frame[..cut]).err();
-                let response_err = Response::decode(&frame[..cut]).err();
-                for err in [request_err, response_err].into_iter().flatten() {
-                    assert!(
-                        err.is_incomplete(),
-                        "cut at {cut}/{} should be Truncated, got {err:?}",
-                        frame.len()
-                    );
-                }
-            }
+    fn registry_frame_truncations_are_incomplete_at_every_offset() {
+        let mut frames: Vec<Vec<u8>> = Vec::new();
+        let mut buf = Vec::new();
+        Request::CreateQueue {
+            name: "tenant/a".to_string(),
+            backend: BackendSpec::MultiQueue { lanes: 16, d: 4 },
+            quota: QuotaSpec::unlimited().with_rate(1000, 50),
         }
+        .encode(&mut buf);
+        frames.push(std::mem::take(&mut buf));
+        Request::DropQueue {
+            name: "tenant/a".to_string(),
+        }
+        .encode(&mut buf);
+        frames.push(std::mem::take(&mut buf));
+        Request::ListQueues.encode(&mut buf);
+        frames.push(std::mem::take(&mut buf));
+        Request::UseQueue {
+            name: "q".to_string(),
+        }
+        .encode(&mut buf);
+        frames.push(std::mem::take(&mut buf));
+        Response::QueueCreated.encode(&mut buf);
+        frames.push(std::mem::take(&mut buf));
+        Response::QueueList(vec![QueueListRow {
+            name: "default".to_string(),
+            backend: "coarse-heap".to_string(),
+            instantiated: true,
+            sessions: 1,
+            approx_len: 2,
+            refusals: 3,
+        }])
+        .encode(&mut buf);
+        frames.push(std::mem::take(&mut buf));
+        Response::Using.encode(&mut buf);
+        frames.push(std::mem::take(&mut buf));
+        assert_truncations_incomplete(&frames);
     }
 
-    /// A frame whose *length prefix* already excludes required fields (e.g.
-    /// the v1 7-counter Stats layout, or a v2-sized Stats arriving in a v3
-    /// frame) is a malformed payload, not a silent short decode.
+    /// The Stats reply is exactly 8 counters (`sessions`, the six
+    /// `HandleStats` counters, `lanes`) and a queue count: a frame whose
+    /// length prefix already excludes required fields — fewer counters, or
+    /// no queue count — is a malformed payload, not a silent short decode,
+    /// and so is the older 11-counter layout.
     #[test]
     fn undersized_stats_payloads_are_rejected_as_malformed() {
-        for counters in [6u64, 9, 10, 11] {
-            // 6 = v1-ish, 9 = the v2 layout inside a v5 frame, 10 = the v3
-            // counter set (missing resize_epoch + queue count), 11 =
-            // missing the queue count.
-            let mut buf = Vec::new();
-            encode_frame(&mut buf, WIRE_VERSION, OP_STATS_REPLY, |out| {
-                out.push(0); // v5 envelope: no trace
-                for counter in 0..counters {
-                    put_u64(out, counter);
-                }
-            });
+        let counters = |n: u64| move |out: &mut Vec<u8>| (0..n).for_each(|c| put_u64(out, c));
+        let (decoded, _) = Response::decode(&frame(OP_STATS_REPLY, |out| {
+            counters(8)(out);
+            put_u32(out, 0);
+        }))
+        .expect("8 counters + an empty row count is the Stats layout");
+        let Response::Stats(stats) = decoded else {
+            panic!("expected stats, got {decoded:?}");
+        };
+        assert_eq!(
+            (stats.sessions, stats.totals.refusals, stats.lanes),
+            (0, 6, 7)
+        );
+        for n in [6u64, 7, 8, 9, 11] {
             assert!(
                 matches!(
-                    Response::decode(&buf),
+                    Response::decode(&frame(OP_STATS_REPLY, counters(n))),
                     Err(WireError::MalformedPayload {
                         opcode: OP_STATS_REPLY,
                         ..
                     })
                 ),
-                "{counters}-counter v5 Stats payload must be malformed"
+                "{n}-counter Stats payload without a queue count must be malformed"
             );
         }
-        // A v3 frame sized for v4 (11 counters) or missing its queue count
-        // (10 counters, no u32) is malformed too.
-        for counters in [9u64, 11] {
-            let mut buf = Vec::new();
-            encode_frame(&mut buf, 3, OP_STATS_REPLY, |out| {
-                for counter in 0..counters {
-                    put_u64(out, counter);
-                }
-            });
-            assert!(
-                matches!(
-                    Response::decode(&buf),
-                    Err(WireError::MalformedPayload { .. })
-                ),
-                "{counters}-counter v3 Stats payload must be malformed"
-            );
-        }
-        // The same exactness holds for v2 frames: 6 or 10 counters do not
-        // fit the 9-counter layout.
-        for counters in [6u64, 10] {
-            let mut buf = Vec::new();
-            encode_frame(&mut buf, 2, OP_STATS_REPLY, |out| {
-                for counter in 0..counters {
-                    put_u64(out, counter);
-                }
-            });
-            assert!(
-                matches!(
-                    Response::decode(&buf),
-                    Err(WireError::MalformedPayload { .. })
-                ),
-                "{counters}-counter v2 Stats payload must be malformed"
-            );
-        }
+        // The 11-counter layout with its queue count: the 9th counter reads
+        // as a queue count of 8 with no rows behind it.
+        let eleven = frame(OP_STATS_REPLY, |out| {
+            counters(11)(out);
+            put_u32(out, 0);
+        });
+        assert!(matches!(
+            Response::decode(&eleven),
+            Err(WireError::MalformedPayload { .. })
+        ));
     }
 
-    /// v2 frames carry the legacy layouts: a v2-encoded Stats reply is the
-    /// 9-counter payload (no refusals, no rows) and decodes back with those
-    /// fields defaulted; the shared opcodes round-trip unchanged.
+    /// Every truncation of a MetricsDump request or reply is incomplete, and
+    /// the `include_events` flag is a strict bool.
     #[test]
-    fn v2_stats_layout_round_trips_without_v3_fields() {
-        let stats = full_stats();
-        let mut buf = Vec::new();
-        Response::Stats(stats.clone()).encode_versioned(&mut buf, 2);
-        assert_eq!(buf.len(), 6 + 9 * 8, "v2 Stats layout is 9 u64 counters");
-        assert_eq!(buf[4], 2, "version byte echoes the requested version");
-        let (decoded, version, used) = Response::decode_versioned(&buf).unwrap();
-        assert_eq!(version, 2);
-        assert_eq!(used, buf.len());
-        match decoded {
-            Response::Stats(v2) => {
-                assert_eq!(v2.sessions, stats.sessions);
-                assert_eq!(v2.totals.inserts, stats.totals.inserts);
-                assert_eq!(v2.totals.contended_retries, stats.totals.contended_retries);
-                assert_eq!(v2.active_lanes, stats.active_lanes);
-                assert_eq!(v2.max_lanes, stats.max_lanes);
-                assert_eq!(v2.resize_events, stats.resize_events);
-                assert_eq!(v2.resize_epoch, 0, "v2 carries no resize epoch");
-                assert_eq!(v2.totals.refusals, 0, "v2 carries no refusals");
-                assert!(v2.queues.is_empty(), "v2 carries no per-queue rows");
-            }
-            other => panic!("expected stats, got {other:?}"),
-        }
-        // Every truncation of the v2 layout stays incomplete too.
-        for cut in 0..buf.len() {
-            let err = Response::decode(&buf[..cut]).expect_err("truncation must fail");
-            assert!(err.is_incomplete(), "v2 cut at {cut}: {err:?}");
-        }
-    }
-
-    /// A v3-encoded Stats reply carries the 10-counter layout (no
-    /// `resize_epoch`) and decodes back with that field defaulted, rows
-    /// intact — the downgrade path v3 peers ride on a v4 server.
-    #[test]
-    fn v3_stats_layout_round_trips_without_the_resize_epoch() {
-        let stats = full_stats();
-        let mut buf = Vec::new();
-        Response::Stats(stats.clone()).encode_versioned(&mut buf, 3);
-        let row_bytes: usize = stats.queues.iter().map(|q| 1 + q.name.len() + 8 * 8).sum();
-        assert_eq!(
-            buf.len(),
-            6 + 10 * 8 + 4 + row_bytes,
-            "v3 Stats layout is 10 u64 counters + rows"
-        );
-        let (decoded, version, used) = Response::decode_versioned(&buf).unwrap();
-        assert_eq!(version, 3);
-        assert_eq!(used, buf.len());
-        match decoded {
-            Response::Stats(v3) => {
-                assert_eq!(v3.resize_epoch, 0, "v3 carries no resize epoch");
-                assert_eq!(v3.resize_events, stats.resize_events);
-                assert_eq!(v3.queues, stats.queues, "v3 keeps the per-queue rows");
-            }
-            other => panic!("expected stats, got {other:?}"),
-        }
-        for cut in 0..buf.len() {
-            let err = Response::decode(&buf[..cut]).expect_err("truncation must fail");
-            assert!(err.is_incomplete(), "v3 cut at {cut}: {err:?}");
-        }
-    }
-
-    /// v4-only opcodes inside a v2 or v3 frame are unknown opcodes, and
-    /// every truncation of the new frames is incomplete.
-    #[test]
-    fn pre_v4_frames_reject_v4_opcodes() {
-        for version in [2u8, 3] {
-            let mut buf = Vec::new();
-            Request::MetricsDump {
-                include_events: true,
-            }
-            .encode_versioned(&mut buf, version);
-            assert!(
-                matches!(Request::decode(&buf), Err(WireError::UnknownOpcode(_))),
-                "MetricsDump must be unknown at v{version}"
-            );
-            let mut buf = Vec::new();
-            Response::MetricsText("x".to_string()).encode_versioned(&mut buf, version);
-            assert!(
-                matches!(Response::decode(&buf), Err(WireError::UnknownOpcode(_))),
-                "MetricsText must be unknown at v{version}"
-            );
-        }
+    fn metrics_dump_frames_truncate_cleanly_and_take_a_strict_bool() {
         let mut frames: Vec<Vec<u8>> = Vec::new();
         let mut buf = Vec::new();
         Request::MetricsDump {
@@ -1830,161 +1473,44 @@ mod tests {
         frames.push(std::mem::take(&mut buf));
         Response::MetricsText("mq_ops_total 7\n".to_string()).encode(&mut buf);
         frames.push(std::mem::take(&mut buf));
-        for frame in frames {
-            for cut in 0..frame.len() {
-                let request_err = Request::decode(&frame[..cut]).err();
-                let response_err = Response::decode(&frame[..cut]).err();
-                for err in [request_err, response_err].into_iter().flatten() {
-                    assert!(
-                        err.is_incomplete(),
-                        "cut at {cut}/{} should be Truncated, got {err:?}",
-                        frame.len()
-                    );
-                }
-            }
-        }
-        // The include_events flag is a strict bool.
-        let mut buf = Vec::new();
-        encode_frame(&mut buf, WIRE_VERSION, OP_METRICS_DUMP, |out| {
-            out.push(0); // v5 envelope: no trace
-            out.push(2);
-        });
+        assert_truncations_incomplete(&frames);
         assert!(matches!(
-            Request::decode(&buf),
+            Request::decode(&frame(OP_METRICS_DUMP, |out| out.push(2))),
             Err(WireError::MalformedPayload { .. })
         ));
-    }
-
-    /// v3-only opcodes inside a v2 frame are unknown opcodes: an old peer
-    /// never assigned them, so a new peer must not act on them at the old
-    /// version either.
-    #[test]
-    fn v2_frames_reject_v3_opcodes() {
-        let requests = [
-            Request::CreateQueue {
-                name: "q".to_string(),
-                backend: BackendSpec::default_multiqueue(),
-                quota: QuotaSpec::unlimited(),
-            },
-            Request::DropQueue {
-                name: "q".to_string(),
-            },
-            Request::ListQueues,
-            Request::UseQueue {
-                name: "q".to_string(),
-            },
-        ];
-        for request in requests {
-            let mut buf = Vec::new();
-            request.encode_versioned(&mut buf, 2);
-            assert!(
-                matches!(Request::decode(&buf), Err(WireError::UnknownOpcode(_))),
-                "{request:?} must be unknown at v2"
-            );
-        }
-        let responses = [
-            Response::QueueCreated,
-            Response::QueueDropped,
-            Response::QueueList(vec![]),
-            Response::Using,
-        ];
-        for response in responses {
-            let mut buf = Vec::new();
-            response.encode_versioned(&mut buf, 2);
-            assert!(
-                matches!(Response::decode(&buf), Err(WireError::UnknownOpcode(_))),
-                "{response:?} must be unknown at v2"
-            );
-        }
-    }
-
-    /// Encoding a v3 error code for a v2 peer collapses it to
-    /// `Unavailable`; the legacy codes pass through untouched.
-    #[test]
-    fn v2_error_frames_map_v3_codes_to_unavailable() {
-        for (code, expect) in [
-            (ErrorCode::ReservedKey, ErrorCode::ReservedKey),
-            (ErrorCode::Protocol, ErrorCode::Protocol),
-            (ErrorCode::Unavailable, ErrorCode::Unavailable),
-            (ErrorCode::QuotaExceeded, ErrorCode::Unavailable),
-            (ErrorCode::NoSuchQueue, ErrorCode::Unavailable),
-            (ErrorCode::QueueExists, ErrorCode::Unavailable),
-            (ErrorCode::QueueDropped, ErrorCode::Unavailable),
-            (ErrorCode::RegistryFull, ErrorCode::Unavailable),
-            (ErrorCode::BadQueueName, ErrorCode::Unavailable),
-        ] {
-            let mut buf = Vec::new();
-            Response::Error {
-                code,
-                detail: "quota".to_string(),
-            }
-            .encode_versioned(&mut buf, 2);
-            match Response::decode(&buf).unwrap().0 {
-                Response::Error { code: decoded, .. } => {
-                    assert_eq!(decoded, expect, "v2 mapping of {code:?}")
-                }
-                other => panic!("expected an error frame, got {other:?}"),
-            }
-        }
     }
 
     #[test]
     fn wire_names_are_validated_on_decode() {
-        // Zero-length name (the leading 0 is the v5 no-trace envelope).
-        let mut buf = Vec::new();
-        encode_frame(&mut buf, WIRE_VERSION, OP_USE_QUEUE, |out| {
-            out.push(0);
-            out.push(0);
-        });
-        assert!(matches!(
-            Request::decode(&buf),
-            Err(WireError::MalformedPayload { .. })
-        ));
+        let malformed = |buf: Vec<u8>| {
+            matches!(
+                Request::decode(&buf),
+                Err(WireError::MalformedPayload { .. })
+            )
+        };
+        // Zero-length name.
+        assert!(malformed(frame(OP_USE_QUEUE, |out| out.push(0))));
         // Length byte beyond MAX_NAME_LEN.
-        let mut buf = Vec::new();
-        encode_frame(&mut buf, WIRE_VERSION, OP_USE_QUEUE, |out| {
-            out.push(0);
+        assert!(malformed(frame(OP_USE_QUEUE, |out| {
             out.push((MAX_NAME_LEN + 1) as u8);
             out.extend_from_slice(&[b'a'; MAX_NAME_LEN + 1]);
-        });
-        assert!(matches!(
-            Request::decode(&buf),
-            Err(WireError::MalformedPayload { .. })
-        ));
+        })));
         // Length byte promising more than the payload carries.
-        let mut buf = Vec::new();
-        encode_frame(&mut buf, WIRE_VERSION, OP_DROP_QUEUE, |out| {
-            out.push(0);
+        assert!(malformed(frame(OP_DROP_QUEUE, |out| {
             out.push(10);
             out.extend_from_slice(b"abc");
-        });
-        assert!(matches!(
-            Request::decode(&buf),
-            Err(WireError::MalformedPayload { .. })
-        ));
+        })));
         // Invalid UTF-8 in the name bytes.
-        let mut buf = Vec::new();
-        encode_frame(&mut buf, WIRE_VERSION, OP_USE_QUEUE, |out| {
-            out.push(0);
+        assert!(malformed(frame(OP_USE_QUEUE, |out| {
             out.push(2);
             out.extend_from_slice(&[0xFF, 0xFE]);
-        });
-        assert!(matches!(
-            Request::decode(&buf),
-            Err(WireError::MalformedPayload { .. })
-        ));
+        })));
         // Trailing bytes after a well-formed name.
-        let mut buf = Vec::new();
-        encode_frame(&mut buf, WIRE_VERSION, OP_USE_QUEUE, |out| {
-            out.push(0);
+        assert!(malformed(frame(OP_USE_QUEUE, |out| {
             out.push(1);
             out.push(b'q');
             out.push(0);
-        });
-        assert!(matches!(
-            Request::decode(&buf),
-            Err(WireError::MalformedPayload { .. })
-        ));
+        })));
     }
 
     #[test]
@@ -1992,13 +1518,11 @@ mod tests {
         // CreateQueue with an unassigned backend code (1 is the retired
         // elastic family).
         for code in [1u8, 99] {
-            let mut buf = Vec::new();
-            encode_frame(&mut buf, WIRE_VERSION, OP_CREATE_QUEUE, |out| {
-                out.push(0); // v5 envelope: no trace
+            let buf = frame(OP_CREATE_QUEUE, |out| {
                 out.push(1);
                 out.push(b'q');
                 out.push(code);
-                for _ in 0..3 {
+                for _ in 0..2 {
                     put_u32(out, 0);
                 }
                 for _ in 0..5 {
@@ -2018,20 +1542,14 @@ mod tests {
         }
         // QueueList promising more rows than the registry can hold is
         // refused before allocation.
-        let mut buf = Vec::new();
-        encode_frame(&mut buf, WIRE_VERSION, OP_QUEUE_LIST, |out| {
-            out.push(0); // v5 envelope: no trace
-            put_u32(out, (MAX_QUEUES + 1) as u32);
-        });
+        let buf = frame(OP_QUEUE_LIST, |out| put_u32(out, (MAX_QUEUES + 1) as u32));
         assert!(matches!(
             Response::decode(&buf),
             Err(WireError::MalformedPayload { .. })
         ));
         // Same bound on the Stats per-queue row count.
-        let mut buf = Vec::new();
-        encode_frame(&mut buf, WIRE_VERSION, OP_STATS_REPLY, |out| {
-            out.push(0); // v5 envelope: no trace
-            for _ in 0..11 {
+        let buf = frame(OP_STATS_REPLY, |out| {
+            for _ in 0..8 {
                 put_u64(out, 0);
             }
             put_u32(out, (MAX_QUEUES + 1) as u32);
@@ -2041,9 +1559,7 @@ mod tests {
             Err(WireError::MalformedPayload { .. })
         ));
         // A QueueList row with an instantiated byte that is neither 0 nor 1.
-        let mut buf = Vec::new();
-        encode_frame(&mut buf, WIRE_VERSION, OP_QUEUE_LIST, |out| {
-            out.push(0); // v5 envelope: no trace
+        let buf = frame(OP_QUEUE_LIST, |out| {
             put_u32(out, 1);
             out.push(1);
             out.push(b'q');
@@ -2062,10 +1578,10 @@ mod tests {
 
     /// The checked-in regression corpus (`proptest-regressions/protocol.txt`):
     /// byte sequences that exercised decoder edge cases — hostile lengths,
-    /// version skew, payload-layout violations, every-offset truncations of
-    /// the widest frames. Each line is `hex-bytes [# comment]`; both
-    /// decoders must stay total over every entry, and valid frames must
-    /// consume exactly what they claim.
+    /// frames stamped with other versions, payload-layout violations,
+    /// every-offset truncations of the widest frames. Each line is
+    /// `hex-bytes [# comment]`; both decoders must stay total over every
+    /// entry, and valid frames must consume exactly what they claim.
     #[test]
     fn regression_corpus_keeps_the_decoders_total() {
         let corpus = include_str!("../proptest-regressions/protocol.txt");
@@ -2097,27 +1613,42 @@ mod tests {
 
     #[test]
     fn version_and_opcode_are_validated() {
-        let mut buf = Vec::new();
-        Request::DeleteMin.encode(&mut buf);
-        let mut wrong_version = buf.clone();
-        wrong_version[4] = 9;
-        assert_eq!(
-            Request::decode(&wrong_version),
-            Err(WireError::UnknownVersion(9))
-        );
-        // v1 predates MIN_WIRE_VERSION and is refused.
-        let mut v1 = buf.clone();
-        v1[4] = 1;
-        assert_eq!(Request::decode(&v1), Err(WireError::UnknownVersion(1)));
-        let mut wrong_opcode = buf.clone();
+        let mut request = Vec::new();
+        Request::DeleteMin.encode(&mut request);
+        let mut response = Vec::new();
+        Response::Empty.encode(&mut response);
+        // Every other stamp is refused, in both directions, on an otherwise
+        // well-formed frame.
+        for version in [0u8, 1, 2, 3, 4, 5, 7, 9, 0xFF] {
+            let mut stamped = request.clone();
+            stamped[4] = version;
+            assert_eq!(
+                Request::decode(&stamped),
+                Err(WireError::UnknownVersion(version))
+            );
+            let mut stamped = response.clone();
+            stamped[4] = version;
+            assert_eq!(
+                Response::decode(&stamped),
+                Err(WireError::UnknownVersion(version))
+            );
+        }
+        // Frames in the older header without a flags byte are refused by
+        // their stamp, before their length is read as a header.
+        for version in 2u8..=4 {
+            let old = [2, 0, 0, 0, version, OP_DELETE_MIN];
+            assert_eq!(
+                Request::decode(&old),
+                Err(WireError::UnknownVersion(version))
+            );
+        }
+        let mut wrong_opcode = request.clone();
         wrong_opcode[5] = 0x7E;
         assert_eq!(
             Request::decode(&wrong_opcode),
             Err(WireError::UnknownOpcode(0x7E))
         );
         // A response opcode is not a request.
-        let mut response = Vec::new();
-        Response::Empty.encode(&mut response);
         assert_eq!(
             Request::decode(&response),
             Err(WireError::UnknownOpcode(OP_EMPTY))
@@ -2125,36 +1656,24 @@ mod tests {
     }
 
     #[test]
-    fn decode_versioned_reports_the_frame_version() {
-        for version in [MIN_WIRE_VERSION, WIRE_VERSION] {
-            let mut buf = Vec::new();
-            Request::DeleteMin.encode_versioned(&mut buf, version);
-            let (_, decoded_version, _) = Request::decode_versioned(&buf).unwrap();
-            assert_eq!(decoded_version, version);
-            let mut buf = Vec::new();
-            Response::Empty.encode_versioned(&mut buf, version);
-            let (_, decoded_version, _) = Response::decode_versioned(&buf).unwrap();
-            assert_eq!(decoded_version, version);
-        }
-    }
-
-    #[test]
     fn hostile_lengths_are_rejected_without_allocating() {
-        // Length 0 and 1 cannot hold version + opcode.
-        for len in [0u32, 1] {
+        // Length 0 cannot hold a version byte.
+        let mut buf = 0u32.to_le_bytes().to_vec();
+        buf.extend_from_slice(&[0; 8]);
+        assert_eq!(Request::decode(&buf), Err(WireError::BadLength(0)));
+        // Lengths 1 and 2 cannot hold the version, opcode and flags bytes.
+        for len in [1u32, 2] {
             let mut buf = len.to_le_bytes().to_vec();
-            buf.extend_from_slice(&[0; 8]);
+            buf.extend_from_slice(&[WIRE_VERSION, OP_DELETE_MIN][..len as usize]);
             assert_eq!(Request::decode(&buf), Err(WireError::BadLength(len)));
         }
         // A huge length prefix must fail fast, not wait for 4 GiB.
         let mut buf = u32::MAX.to_le_bytes().to_vec();
-        buf.push(WIRE_VERSION);
-        buf.push(OP_DELETE_MIN);
+        buf.extend_from_slice(&[WIRE_VERSION, OP_DELETE_MIN, 0]);
         assert_eq!(Request::decode(&buf), Err(WireError::BadLength(u32::MAX)));
         // One past the ceiling is rejected the same way.
         let mut buf = (MAX_FRAME_LEN + 1).to_le_bytes().to_vec();
-        buf.push(WIRE_VERSION);
-        buf.push(OP_DELETE_MIN);
+        buf.extend_from_slice(&[WIRE_VERSION, OP_DELETE_MIN, 0]);
         assert_eq!(
             Request::decode(&buf),
             Err(WireError::BadLength(MAX_FRAME_LEN + 1))
@@ -2163,13 +1682,8 @@ mod tests {
 
     #[test]
     fn payload_layout_is_enforced_exactly() {
-        // Insert with a short payload: layout needs 16 body bytes, got 8
-        // (the leading 0 is the v5 no-trace envelope).
-        let mut buf = Vec::new();
-        encode_frame(&mut buf, WIRE_VERSION, OP_INSERT, |out| {
-            out.push(0);
-            out.extend_from_slice(&[0; 8])
-        });
+        // Insert with a short payload: layout needs 16 body bytes, got 8.
+        let buf = frame(OP_INSERT, |out| out.extend_from_slice(&[0; 8]));
         assert!(matches!(
             Request::decode(&buf),
             Err(WireError::MalformedPayload {
@@ -2178,32 +1692,20 @@ mod tests {
             })
         ));
         // DeleteMin with trailing bytes.
-        let mut buf = Vec::new();
-        encode_frame(&mut buf, WIRE_VERSION, OP_DELETE_MIN, |out| {
-            out.push(0);
-            out.push(0);
-        });
+        let buf = frame(OP_DELETE_MIN, |out| out.push(0));
         assert!(matches!(
             Request::decode(&buf),
             Err(WireError::MalformedPayload { .. })
         ));
         // Batch response whose count promises more entries than the frame
         // carries.
-        let mut buf = Vec::new();
-        encode_frame(&mut buf, WIRE_VERSION, OP_BATCH, |out| {
-            out.push(0);
-            put_u32(out, 3)
-        });
+        let buf = frame(OP_BATCH, |out| put_u32(out, 3));
         assert!(matches!(
             Response::decode(&buf),
             Err(WireError::MalformedPayload { .. })
         ));
         // Batch count beyond the wire limit is refused before allocation.
-        let mut buf = Vec::new();
-        encode_frame(&mut buf, WIRE_VERSION, OP_BATCH, |out| {
-            out.push(0);
-            put_u32(out, MAX_BATCH + 1)
-        });
+        let buf = frame(OP_BATCH, |out| put_u32(out, MAX_BATCH + 1));
         assert!(matches!(
             Response::decode(&buf),
             Err(WireError::MalformedPayload { .. })
@@ -2213,20 +1715,33 @@ mod tests {
     #[test]
     fn oversized_error_detail_is_truncated_to_fit() {
         let huge = "é".repeat(MAX_FRAME_LEN as usize); // 2 bytes per char
-        let mut buf = Vec::new();
-        Response::Error {
-            code: ErrorCode::Protocol,
-            detail: huge,
-        }
-        .encode(&mut buf);
-        let (decoded, used) = Response::decode(&buf).expect("truncated detail still decodes");
-        assert_eq!(used, buf.len());
-        match decoded {
-            Response::Error { code, detail } => {
-                assert_eq!(code, ErrorCode::Protocol);
-                assert!(!detail.is_empty());
+        let echo = Some(TraceEcho {
+            trace_id: 1,
+            server_ns: 2,
+        });
+        for response in [
+            Response::Error {
+                code: ErrorCode::Protocol,
+                detail: huge.clone(),
+            },
+            Response::MetricsText(huge),
+        ] {
+            // Even with the widest trace fields the frame fits the ceiling.
+            let mut buf = Vec::new();
+            response.encode_traced(&mut buf, echo);
+            assert!(buf.len() - 4 <= MAX_FRAME_LEN as usize);
+            let (decoded, trace, used) =
+                Response::decode_traced(&buf).expect("truncated text still decodes");
+            assert_eq!(used, buf.len());
+            assert_eq!(trace, echo);
+            match decoded {
+                Response::Error { code, detail } => {
+                    assert_eq!(code, ErrorCode::Protocol);
+                    assert!(!detail.is_empty());
+                }
+                Response::MetricsText(text) => assert!(!text.is_empty()),
+                other => panic!("expected a text frame, got {other:?}"),
             }
-            other => panic!("expected an error frame, got {other:?}"),
         }
     }
 
@@ -2240,14 +1755,17 @@ mod tests {
             }),
         ];
         for entries in [vec![], vec![(1u64, 10u64)], vec![(5, 50), (2, 20), (9, 90)]] {
-            for version in [MIN_WIRE_VERSION, WIRE_VERSION] {
-                for trace in traces {
-                    let mut borrowed = Vec::new();
-                    encode_batch_response(&mut borrowed, &entries, version, trace);
-                    let mut owned = Vec::new();
-                    Response::Batch(entries.clone()).encode_traced(&mut owned, version, trace);
-                    assert_eq!(borrowed, owned, "the two encoders must stay in lockstep");
-                }
+            for trace in traces {
+                let mut borrowed = Vec::new();
+                encode_batch_response(&mut borrowed, &entries, trace);
+                let owned = Response::Batch(entries.clone());
+                assert_eq!(
+                    Response::decode_traced(&borrowed),
+                    Ok((owned.clone(), trace, borrowed.len()))
+                );
+                let mut encoded = Vec::new();
+                owned.encode_traced(&mut encoded, trace);
+                assert_eq!(borrowed, encoded, "the two encoders must stay in lockstep");
             }
         }
     }
@@ -2280,19 +1798,18 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
-    /// Traced v5 frames round-trip the envelope in both directions, and
-    /// untraced v5 frames decode with no trace at the cost of one byte.
+    /// Traced frames round-trip their trace fields in both directions, and
+    /// untraced frames decode with no trace at the cost of the flags byte.
     #[test]
-    fn v5_traced_frames_round_trip_the_envelope() {
+    fn traced_frames_round_trip_the_trace_fields() {
         let trace = TraceContext {
             trace_id: 0x0123_4567_89AB_CDEF,
         };
         let mut buf = Vec::new();
-        Request::Insert { key: 7, value: 70 }.encode_traced(&mut buf, WIRE_VERSION, Some(trace));
-        let (request, version, decoded_trace, used) =
+        Request::Insert { key: 7, value: 70 }.encode_traced(&mut buf, Some(trace));
+        let (request, decoded_trace, used) =
             Request::decode_traced(&buf).expect("traced request decodes");
         assert_eq!(request, Request::Insert { key: 7, value: 70 });
-        assert_eq!(version, WIRE_VERSION);
         assert_eq!(decoded_trace, Some(trace));
         assert_eq!(used, buf.len());
 
@@ -2301,31 +1818,32 @@ mod tests {
             server_ns: 12_345,
         };
         let mut buf = Vec::new();
-        Response::Entry { key: 7, value: 70 }.encode_traced(&mut buf, WIRE_VERSION, Some(echo));
-        let (response, version, decoded_echo, used) =
+        Response::Entry { key: 7, value: 70 }.encode_traced(&mut buf, Some(echo));
+        let (response, decoded_echo, used) =
             Response::decode_traced(&buf).expect("traced response decodes");
         assert_eq!(response, Response::Entry { key: 7, value: 70 });
-        assert_eq!(version, WIRE_VERSION);
         assert_eq!(decoded_echo, Some(echo));
         assert_eq!(used, buf.len());
 
-        // Untraced v5 frames carry the one-byte envelope and decode to None.
+        // Untraced frames are the bare header and decode to None.
         let mut plain = Vec::new();
         Request::DeleteMin.encode(&mut plain);
-        assert_eq!(plain.len(), 6 + 1, "v5 DeleteMin is header + flags byte");
-        let (_, _, no_trace, _) = Request::decode_traced(&plain).unwrap();
+        assert_eq!(plain.len(), 4 + HEADER_LEN, "DeleteMin is the bare header");
+        assert_eq!(plain[6], 0, "the flags byte is always present");
+        let (_, no_trace, _) = Request::decode_traced(&plain).unwrap();
         assert_eq!(no_trace, None);
         // The traced variant costs exactly the 8-byte trace id more.
         let mut traced = Vec::new();
-        Request::DeleteMin.encode_traced(&mut traced, WIRE_VERSION, Some(trace));
+        Request::DeleteMin.encode_traced(&mut traced, Some(trace));
         assert_eq!(traced.len(), plain.len() + 8);
+        assert_eq!(traced[6], TRACE_FLAG_SAMPLED);
     }
 
-    /// Every truncation of a traced v5 frame — cuts landing inside the
-    /// envelope included — reports `Truncated`, never a partial decode and
+    /// Every truncation of a traced frame — cuts landing inside the trace
+    /// fields included — reports `Truncated`, never a partial decode and
     /// never garbage.
     #[test]
-    fn v5_traced_frame_truncations_are_incomplete_at_every_offset() {
+    fn traced_frame_truncations_are_incomplete_at_every_offset() {
         let trace = Some(TraceContext { trace_id: u64::MAX });
         let echo = Some(TraceEcho {
             trace_id: u64::MAX,
@@ -2337,135 +1855,60 @@ mod tests {
             key: 0xAA,
             value: 0xBB,
         }
-        .encode_traced(&mut buf, WIRE_VERSION, trace);
+        .encode_traced(&mut buf, trace);
         frames.push(std::mem::take(&mut buf));
         Request::MetricsDump {
             include_events: true,
         }
-        .encode_traced(&mut buf, WIRE_VERSION, trace);
+        .encode_traced(&mut buf, trace);
         frames.push(std::mem::take(&mut buf));
         Response::Entry {
             key: 0xCC,
             value: 0xDD,
         }
-        .encode_traced(&mut buf, WIRE_VERSION, echo);
+        .encode_traced(&mut buf, echo);
         frames.push(std::mem::take(&mut buf));
-        Response::Batch(vec![(1, 10), (2, 20)]).encode_traced(&mut buf, WIRE_VERSION, echo);
+        Response::Batch(vec![(1, 10), (2, 20)]).encode_traced(&mut buf, echo);
         frames.push(std::mem::take(&mut buf));
-        Response::Stats(full_stats()).encode_traced(&mut buf, WIRE_VERSION, echo);
+        Response::Stats(full_stats()).encode_traced(&mut buf, echo);
         frames.push(std::mem::take(&mut buf));
-        for frame in frames {
-            for cut in 0..frame.len() {
-                let request_err = Request::decode_traced(&frame[..cut]).err();
-                let response_err = Response::decode_traced(&frame[..cut]).err();
-                for err in [request_err, response_err].into_iter().flatten() {
-                    assert!(
-                        err.is_incomplete(),
-                        "cut at {cut}/{} should be Truncated, got {err:?}",
-                        frame.len()
-                    );
-                }
-            }
-        }
+        assert_truncations_incomplete(&frames);
     }
 
-    /// Unassigned trace-flag bits are malformed in both directions — a v5
-    /// peer never silently skips envelope fields it does not understand.
+    /// Unassigned trace-flag bits are malformed in both directions — a peer
+    /// never silently skips trace fields it does not understand.
     #[test]
     fn garbage_trace_flags_are_malformed() {
+        // Enough bytes to satisfy any field the flags could promise.
+        let body = [0u8; 16];
         for flags in [0x02u8, 0x03, 0x80, 0xFE, 0xFF] {
-            let mut buf = Vec::new();
-            encode_frame(&mut buf, WIRE_VERSION, OP_DELETE_MIN, |out| {
-                out.push(flags);
-                // Enough bytes to satisfy any field the flags could promise.
-                out.extend_from_slice(&[0; 16]);
-            });
             assert!(
                 matches!(
-                    Request::decode_traced(&buf),
+                    Request::decode_traced(&raw_frame(WIRE_VERSION, OP_DELETE_MIN, flags, &body)),
                     Err(WireError::MalformedPayload { .. })
                 ),
                 "request flags {flags:#04x} must be malformed"
             );
-            let mut buf = Vec::new();
-            encode_frame(&mut buf, WIRE_VERSION, OP_EMPTY, |out| {
-                out.push(flags);
-                out.extend_from_slice(&[0; 16]);
-            });
             assert!(
                 matches!(
-                    Response::decode_traced(&buf),
+                    Response::decode_traced(&raw_frame(WIRE_VERSION, OP_EMPTY, flags, &body)),
                     Err(WireError::MalformedPayload { .. })
                 ),
                 "response flags {flags:#04x} must be malformed"
             );
         }
-        // A sampled envelope whose promised trace fields are missing is
+        // A sampled frame whose promised trace fields are missing is
         // malformed too (the length prefix said the frame was complete).
-        let mut buf = Vec::new();
-        encode_frame(&mut buf, WIRE_VERSION, OP_DELETE_MIN, |out| {
-            out.push(TRACE_FLAG_SAMPLED);
-            out.extend_from_slice(&[0; 4]); // trace_id needs 8
-        });
+        let short = raw_frame(WIRE_VERSION, OP_DELETE_MIN, TRACE_FLAG_SAMPLED, &[0; 4]);
         assert!(matches!(
-            Request::decode_traced(&buf),
+            Request::decode_traced(&short),
             Err(WireError::MalformedPayload { .. })
         ));
-        let mut buf = Vec::new();
-        encode_frame(&mut buf, WIRE_VERSION, OP_EMPTY, |out| {
-            out.push(TRACE_FLAG_SAMPLED);
-            out.extend_from_slice(&[0; 8]); // trace_id + server_ns need 16
-        });
+        let short = raw_frame(WIRE_VERSION, OP_EMPTY, TRACE_FLAG_SAMPLED, &[0; 8]);
         assert!(matches!(
-            Response::decode_traced(&buf),
+            Response::decode_traced(&short),
             Err(WireError::MalformedPayload { .. })
         ));
-    }
-
-    /// v4 frames carry no envelope: their byte layout is unchanged from the
-    /// previous release, a trace handed to a v4 encoder is dropped, and
-    /// decode reports no trace — the negotiation story for a v4 client on a
-    /// v5 server (and vice versa).
-    #[test]
-    fn v4_frames_are_untouched_by_the_trace_envelope() {
-        let trace = Some(TraceContext { trace_id: 99 });
-        let mut v4_plain = Vec::new();
-        Request::DeleteMin.encode_versioned(&mut v4_plain, 4);
-        assert_eq!(v4_plain.len(), 6, "the v4 layout has no envelope byte");
-        let mut v4_traced = Vec::new();
-        Request::DeleteMin.encode_traced(&mut v4_traced, 4, trace);
-        assert_eq!(v4_plain, v4_traced, "pre-v5 encoders drop the trace");
-        let (request, version, no_trace, _) = Request::decode_traced(&v4_plain).unwrap();
-        assert_eq!(request, Request::DeleteMin);
-        assert_eq!(version, 4);
-        assert_eq!(no_trace, None);
-        // The response a server would send back at the echoed version 4 is
-        // envelope-free as well, even if the server tries to attach timing.
-        let echo = Some(TraceEcho {
-            trace_id: 99,
-            server_ns: 1,
-        });
-        let mut v4_response = Vec::new();
-        Response::Empty.encode_traced(&mut v4_response, 4, echo);
-        assert_eq!(v4_response.len(), 6);
-        let (response, version, no_echo, _) = Response::decode_traced(&v4_response).unwrap();
-        assert_eq!(response, Response::Empty);
-        assert_eq!(version, 4);
-        assert_eq!(no_echo, None);
-        // A v4 MetricsDump (the newest v4 opcode) still decodes at v4.
-        let mut buf = Vec::new();
-        Request::MetricsDump {
-            include_events: true,
-        }
-        .encode_versioned(&mut buf, 4);
-        let (decoded, version, _) = Request::decode_versioned(&buf).unwrap();
-        assert_eq!(
-            decoded,
-            Request::MetricsDump {
-                include_events: true
-            }
-        );
-        assert_eq!(version, 4);
     }
 
     /// `Request::opcode` matches the byte actually emitted on the wire for
@@ -2534,7 +1977,6 @@ mod tests {
                         BACKEND_CODES[(key % 4) as usize],
                         max,
                         max / 2,
-                        max / 3,
                     )
                     .expect("assigned backend code"),
                     quota: QuotaSpec {
@@ -2580,10 +2022,7 @@ mod tests {
                         contended_retries: n / 5,
                         refusals: n / 8,
                     },
-                    active_lanes: n / 6,
-                    max_lanes: n / 6 + 8,
-                    resize_events: n / 7,
-                    resize_epoch: n / 9,
+                    lanes: n / 6,
                     queues: entries
                         .iter()
                         .take(4)
@@ -2663,8 +2102,8 @@ mod tests {
         ) {
             let mut buf = Vec::new();
             Request::Insert { key, value: !key }
-                .encode_traced(&mut buf, WIRE_VERSION, Some(TraceContext { trace_id }));
-            let (_, _, trace, used) = Request::decode_traced(&buf).expect("traced requests decode");
+                .encode_traced(&mut buf, Some(TraceContext { trace_id }));
+            let (_, trace, used) = Request::decode_traced(&buf).expect("traced requests decode");
             prop_assert_eq!(trace, Some(TraceContext { trace_id }));
             prop_assert_eq!(used, buf.len());
             let cut = (cut_seed % buf.len() as u64) as usize;
@@ -2673,8 +2112,8 @@ mod tests {
 
             let mut buf = Vec::new();
             Response::Entry { key, value: key }
-                .encode_traced(&mut buf, WIRE_VERSION, Some(TraceEcho { trace_id, server_ns }));
-            let (_, _, echo, used) = Response::decode_traced(&buf).expect("traced responses decode");
+                .encode_traced(&mut buf, Some(TraceEcho { trace_id, server_ns }));
+            let (_, echo, used) = Response::decode_traced(&buf).expect("traced responses decode");
             prop_assert_eq!(echo, Some(TraceEcho { trace_id, server_ns }));
             prop_assert_eq!(used, buf.len());
             let cut = (cut_seed % buf.len() as u64) as usize;
@@ -2687,7 +2126,7 @@ mod tests {
             let mut buf = Vec::new();
             Request::CreateQueue {
                 name: name_from_seed(seed),
-                backend: BackendSpec::from_wire(BACKEND_CODES[(seed % 4) as usize], 8, 2, 1).unwrap(),
+                backend: BackendSpec::from_wire(BACKEND_CODES[(seed % 4) as usize], 8, 2).unwrap(),
                 quota: QuotaSpec::unlimited().with_max_inflight(seed),
             }
             .encode(&mut buf);

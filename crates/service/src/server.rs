@@ -15,8 +15,8 @@
 //! per-queue aggregates.
 //!
 //! A connection starts bound to the [`DEFAULT_QUEUE`] (when it exists — a
-//! [`PqServer::spawn`] server always installs one, which is exactly the v2
-//! single-queue behaviour) and may rebind with `UseQueue`. Every session
+//! [`PqServer::spawn`] server always installs one, so a single-queue server
+//! needs no `UseQueue` at all) and may rebind with `UseQueue`. Every session
 //! operation passes the binding's admission gate first: in-flight quota,
 //! token-bucket rate with class-aware shedding, drop tombstones. Refusals
 //! are typed wire errors and first-class counters, never silent drops.
@@ -33,13 +33,13 @@
 //! advertised nowhere and negotiated never: both sides simply bound
 //! themselves, which composes safely for any pair of limits.
 //!
-//! # Version negotiation
+//! # Protocol errors
 //!
-//! Every frame carries its own version byte; the server answers each request
-//! at the version the request arrived with. A v2 client therefore speaks to
-//! a v3 server completely unchanged: it is bound to the default queue, its
-//! Stats replies use the legacy 9-counter layout, and v3 refusal codes
-//! collapse to `Unavailable` on its frames.
+//! There is nothing to negotiate: every frame carries the one wire version
+//! [`protocol`](crate::protocol) speaks. A frame the decoder refuses — a
+//! foreign version stamp, an unknown opcode, a malformed payload — gets one
+//! [`ErrorCode::Protocol`] frame, and then the connection closes: after a
+//! framing error the byte stream cannot re-synchronise.
 //!
 //! # Shutdown
 //!
@@ -68,7 +68,7 @@ use parking_lot::Mutex;
 
 use crate::protocol::{
     ErrorCode, QueueListRow, QueueStats, Request, Response, ServiceStats, TraceEcho, WireError,
-    MAX_BATCH, MIN_WIRE_VERSION, WIRE_VERSION,
+    MAX_BATCH, WIRE_VERSION,
 };
 
 /// Server-side configuration: the per-session policy and the service limits.
@@ -182,9 +182,6 @@ impl Shared {
         totals.refusals = totals
             .refusals
             .saturating_add(self.registry.unbound_refusals());
-        // The lane count summed over the instantiated queues fills both
-        // lane fields of the Stats layout; lane counts never change, so
-        // both resize fields stay 0.
         let mut lanes = 0u64;
         let mut queues = Vec::new();
         for snap in self.registry.stats() {
@@ -202,10 +199,7 @@ impl Shared {
         ServiceStats {
             sessions: self.sessions_opened.load(Ordering::Relaxed),
             totals,
-            active_lanes: lanes,
-            max_lanes: lanes,
-            resize_events: 0,
-            resize_epoch: 0,
+            lanes,
             queues,
         }
     }
@@ -291,7 +285,7 @@ fn unbound_error() -> Response {
 
 /// A running choice-wire server.
 ///
-/// Bind with [`PqServer::spawn`] (single queue, v2-compatible) or
+/// Bind with [`PqServer::spawn`] (single queue) or
 /// [`PqServer::spawn_registry`] (multi-tenant); the accept loop and every
 /// connection run on background threads until a shutdown (wire frame or
 /// [`shutdown`](PqServer::shutdown)), after which [`join`](PqServer::join)
@@ -307,8 +301,7 @@ pub struct PqServer {
 impl PqServer {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and starts
     /// serving `queue` as the sole, unlimited [`DEFAULT_QUEUE`] of a fresh
-    /// registry — the exact observable behaviour of the old single-queue
-    /// server, including for v2 clients.
+    /// registry — the exact observable behaviour of a single-queue server.
     pub fn spawn(
         queue: Arc<dyn DynSharedPq<u64>>,
         addr: impl ToSocketAddrs,
@@ -323,8 +316,8 @@ impl PqServer {
 
     /// Binds `addr` and starts serving every queue of `registry`.
     /// Connections start bound to the registry's [`DEFAULT_QUEUE`] if one
-    /// exists (create or install it to serve v2 clients); otherwise they
-    /// start unbound and must `UseQueue` before session operations.
+    /// exists; otherwise they start unbound and must `UseQueue` before
+    /// session operations.
     pub fn spawn_registry(
         registry: Arc<QueueRegistry>,
         addr: impl ToSocketAddrs,
@@ -354,12 +347,11 @@ impl PqServer {
         // `build_info` is the standard Prometheus idiom: a constant-1 gauge
         // whose labels carry the identifying strings. The add-of-difference
         // keeps it at 1 even when several servers share one hub.
-        let wire_version = WIRE_VERSION.to_string();
         let build_info = obs.metrics().gauge(
             "build_info",
             &[
                 ("version", env!("CARGO_PKG_VERSION")),
-                ("wire_version", &wire_version),
+                ("wire_version", &WIRE_VERSION.to_string()),
                 ("commit", option_env!("GIT_COMMIT").unwrap_or("unknown")),
             ],
         );
@@ -488,7 +480,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) -> Vec<JoinHandle<()>
     connections
 }
 
-/// Per-request stage stopwatch for traced (v5, sampled) requests: each
+/// Per-request stage stopwatch for traced (sampled) requests: each
 /// [`mark`](SpanTimer::mark) charges the time since the previous mark to a
 /// stage. The recv stage is seeded from the read syscall that delivered the
 /// frame's bytes (attributed to the first frame decoded from that chunk;
@@ -600,33 +592,26 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) -> io::Result<()> {
             let mut consumed = 0usize;
             while consumed < inbuf.len() {
                 let decode_started = Instant::now();
-                let (request, version, trace) = match Request::decode_traced(&inbuf[consumed..]) {
-                    Ok((request, version, trace, used)) => {
+                let (request, trace) = match Request::decode_traced(&inbuf[consumed..]) {
+                    Ok((request, trace, used)) => {
                         consumed += used;
-                        (request, version, trace)
+                        (request, trace)
                     }
                     Err(e) if e.is_incomplete() => break, // tail frame: read more
                     Err(wire_error) => {
                         // Protocol violations are answered (best-effort) and
                         // then the connection is closed: after a framing
-                        // error the byte stream cannot re-synchronise. The
-                        // reply is framed at the oldest supported version so
-                        // any well-formed peer can decode it.
+                        // error the byte stream cannot re-synchronise.
                         let response = Response::Error {
                             code: ErrorCode::Protocol,
                             detail: wire_error.to_string(),
                         };
-                        crate::protocol::write_response(
-                            &mut writer,
-                            &response,
-                            &mut out_scratch,
-                            MIN_WIRE_VERSION,
-                        )?;
+                        crate::protocol::write_response(&mut writer, &response, &mut out_scratch)?;
                         writer.flush()?;
                         break 'conn Err(io::Error::new(io::ErrorKind::InvalidData, wire_error));
                     }
                 };
-                // A sampled v5 request gets a stage stopwatch; everything
+                // A sampled request gets a stage stopwatch; everything
                 // else pays exactly one `Option` branch per mark site.
                 let mut timer = trace.map(|t| {
                     let recv_ns = std::mem::take(&mut pending_recv_ns);
@@ -671,7 +656,6 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) -> io::Result<()> {
                                         crate::protocol::encode_batch_response(
                                             &mut out_scratch,
                                             &batch_buf,
-                                            version,
                                             timer.as_ref().map(SpanTimer::echo),
                                         );
                                         writer.write_all(&out_scratch)?;
@@ -807,11 +791,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) -> io::Result<()> {
                         t.mark(SpanStage::QueueOp);
                     }
                     out_scratch.clear();
-                    response.encode_traced(
-                        &mut out_scratch,
-                        version,
-                        timer.as_ref().map(SpanTimer::echo),
-                    );
+                    response.encode_traced(&mut out_scratch, timer.as_ref().map(SpanTimer::echo));
                     writer.write_all(&out_scratch)?;
                 }
                 unflushed += 1;
@@ -959,7 +939,7 @@ mod tests {
         assert_eq!(stats.totals.inserts, 1);
         assert_eq!(stats.totals.removals, 1);
         assert_eq!(stats.totals.failed_removals, 1);
-        // The v3 aggregate carries the per-queue breakdown: everything
+        // The aggregate carries the per-queue breakdown: everything
         // happened on the default queue.
         assert_eq!(stats.queues.len(), 1);
         assert_eq!(stats.queues[0].name, DEFAULT_QUEUE);
@@ -998,7 +978,7 @@ mod tests {
     fn garbage_bytes_get_a_protocol_error_then_a_close() {
         let server = spawn_server(ServerConfig::default());
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-        // A syntactically valid length prefix followed by a bad version.
+        // A syntactically valid length prefix followed by a garbage header.
         let mut garbage = 2u32.to_le_bytes().to_vec();
         garbage.extend_from_slice(&[0x42, 0x01]);
         stream.write_all(&garbage).unwrap();
@@ -1083,17 +1063,12 @@ mod tests {
         let server = PqServer::spawn(erased, "127.0.0.1:0", ServerConfig::default()).expect("bind");
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         match request_reply(&mut stream, &Request::Stats) {
-            Response::Stats(stats) => {
-                assert_eq!(stats.active_lanes, 16);
-                assert_eq!(stats.max_lanes, 16);
-                assert_eq!(stats.resize_events, 0);
-                assert_eq!(stats.resize_epoch, 0);
-            }
+            Response::Stats(stats) => assert_eq!(stats.lanes, 16),
             other => panic!("expected stats, got {other:?}"),
         }
         drop(stream);
         let final_stats = server.join();
-        assert_eq!(final_stats.max_lanes, 16);
+        assert_eq!(final_stats.lanes, 16);
     }
 
     /// The full queue lifecycle over raw sockets: create a named queue,
@@ -1222,44 +1197,35 @@ mod tests {
         assert_eq!(stats.queues.len(), 1, "only the default queue remains");
     }
 
-    /// A v2 peer on a v3 server: responses echo version 2, the Stats reply
-    /// uses the legacy 9-counter layout, and v3 opcodes inside v2 frames are
-    /// protocol errors.
+    /// A frame stamped v5 — otherwise a well-formed insert — gets exactly
+    /// one `Protocol` error frame, and then the connection closes: the
+    /// pipelined frame behind it is never answered and nothing is counted.
     #[test]
-    fn v2_clients_are_served_at_version_2() {
+    fn a_v5_frame_gets_one_protocol_error_then_a_close() {
         let server = spawn_server(ServerConfig::default());
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         let mut wire = Vec::new();
-        Request::Insert { key: 5, value: 50 }.encode_versioned(&mut wire, 2);
-        Request::Stats.encode_versioned(&mut wire, 2);
+        Request::Insert { key: 5, value: 50 }.encode(&mut wire);
+        wire[4] = 5;
+        Request::ApproxLen.encode(&mut wire);
         stream.write_all(&wire).unwrap();
         let mut frame = Vec::new();
         assert!(read_frame_bytes(&mut stream, &mut frame).unwrap());
-        let (response, version, _) = Response::decode_versioned(&frame).unwrap();
-        assert_eq!(response, Response::Inserted);
-        assert_eq!(version, 2, "responses echo the request's version");
-        assert!(read_frame_bytes(&mut stream, &mut frame).unwrap());
-        assert_eq!(frame.len(), 6 + 9 * 8, "legacy 9-counter Stats layout");
-        let (response, version, _) = Response::decode_versioned(&frame).unwrap();
-        assert_eq!(version, 2);
-        match response {
-            Response::Stats(stats) => {
-                assert_eq!(stats.totals.inserts, 1);
-                assert!(stats.queues.is_empty(), "v2 carries no per-queue rows");
-            }
-            other => panic!("expected stats, got {other:?}"),
-        }
-        // A v3-only opcode in a v2 frame cannot be decoded: protocol error,
-        // connection closed.
-        let mut wire = Vec::new();
-        Request::ListQueues.encode_versioned(&mut wire, 2);
-        stream.write_all(&wire).unwrap();
-        assert!(read_frame_bytes(&mut stream, &mut frame).unwrap());
+        // `Response::decode` accepts nothing but the current stamp.
         match Response::decode(&frame).unwrap().0 {
-            Response::Error { code, .. } => assert_eq!(code, ErrorCode::Protocol),
+            Response::Error { code, detail } => {
+                assert_eq!(code, ErrorCode::Protocol);
+                assert_eq!(detail, WireError::UnknownVersion(5).to_string());
+            }
             other => panic!("expected a protocol error, got {other:?}"),
         }
-        assert!(!read_frame_bytes(&mut stream, &mut frame).unwrap());
+        assert!(
+            !read_frame_bytes(&mut stream, &mut frame).unwrap(),
+            "the connection closes after the one error frame"
+        );
+        drop(stream);
+        let stats = server.join();
+        assert_eq!(stats.totals.operations(), 0);
     }
 
     /// A registry-first server without a default queue: sessions start
@@ -1394,7 +1360,7 @@ mod tests {
         );
     }
 
-    /// The v4 exposition endpoint over the wire: session traffic shows up as
+    /// The exposition endpoint over the wire: session traffic shows up as
     /// registry metrics, and `include_events` appends the flight recorder as
     /// comment lines (still line-scrapeable).
     #[test]
@@ -1448,7 +1414,7 @@ mod tests {
         }
     }
 
-    /// The end-to-end trace path over a raw socket: a v5 request carrying a
+    /// The end-to-end trace path over a raw socket: a request carrying a
     /// trace id gets the id echoed back with a server stage time, and the
     /// next metrics dump carries build info, uptime, the per-stage
     /// histograms, and the span itself.
@@ -1461,11 +1427,11 @@ mod tests {
             trace_id: 0xABCD_EF01_2345_6789,
         };
         let mut wire = Vec::new();
-        Request::Insert { key: 4, value: 40 }.encode_traced(&mut wire, WIRE_VERSION, Some(trace));
+        Request::Insert { key: 4, value: 40 }.encode_traced(&mut wire, Some(trace));
         stream.write_all(&wire).unwrap();
         let mut frame = Vec::new();
         assert!(read_frame_bytes(&mut stream, &mut frame).unwrap());
-        let (response, _, echo, _) = Response::decode_traced(&frame).unwrap();
+        let (response, echo, _) = Response::decode_traced(&frame).unwrap();
         assert_eq!(response, Response::Inserted);
         let echo = echo.expect("a traced request is answered traced");
         assert_eq!(echo.trace_id, trace.trace_id);
@@ -1480,7 +1446,7 @@ mod tests {
             Response::MetricsText(text) => {
                 assert!(
                     text.contains("build_info{"),
-                    "version/commit/wire gauge is exported:\n{text}"
+                    "build_info gauge is exported:\n{text}"
                 );
                 assert!(
                     text.contains("uptime_seconds"),
@@ -1510,9 +1476,9 @@ mod tests {
         Request::DeleteMin.encode(&mut wire);
         stream.write_all(&wire).unwrap();
         assert!(read_frame_bytes(&mut stream, &mut frame).unwrap());
-        let (response, _, echo, _) = Response::decode_traced(&frame).unwrap();
+        let (response, echo, _) = Response::decode_traced(&frame).unwrap();
         assert_eq!(response, Response::Entry { key: 4, value: 40 });
-        assert!(echo.is_none(), "no envelope was requested");
+        assert!(echo.is_none(), "no trace was requested");
     }
 
     /// The panic-recovery path (fault-injected): a panicking op dumps the

@@ -141,6 +141,17 @@ impl LogHistogram {
         }
     }
 
+    /// The reported upper bound of bucket `i`: `2^i`, except bucket 0
+    /// (exactly 0) and the top bucket 64, whose bound saturates to
+    /// `u64::MAX` instead of overflowing `1 << 64`.
+    fn bucket_upper_bound(i: usize) -> u64 {
+        if i == 0 {
+            0
+        } else {
+            1u64.checked_shl(i as u32).unwrap_or(u64::MAX)
+        }
+    }
+
     /// Records one observation.
     pub fn record(&mut self, value: u64) {
         self.buckets[Self::bucket_index(value)] += 1;
@@ -190,7 +201,7 @@ impl LogHistogram {
         for (i, &c) in self.buckets.iter().enumerate() {
             acc += c;
             if acc >= target {
-                return Some(if i == 0 { 0 } else { 1u64 << i });
+                return Some(Self::bucket_upper_bound(i));
             }
         }
         Some(u64::MAX)
@@ -202,7 +213,7 @@ impl LogHistogram {
             .iter()
             .enumerate()
             .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (if i == 0 { 0 } else { 1u64 << i }, c))
+            .map(|(i, &c)| (Self::bucket_upper_bound(i), c))
     }
 }
 
@@ -296,6 +307,20 @@ mod tests {
         assert_eq!(a.max(), 9);
         let total: u64 = a.iter_nonzero().map(|(_, c)| c).sum();
         assert_eq!(total, 3);
+    }
+
+    /// Regression: values in the top bucket (`[2^63, u64::MAX]`) report a
+    /// saturated `u64::MAX` bound rather than overflowing `1 << 64`.
+    #[test]
+    fn log_histogram_top_bucket_saturates() {
+        let mut h = LogHistogram::new();
+        h.record(1);
+        h.record(u64::MAX);
+        assert_eq!(h.max(), u64::MAX);
+        assert_eq!(h.quantile_upper_bound(0.5), Some(2));
+        assert_eq!(h.quantile_upper_bound(1.0), Some(u64::MAX));
+        let pairs: Vec<_> = h.iter_nonzero().collect();
+        assert_eq!(pairs, vec![(2, 1), (u64::MAX, 1)]);
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! Model-checks the flight-recorder / span-ring seqlock slot protocol
-//! (DESIGN.md §11–§12).
+//! Model-checks the seqlock slot protocol of `choice_obs`'s `SeqRing`
+//! (`crates/obs/src/ring.rs`, DESIGN.md §11.3), the one ring both the
+//! `FlightRecorder` and the `SpanRing` write through.
 //!
-//! The model mirrors the slot discipline `choice_obs`'s `FlightRecorder`
-//! and `SpanRing` share: writers take a ticket from a monotone head
-//! counter, claim the slot by CAS-ing any *completed* (even) sequence to
-//! the odd in-progress value `2·ticket+1`, write the payload words, then
-//! publish `2·ticket+2`; readers accept a snapshot only when the sequence
-//! was even before the payload reads **and unchanged after them**. The
+//! The model mirrors `SeqRing::write` and `SeqRing::read`: writers take a
+//! ticket from a monotone head counter, claim the slot by CAS-ing any
+//! *completed* (even) sequence to the odd in-progress value `2·ticket+1`,
+//! write the payload words, then publish `2·ticket+2`; readers accept a
+//! snapshot only when the sequence was even before the payload reads
+//! **and unchanged after them**. The
 //! payload carries a checkable invariant (`word2 = word0 + word1`), so a
 //! torn snapshot — half old record, half new — is detectable in one
 //! assert. Three variants run under every interleaving:
@@ -22,7 +23,9 @@
 //!
 //! Each broken variant's failing schedule replays deterministically, and
 //! one is pinned as a schedule string so a regression in the explorer or
-//! the protocol reproduces from this file alone.
+//! the protocol reproduces from this file alone. Every exploration runs
+//! under `check::schedule_budget(200_000)`, so `CHECK_SCHEDULES` deepens
+//! it.
 
 use std::sync::Arc;
 
@@ -148,7 +151,7 @@ fn lapped_reader_model(variant: Variant) {
 
 #[test]
 fn faithful_seqlock_never_surfaces_a_torn_snapshot() {
-    let report = check::explore(check::Config::dfs(200_000), || {
+    let report = check::explore(check::Config::dfs(check::schedule_budget(200_000)), || {
         lapped_reader_model(FAITHFUL)
     })
     .expect("claim/payload/publish with a revalidating reader cannot tear");
@@ -161,9 +164,10 @@ fn publishing_before_the_payload_tears_even_a_revalidating_reader() {
         payload_before_publish: false,
         ..FAITHFUL
     };
-    let failure = check::explore(check::Config::dfs(200_000), move || {
-        lapped_reader_model(variant)
-    })
+    let failure = check::explore(
+        check::Config::dfs(check::schedule_budget(200_000)),
+        move || lapped_reader_model(variant),
+    )
     .expect_err("an even sequence over half-written words must be observable");
     assert!(
         failure.message.contains("torn slot snapshot"),
@@ -184,9 +188,10 @@ fn skipping_the_reread_accepts_a_lapped_torn_snapshot() {
         revalidate: false,
         ..FAITHFUL
     };
-    let failure = check::explore(check::Config::dfs(200_000), move || {
-        lapped_reader_model(variant)
-    })
+    let failure = check::explore(
+        check::Config::dfs(check::schedule_budget(200_000)),
+        move || lapped_reader_model(variant),
+    )
     .expect_err("without the second sequence read a lapping writer tears the snapshot");
     assert!(
         failure.message.contains("torn slot snapshot"),
@@ -209,9 +214,10 @@ fn pinned_schedule_replays_the_publish_first_bug() {
         payload_before_publish: false,
         ..FAITHFUL
     };
-    let failure = check::explore(check::Config::dfs(200_000), move || {
-        lapped_reader_model(variant)
-    })
+    let failure = check::explore(
+        check::Config::dfs(check::schedule_budget(200_000)),
+        move || lapped_reader_model(variant),
+    )
     .expect_err("exploration finds the bug");
     assert_eq!(
         failure.schedule, PINNED_PUBLISH_FIRST,
