@@ -125,6 +125,9 @@ pub struct MqHandle<'q, V> {
     /// Reusable removal buffer backing [`MqHandle::delete_min_batch`] and
     /// `delete_min`; empty between operations.
     pops: Vec<(Key, V)>,
+    /// Reusable `(lane, key, value)` buffer backing
+    /// [`PqHandle::insert_all`]; empty between operations.
+    drawn: Vec<(usize, Key, V)>,
     /// Timestamped removals when `policy.instrument` is set.
     log: Vec<TimestampedRemoval>,
     stats: HandleStats,
@@ -172,6 +175,7 @@ impl<'q, V> MqHandle<'q, V> {
             }),
             scratch: Vec::with_capacity(queue.config().choice.max_samples().min(1024)),
             pops: Vec::new(),
+            drawn: Vec::new(),
             log: Vec::new(),
             stats: HandleStats::default(),
             obs: queue.obs().map(|o| HandleObs {
@@ -322,6 +326,49 @@ impl<V: Send> PqHandle<V> for MqHandle<'_, V> {
             obs.queue_obs
                 .insert_ns
                 .record(t0.elapsed().as_nanos() as u64);
+        }
+    }
+
+    /// Draws every entry's lane as [`insert`](PqHandle::insert) would (the
+    /// sticky hint, else one shard draw), then locks each drawn lane once
+    /// for all of its entries, in call order. An entry whose lane loses its
+    /// `try_lock` takes `insert`'s own path from there: fresh draws, then a
+    /// blocking lock. Uncontended, the RNG stream and every lane's push
+    /// order equal those of inserting the entries one by one.
+    ///
+    /// Under an `insert_batch` policy every entry goes through `insert`,
+    /// which buffers it. A sampled call records its time per entry.
+    fn insert_all(&mut self, items: &mut Vec<(Key, V)>) {
+        if self.policy.batches() {
+            for (key, value) in items.drain(..) {
+                self.insert(key, value);
+            }
+            return;
+        }
+        if items.is_empty() {
+            return;
+        }
+        for &(key, _) in items.iter() {
+            crate::traits::check_key(key);
+        }
+        let count = items.len() as u64;
+        self.stats.inserts += count;
+        let start = self.sample_start();
+        debug_assert!(self.drawn.is_empty(), "drawn buffer leaked between ops");
+        for (key, value) in items.drain(..) {
+            let lane = match self.insert_hint() {
+                Some(lane) => lane,
+                None => self.queue.stride_lane(&mut self.rng, self.shard),
+            };
+            self.drawn.push((lane, key, value));
+        }
+        self.stats.contended_retries +=
+            self.queue
+                .insert_drawn(&mut self.rng, self.shard, &mut self.drawn);
+        if let (Some(t0), Some(obs)) = (start, &self.obs) {
+            obs.queue_obs
+                .insert_ns
+                .record(t0.elapsed().as_nanos() as u64 / count);
         }
     }
 
@@ -645,6 +692,79 @@ mod tests {
         );
         holder.join().unwrap();
         assert_eq!(q.lane_lengths(), vec![5]);
+    }
+
+    #[test]
+    fn insert_all_routes_around_a_held_lane() {
+        // Lane 0 stays locked by another thread for the whole call: the
+        // entries that drew it lose its try_lock and land elsewhere through
+        // fresh draws; every other lane takes its entries under one lock.
+        let hub = choice_obs::ObsHub::new();
+        let mut q = MultiQueue::<u64>::new(MultiQueueConfig::with_queues(4).with_seed(11));
+        q.attach_obs(QueueObs::with_sample_every(&hub, "held", 1));
+        let q = Arc::new(q);
+        let held = Arc::new(std::sync::Barrier::new(2));
+        let release = Arc::new(std::sync::Barrier::new(2));
+        let holder = {
+            let (q, held, release) = (Arc::clone(&q), Arc::clone(&held), Arc::clone(&release));
+            std::thread::spawn(move || {
+                q.with_lane_locked(0, || {
+                    held.wait();
+                    release.wait();
+                })
+            })
+        };
+        held.wait();
+        let mut h = q.register();
+        let mut entries: Vec<(Key, u64)> = (0..64u64).map(|k| (k, k)).collect();
+        h.insert_all(&mut entries);
+        let lengths = q.lane_lengths();
+        release.wait();
+        holder.join().expect("holder thread");
+        assert!(entries.is_empty());
+        assert_eq!(lengths[0], 0, "the held lane took nothing: {lengths:?}");
+        assert_eq!(lengths.iter().sum::<usize>(), 64);
+        let stats = h.stats();
+        assert_eq!(stats.inserts, 64);
+        assert!(stats.contended_retries >= 1, "{stats:?}");
+        let snap = hub.metrics().snapshot();
+        let labels = [("queue", "held")];
+        assert_eq!(snap.counter("mq_ops_total", &labels), Some(64));
+        assert_eq!(
+            snap.counter("mq_lock_retries_total", &labels),
+            Some(stats.contended_retries)
+        );
+        let mut out = Vec::new();
+        while let Some((k, _)) = h.delete_min() {
+            out.push(k);
+        }
+        out.sort_unstable();
+        assert_eq!(out, (0..64u64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn insert_all_buffers_like_inserts_under_an_insert_batch_policy() {
+        let policy = HandlePolicy::default()
+            .with_insert_batch(8)
+            .with_sticky_ops(3);
+        let (qa, qb) = (queue(4, 1.0), queue(4, 1.0));
+        let mut ha = qa.register_with(policy);
+        let mut hb = qb.register_with(policy);
+        let mut entries: Vec<(Key, u64)> = (0..13u64).map(|k| (k * 5 % 13, k)).collect();
+        for &(key, value) in &entries {
+            ha.insert(key, value);
+        }
+        hb.insert_all(&mut entries);
+        assert_eq!(hb.buffered(), 5, "13 entries: one batch of 8 published");
+        assert_eq!(ha.buffered(), hb.buffered());
+        assert_eq!(qa.lane_lengths(), qb.lane_lengths());
+        ha.flush();
+        hb.flush();
+        assert_eq!(qa.lane_lengths(), qb.lane_lengths());
+        assert_eq!(ha.stats(), hb.stats());
+        for _ in 0..14 {
+            assert_eq!(ha.delete_min(), hb.delete_min());
+        }
     }
 
     #[test]

@@ -196,6 +196,26 @@ mod tests {
     }
 
     #[test]
+    fn a_dyn_handle_forwards_insert_all_and_samples_it_once() {
+        use crate::traits::DynSharedPq;
+        let hub = ObsHub::new();
+        let q = observed_queue(&hub);
+        let mut h = q.register_dyn();
+        let mut entries: Vec<(u64, u64)> = (0..5u64).map(|k| (k, k)).collect();
+        h.insert_all(&mut entries);
+        assert!(entries.is_empty());
+        assert_eq!(h.stats().inserts, 5);
+        let snap = hub.metrics().snapshot();
+        assert_eq!(snap.counter("mq_ops_total", &[("queue", "q0")]), Some(5));
+        // Stride 1 samples every call: the forwarded override is one call,
+        // where the trait's per-entry default would have been five.
+        let insert_ns = snap
+            .histogram("mq_op_ns", &[("op", "insert"), ("queue", "q0")])
+            .expect("insert histogram registered");
+        assert_eq!(insert_ns.count(), 1);
+    }
+
+    #[test]
     fn unobserved_queues_are_untouched() {
         let q = MultiQueue::<u64>::new(MultiQueueConfig::with_queues(4).with_seed(1));
         assert!(q.obs().is_none());

@@ -177,6 +177,25 @@ pub trait PqHandle<V>: Send {
     /// Panics if `key == Key::MAX` (see [`check_key`]).
     fn insert(&mut self, key: Key, value: V);
 
+    /// Inserts every entry of `items` in order, leaving `items` empty (its
+    /// capacity is kept, so one buffer can be reused across calls).
+    ///
+    /// The default implementation [`insert`](PqHandle::insert)s each entry
+    /// in turn. The MultiQueue overrides it to take one lock per lane the
+    /// entries drew rather than one per entry: every entry still draws its
+    /// own lane exactly as `insert` would, so where the entries land is
+    /// unchanged, but `b` entries over `n` lanes lock only the
+    /// `n · (1 − (1 − 1/n)^b)` distinct lanes they draw on average.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any key is `Key::MAX` (see [`check_key`]).
+    fn insert_all(&mut self, items: &mut Vec<(Key, V)>) {
+        for (key, value) in items.drain(..) {
+            self.insert(key, value);
+        }
+    }
+
     /// Removes an entry with a small key.
     ///
     /// For *exact* implementations this is the global minimum; for *relaxed*
@@ -238,6 +257,9 @@ pub trait PqHandle<V>: Send {
 impl<V, H: PqHandle<V> + ?Sized> PqHandle<V> for Box<H> {
     fn insert(&mut self, key: Key, value: V) {
         (**self).insert(key, value);
+    }
+    fn insert_all(&mut self, items: &mut Vec<(Key, V)>) {
+        (**self).insert_all(items);
     }
     fn delete_min(&mut self) -> Option<(Key, V)> {
         (**self).delete_min()

@@ -20,8 +20,10 @@ use pq_baselines::{CoarseHeap, KLsmConfig, KLsmQueue, SkipListQueue};
 /// lanes/threads (a registry does not know how many workers a tenant will
 /// bring) and encodable in three small wire fields: a code byte plus two
 /// `u32` parameters (unused parameters are ignored; zero parameters are
-/// clamped up to `1` so any wire value builds *some* valid queue rather
-/// than panicking a construction deep inside the server).
+/// clamped up to `1`, and lane and thread counts down to
+/// [`MAX_SIZE`](Self::MAX_SIZE), so any wire value builds *some* valid
+/// queue rather than panicking or exhausting memory deep inside the
+/// server).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BackendSpec {
     /// The d-choice MultiQueue with a fixed lane count.
@@ -45,6 +47,17 @@ pub enum BackendSpec {
 }
 
 impl BackendSpec {
+    /// The largest MultiQueue lane count and k-LSM thread-slot count a spec
+    /// builds. Both are allocated up front at construction (a padded lane,
+    /// a local buffer), so a larger wire value is clamped down to this one
+    /// instead of letting a single `CreateQueue` allocate gigabytes.
+    pub const MAX_SIZE: u32 = 4096;
+
+    /// A lane or thread-slot count as built: clamped to `1..=MAX_SIZE`.
+    fn size(param: u32) -> usize {
+        param.clamp(1, Self::MAX_SIZE) as usize
+    }
+
     /// A sensibly-sized default backend: an 8-lane two-choice MultiQueue.
     pub fn default_multiqueue() -> Self {
         BackendSpec::MultiQueue { lanes: 8, d: 2 }
@@ -91,24 +104,25 @@ impl BackendSpec {
     pub fn label(&self) -> String {
         match *self {
             BackendSpec::MultiQueue { lanes, d } => {
-                format!("multiqueue(n={}, d={})", lanes.max(1), d.max(1))
+                format!("multiqueue(n={}, d={})", Self::size(lanes), d.max(1))
             }
             BackendSpec::CoarseHeap => "coarse-heap".to_string(),
             BackendSpec::KLsm {
                 threads,
                 relaxation,
-            } => format!("klsm(t={}, k={})", threads.max(1), relaxation.max(1)),
+            } => format!("klsm(t={}, k={})", Self::size(threads), relaxation.max(1)),
             BackendSpec::SkipList => "skiplist".to_string(),
         }
     }
 
     /// Builds the described queue, type-erased. Zero-valued parameters are
-    /// clamped up to `1`, so every wire-decodable spec constructs without
-    /// panicking.
+    /// clamped up to `1`, and lane and thread counts down to
+    /// [`MAX_SIZE`](Self::MAX_SIZE), so every wire-decodable spec
+    /// constructs without panicking.
     pub fn build(&self, seed: u64) -> Arc<dyn DynSharedPq<u64>> {
         match *self {
             BackendSpec::MultiQueue { lanes, d } => Arc::new(MultiQueue::<u64>::new(
-                MultiQueueConfig::with_queues(lanes.max(1) as usize)
+                MultiQueueConfig::with_queues(Self::size(lanes))
                     .with_d(d.max(1) as usize)
                     .with_seed(seed),
             )),
@@ -117,7 +131,7 @@ impl BackendSpec {
                 threads,
                 relaxation,
             } => Arc::new(KLsmQueue::new(
-                KLsmConfig::for_threads(threads.max(1) as usize)
+                KLsmConfig::for_threads(Self::size(threads))
                     .with_relaxation(relaxation.max(1) as usize),
             )),
             BackendSpec::SkipList => Arc::new(SkipListQueue::with_seed(seed)),
@@ -139,7 +153,7 @@ impl BackendSpec {
         match *self {
             BackendSpec::MultiQueue { lanes, d } => {
                 let mut q = MultiQueue::<u64>::new(
-                    MultiQueueConfig::with_queues(lanes.max(1) as usize)
+                    MultiQueueConfig::with_queues(Self::size(lanes))
                         .with_d(d.max(1) as usize)
                         .with_seed(seed),
                 );
@@ -288,6 +302,38 @@ mod tests {
             h.insert(1, 1);
             assert_eq!(h.delete_min(), Some((1, 1)), "code {code}");
         }
+    }
+
+    #[test]
+    fn oversized_lane_and_thread_counts_are_clamped() {
+        let huge = BackendSpec::MultiQueue {
+            lanes: u32::MAX,
+            d: 2,
+        };
+        let max = BackendSpec::MAX_SIZE as usize;
+        for q in [
+            huge.build(1),
+            huge.build_observed(1, &ObsHub::new(), "huge"),
+        ] {
+            assert_eq!(q.topology().lanes, max);
+            let mut h = q.register_dyn();
+            h.insert(1, 1);
+            assert_eq!(h.delete_min(), Some((1, 1)));
+        }
+        assert_eq!(huge.label(), format!("multiqueue(n={max}, d=2)"));
+        // The wire form is untouched: the clamp applies when building.
+        assert_eq!(huge.params(), (u32::MAX, 2));
+
+        let huge = BackendSpec::KLsm {
+            threads: u32::MAX,
+            relaxation: 16,
+        };
+        let q = huge.build(1);
+        assert_eq!(q.name(), "klsm(k=16)");
+        let mut h = q.register_dyn();
+        h.insert(1, 1);
+        assert_eq!(h.delete_min(), Some((1, 1)));
+        assert_eq!(huge.label(), format!("klsm(t={max}, k=16)"));
     }
 
     #[test]

@@ -28,11 +28,17 @@
 //! * a finished task passes its own unit on to its spawns instead of
 //!   paying it back and borrowing new ones (the credit transfer of the
 //!   counting detectors): [`TaskCtx::spawn`] only buffers, and once the
-//!   handler returns the worker adds `k − 1` units **before** inserting
-//!   `k ≥ 2` spawns, inserts a single spawn on the parent's unit alone, and
-//!   releases the unit only when there are none. `pending` never dips to
-//!   zero while a spawn is in flight, and a task that re-arms itself never
-//!   touches the counter;
+//!   handler returns the worker adds `k − 1` units for `k ≥ 2` spawns,
+//!   lets a single spawn carry the parent's unit alone, and releases the
+//!   unit only when there are none. `pending` never dips to zero while a
+//!   spawn is in flight, and a task that re-arms itself never touches the
+//!   counter;
+//! * the counted spawns stay with the worker until its batch ends, and
+//!   one [`PqHandle::insert_all`] then publishes them, taking one lock per
+//!   lane they drew instead of one per spawn. Holding them privately is
+//!   safe because each already holds a unit: `pending` stays positive for
+//!   as long as they are unpublished, exactly as for a task that is still
+//!   running;
 //! * a worker may conclude "done" only from the conjunction: its pop failed
 //!   with a **quiescent-empty observation** (the [`HandleStats::empty_polls`]
 //!   counter moved, not merely a contention race), **then** `sources == 0`,
@@ -42,7 +48,8 @@
 //! Why the order makes the check stable: once `sources` reads 0, no injector
 //! will ever increment `pending` again (injectors increment strictly before
 //! closing). A later `pending == 0` therefore also rules out spawns — a
-//! spawn requires a running task, which requires `pending > 0`. Both
+//! spawn requires a running task, which requires `pending > 0`, and a
+//! spawn held until its batch ends keeps a unit of its own. Both
 //! counters can only move `0 → positive` through paths that are closed at
 //! that point, so the conjunction, once observed, holds forever and every
 //! worker eventually observes it. A failed pop alone never terminates
@@ -230,9 +237,10 @@ impl<V> TaskCtx<'_, V> {
 
     /// Spawns a follow-up task.
     ///
-    /// The spawn is buffered; it is counted with the termination detector
-    /// and handed to the worker's queue session when the handler returns,
-    /// while the parent task is still counted as pending (module docs).
+    /// The spawn is buffered: it is counted with the termination detector
+    /// when the handler returns, while the parent task is still counted as
+    /// pending, and handed to the worker's queue session when the batch
+    /// ends (module docs).
     ///
     /// # Panics
     ///
@@ -453,10 +461,10 @@ impl<'q, V: Send, Q: SharedPq<V> + ?Sized> Scheduler<'q, V, Q> {
         )
     }
 
-    /// One worker: poll (batched), execute, count and publish spawns on the
-    /// parent's pending unit; on an empty poll consult the termination
-    /// detector, else back off. See the module docs for the correctness
-    /// argument.
+    /// One worker: poll (batched), execute, count each task's spawns on its
+    /// pending unit and publish the batch's spawns together; on an empty
+    /// poll consult the termination detector, else back off. See the module
+    /// docs for the correctness argument.
     fn worker_loop<S, I, F>(
         &self,
         worker: usize,
@@ -490,6 +498,9 @@ impl<'q, V: Send, Q: SharedPq<V> + ?Sized> Scheduler<'q, V, Q> {
                 // quiescence, and re-raise — `run` then propagates the panic
                 // instead of deadlocking in the thread scope.
                 let mut completed = 0usize;
+                // `spawned[..counted]` are the completed tasks' spawns: each
+                // holds a unit, and they wait there for the batch to end.
+                let mut counted = 0usize;
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     for (deadline, task) in batch.drain(..) {
                         if deadline < last_deadline {
@@ -507,36 +518,37 @@ impl<'q, V: Send, Q: SharedPq<V> + ?Sized> Scheduler<'q, V, Q> {
                         // extra ones before any of them can be popped, and
                         // release the unit only if there is no spawn to
                         // carry it.
-                        let k = spawned.len() as u64;
+                        let k = (spawned.len() - counted) as u64;
                         report.spawned += k;
                         if k >= 2 {
                             self.quiescence.pending.fetch_add(k - 1, Ordering::SeqCst);
                         }
-                        for (key, value) in spawned.drain(..) {
-                            // May buffer privately under an insert-batch
-                            // policy; that is safe: the spawns are already
-                            // counted as pending, and this worker's own next
-                            // poll flushes the buffer before it could
-                            // conclude emptiness.
-                            handle.insert(key, value);
-                        }
                         if k == 0 {
                             self.quiescence.pending.fetch_sub(1, Ordering::SeqCst);
                         }
+                        counted = spawned.len();
                         completed += 1;
                     }
                 }));
                 if let Err(payload) = outcome {
                     // The panicking task plus every undrained batch entry
                     // (discarded by the Drain drop) still hold one unit
-                    // each; its buffered spawns were never counted.
+                    // each; the panicking task's spawns were never counted,
+                    // while the completed tasks' spawns are and must run.
                     let orphaned = (popped - completed) as u64;
-                    spawned.clear();
+                    spawned.truncate(counted);
+                    handle.insert_all(&mut spawned);
                     self.quiescence
                         .pending
                         .fetch_sub(orphaned, Ordering::SeqCst);
                     std::panic::resume_unwind(payload);
                 }
+                // One publication per batch, one lock per drawn lane. Under
+                // an insert-batch policy the spawns may stay buffered in the
+                // session; that is safe: they are counted as pending, and
+                // this worker's own next poll flushes the buffer before it
+                // could conclude emptiness.
+                handle.insert_all(&mut spawned);
                 continue;
             }
             // Empty poll. Only a quiescent-empty observation (not a lost
@@ -720,6 +732,37 @@ mod tests {
                 panic!("task handler exploded");
             }
         });
+    }
+
+    #[test]
+    fn a_panicking_task_still_publishes_its_batch_mates_spawns() {
+        // One lane and one worker: the batch is tasks 0..4 in order. Tasks
+        // 0..3 finish with one counted spawn each, held for the batch's
+        // end; task 3 spawns and panics. The held spawns must reach the
+        // queue, the panicking task's uncounted one must not.
+        let q = MultiQueue::<u64>::new(MultiQueueConfig::with_queues(1).with_seed(10));
+        let sched = Scheduler::new(&q, SchedulerConfig::new(1).with_delete_batch(4));
+        {
+            let mut seeder = sched.injector();
+            for i in 0..4u64 {
+                seeder.inject(i, i);
+            }
+        }
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sched.run_simple(|ctx, d, v| {
+                ctx.spawn(d + 100, 100 + v);
+                if v == 3 {
+                    panic!("task handler exploded");
+                }
+            })
+        }));
+        assert!(outcome.is_err(), "the handler's panic propagates");
+        let mut h = q.register();
+        let mut left = Vec::new();
+        while let Some((_, v)) = h.delete_min() {
+            left.push(v);
+        }
+        assert_eq!(left, vec![100, 101, 102]);
     }
 
     #[test]

@@ -19,11 +19,19 @@
 //! passes to its spawns, so a worker adds `k − 1` units before inserting
 //! `k ≥ 2` spawns and releases the unit only when `k = 0`.
 //!
+//! A third model runs the real worker's batch shape: a batch worker pops up
+//! to two tasks per poll, settles each task's unit by the credit transfer
+//! as soon as the task ends, and pushes the whole batch's spawns only after
+//! its last task, so counted spawns wait privately while a later task of
+//! the batch releases its own unit.
+//!
 //! Broken variants seeded deliberately, each failing with a replayable
 //! schedule: releasing the parent's `pending` unit *before* pushing its
 //! spawn (counter decrement before push), inserting a task *before*
-//! counting it (insert before increment on the injector path), and
-//! inserting transferred spawns *before* adding their `k − 1` units.
+//! counting it (insert before increment on the injector path), inserting
+//! transferred spawns *before* adding their `k − 1` units, and a batch
+//! worker that releases each parent's unit when its task ends but counts
+//! the spawns only when it publishes them.
 //!
 //! Liveness ("never hang on empty-pop races") is covered structurally: the
 //! explorer reports a deadlock if no virtual thread can run, and workers
@@ -75,6 +83,12 @@ const TRANSFER: Variant = Variant {
     ..FAITHFUL
 };
 
+/// Children of the batch model's two parents, in injection order. The bag
+/// pops its newest task first, so a worker that pops both runs the
+/// two-spawn parent first and then releases the childless one's unit
+/// while holding the first one's spawns.
+const BATCH_PARENTS: [u64; 2] = [0, 2];
+
 /// The scheduler seam: task bag + quiescence counters. A task's payload is
 /// how many children it spawns when executed.
 struct Sched {
@@ -98,15 +112,17 @@ impl Sched {
     }
 }
 
-/// The injector: one parent task that spawns `variant.children` children,
-/// then close the source (mirrors `Injector::inject` + `Drop`).
-fn injector(s: &Sched, variant: Variant) {
-    if variant.count_before_insert {
-        s.pending.fetch_add(1, Ordering::SeqCst);
-        s.queue.lock().push(variant.children);
-    } else {
-        s.queue.lock().push(variant.children);
-        s.pending.fetch_add(1, Ordering::SeqCst);
+/// The injector: one parent task per entry of `parents` (its child
+/// count), then close the source (mirrors `Injector::inject` + `Drop`).
+fn injector(s: &Sched, variant: Variant, parents: &[u64]) {
+    for &children in parents {
+        if variant.count_before_insert {
+            s.pending.fetch_add(1, Ordering::SeqCst);
+            s.queue.lock().push(children);
+        } else {
+            s.queue.lock().push(children);
+            s.pending.fetch_add(1, Ordering::SeqCst);
+        }
     }
     s.sources.fetch_sub(1, Ordering::SeqCst);
 }
@@ -117,24 +133,47 @@ fn release_pending(s: &Sched) {
     assert!(prev > 0, "pending underflow: a task ran while uncounted");
 }
 
-/// Pushes a finished task's spawns under the credit transfer: the
-/// parent's unit covers one spawn, `k − 1` more are added, and the unit is
-/// released only when there is no spawn to carry it (mirrors the worker
-/// loop in `choice_sched::scheduler`).
-fn transfer(s: &Sched, variant: Variant, children: u64) {
-    let count_first = variant.count_transfer_before_insert;
-    if children >= 2 && count_first {
-        s.pending.fetch_add(children - 1, Ordering::SeqCst);
-    }
-    for _ in 0..children {
-        s.queue.lock().push(0);
-    }
-    if children >= 2 && !count_first {
+/// Settles a finished task's unit under the credit transfer: the parent's
+/// unit covers one spawn, `k − 1` more are added, and the unit is released
+/// only when there is no spawn to carry it (mirrors the worker loop in
+/// `choice_sched::scheduler`).
+fn settle(s: &Sched, children: u64) {
+    if children >= 2 {
         s.pending.fetch_add(children - 1, Ordering::SeqCst);
     }
     if children == 0 {
         release_pending(s);
     }
+}
+
+/// Settles a finished task's unit and pushes its spawns, settling first
+/// unless `variant` seeds the insert-before-count bug.
+fn transfer(s: &Sched, variant: Variant, children: u64) {
+    let count_first = variant.count_transfer_before_insert;
+    if count_first {
+        settle(s, children);
+    }
+    for _ in 0..children {
+        s.queue.lock().push(0);
+    }
+    if !count_first {
+        settle(s, children);
+    }
+}
+
+/// The detector on an empty poll: sources, then pending, SeqCst, in order.
+/// Returns whether it fired, asserting that nothing was left behind.
+fn detects_termination(s: &Sched) -> bool {
+    if s.sources.load(Ordering::SeqCst) == 0 && s.pending.load(Ordering::SeqCst) == 0 {
+        assert_eq!(
+            s.executed.load(Ordering::SeqCst),
+            s.total,
+            "terminated with work in flight"
+        );
+        assert!(s.queue.lock().is_empty(), "terminated with queued tasks");
+        return true;
+    }
+    false
 }
 
 /// One worker: poll, execute (spawning children), settle the parent's
@@ -164,14 +203,7 @@ fn worker(s: &Sched, variant: Variant, budget: u32) {
             }
             None => {
                 polls += 1;
-                // The detector: sources, then pending, SeqCst, in order.
-                if s.sources.load(Ordering::SeqCst) == 0 && s.pending.load(Ordering::SeqCst) == 0 {
-                    assert_eq!(
-                        s.executed.load(Ordering::SeqCst),
-                        s.total,
-                        "terminated with work in flight"
-                    );
-                    assert!(s.queue.lock().is_empty(), "terminated with queued tasks");
+                if detects_termination(s) {
                     return;
                 }
                 check::spin();
@@ -180,16 +212,71 @@ fn worker(s: &Sched, variant: Variant, budget: u32) {
     }
 }
 
+/// The batch worker (mirrors the worker loop at delete batch 2): pop up to
+/// two tasks, settle each one's unit as soon as it ends, and push the
+/// batch's spawns only after its last task. `count_at_publish` is the
+/// broken variant: release each parent's unit when its task ends, and
+/// count the spawns only when they are pushed.
+fn batch_worker(s: &Sched, count_at_publish: bool, budget: u32) {
+    let mut polls = 0;
+    while polls < budget {
+        let batch: Vec<u64> = {
+            let mut queue = s.queue.lock();
+            (0..2).map_while(|_| queue.pop()).collect()
+        };
+        if batch.is_empty() {
+            polls += 1;
+            if detects_termination(s) {
+                return;
+            }
+            check::spin();
+            continue;
+        }
+        let mut held = 0;
+        for children in batch {
+            s.executed.fetch_add(1, Ordering::SeqCst);
+            if count_at_publish {
+                release_pending(s);
+            } else {
+                settle(s, children);
+            }
+            held += children;
+        }
+        for _ in 0..held {
+            if count_at_publish {
+                s.pending.fetch_add(1, Ordering::SeqCst);
+            }
+            s.queue.lock().push(0);
+        }
+    }
+}
+
 /// One injector (1 parent → `variant.children` children) racing two
 /// workers.
 fn quiescence_model(variant: Variant) {
-    let s = Arc::new(Sched::new(1 + variant.children));
+    race(variant, vec![variant.children], move |s| {
+        worker(s, variant, 2)
+    });
+}
+
+/// One injector ([`BATCH_PARENTS`]) racing two batch workers.
+fn batch_model(count_at_publish: bool) {
+    race(FAITHFUL, BATCH_PARENTS.to_vec(), move |s| {
+        batch_worker(s, count_at_publish, 2)
+    });
+}
+
+/// One injector of `parents` (child counts) racing two workers that run
+/// `work`.
+fn race(variant: Variant, parents: Vec<u64>, work: impl Fn(&Sched) + Copy + Send + 'static) {
+    let total = parents.len() as u64 + parents.iter().sum::<u64>();
+    let s = Arc::new(Sched::new(total));
     let si = Arc::clone(&s);
-    let inj = check::spawn(move || injector(&si, variant));
+    let inj = check::spawn(move || injector(&si, variant, &parents));
     let workers: Vec<_> = (0..2)
         .map(|_| {
             let sw = Arc::clone(&s);
-            check::spawn(move || worker(&sw, variant, 2))
+            check::spawn(move || work(&sw))
         })
         .collect();
     inj.join();
@@ -313,6 +400,50 @@ fn inserting_transferred_spawns_before_counting_them_terminates_early() {
         "unexpected failure: {failure}"
     );
     let replayed = check::replay(&failure.schedule, move || quiescence_model(variant))
+        .expect_err("failing schedule must replay deterministically");
+    assert_eq!(replayed.message, failure.message);
+}
+
+#[test]
+fn batch_end_publication_survives_preemption_bounded_dfs() {
+    let budget = check::schedule_budget(2_000);
+    let report = check::explore(
+        check::Config {
+            preemption_bound: Some(2),
+            ..check::Config::dfs(budget)
+        },
+        || batch_model(false),
+    )
+    .expect("counted spawns held until the batch ends keep pending positive");
+    assert!(report.schedules > 100, "exploration actually branched");
+}
+
+#[test]
+fn batch_end_publication_survives_random_schedules() {
+    let budget = check::schedule_budget(400);
+    check::explore(check::Config::random(budget, 0x5EED_BA7C), || {
+        batch_model(false)
+    })
+    .map(|report| assert_eq!(report.schedules, budget))
+    .expect("no random schedule violates quiescence");
+}
+
+#[test]
+fn counting_held_spawns_only_at_publication_terminates_early() {
+    let failure = check::explore(
+        check::Config {
+            preemption_bound: Some(2),
+            ..check::Config::dfs(30_000)
+        },
+        || batch_model(true),
+    )
+    .expect_err("released parents with uncounted held spawns let pending read zero");
+    assert!(
+        failure.message.contains("terminated with work in flight")
+            || failure.message.contains("pending underflow"),
+        "unexpected failure: {failure}"
+    );
+    let replayed = check::replay(&failure.schedule, || batch_model(true))
         .expect_err("failing schedule must replay deterministically");
     assert_eq!(replayed.message, failure.message);
 }

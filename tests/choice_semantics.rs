@@ -12,6 +12,9 @@
 //!    must keep replaying them bit-for-bit.
 //! 3. **`delete_min_batch(1)` is observationally identical to
 //!    `delete_min`** — same elements, same order, same statistics.
+//!
+//! A fourth pins `insert_all` to `insert`: one lock per drawn lane changes
+//! how often lanes are locked, never where an entry lands.
 
 use power_of_choice::multiqueue::ChoiceRule;
 use power_of_choice::prelude::*;
@@ -198,6 +201,50 @@ proptest! {
             }
         }
         prop_assert_eq!(ha.stats(), hb.stats());
+    }
+
+    /// `insert_all` places every entry where one-by-one `insert`s would:
+    /// identically seeded queues end with the same lane lengths and pop the
+    /// same `(key, value)` sequence, duplicate keys included (the values
+    /// tell duplicates apart, so a changed push order within a lane shows),
+    /// under the plain, sticky and two-shard policies.
+    #[test]
+    fn prop_insert_all_lands_like_one_by_one_inserts(
+        lanes in 2usize..10,
+        seed in 0u64..500,
+        policy in 0usize..3,
+        keys in proptest::collection::vec(0u64..16, 0..64),
+    ) {
+        let (shards, policy) = match policy {
+            0 => (1, HandlePolicy::plain()),
+            1 => (1, HandlePolicy::plain().with_sticky_ops(3)),
+            _ => (2, HandlePolicy::plain().with_shard(1)),
+        };
+        let queue = || {
+            MultiQueue::<u64>::new(
+                MultiQueueConfig::with_queues(lanes)
+                    .with_shards(shards)
+                    .with_seed(seed),
+            )
+        };
+        let (qa, qb) = (queue(), queue());
+        let mut ha = qa.register_policy(policy);
+        let mut hb = qb.register_policy(policy);
+        let mut entries: Vec<(u64, u64)> = keys.iter().copied().zip(0..).collect();
+        for &(key, value) in &entries {
+            ha.insert(key, value);
+        }
+        hb.insert_all(&mut entries);
+        prop_assert!(entries.is_empty());
+        prop_assert_eq!(qa.lane_lengths(), qb.lane_lengths());
+        prop_assert_eq!(ha.stats(), hb.stats());
+        loop {
+            let popped = ha.delete_min();
+            prop_assert_eq!(popped, hb.delete_min());
+            if popped.is_none() {
+                break;
+            }
+        }
     }
 
     /// Batched deletion conserves elements: interleaved batch inserts and

@@ -144,6 +144,26 @@ fn deterministic_single_worker_replay() {
         first, second,
         "single-worker execution order must be a pure function of the seed"
     );
+    // The order as it was when each task's spawns were inserted as soon as
+    // its handler returned: publishing a batch's spawns together at the
+    // batch's end keeps every spawn's lane draw, so it must not move.
+    assert_eq!(
+        (first.len(), fnv1a(&first)),
+        (3_429, 0xef77_ceb0_4a2e_5d9e),
+        "single-worker execution order moved"
+    );
+}
+
+/// 64-bit FNV-1a over the ids' little-endian bytes.
+fn fnv1a(ids: &[u64]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for id in ids {
+        for byte in id.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
 }
 
 proptest! {
