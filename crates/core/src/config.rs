@@ -28,11 +28,10 @@ pub struct MultiQueueConfig {
     /// queue's lifetime.
     pub queues: usize,
     /// Number of insert shards the lanes are partitioned into (strided:
-    /// shard `s` owns lanes `s, s + shards, …`). Each session handle holds
-    /// affinity to one shard and publishes its inserts there — sticky-lane
-    /// generalised to sticky-shard — while `delete_min` keeps sampling
-    /// across *all* lanes, so the paper's rank argument is untouched. `1`
-    /// (the default) disables sharding.
+    /// shard `s` owns lanes `s, s + shards, …`). The session handle with
+    /// id `i` publishes its inserts into shard `i % shards`, while
+    /// `delete_min` keeps sampling across *all* lanes, so the paper's rank
+    /// argument is untouched. `1` (the default) disables sharding.
     pub shards: usize,
     /// The lane-sampling rule used by `delete_min`. The default is the
     /// classic two-choice rule ([`ChoiceRule::TwoChoice`], `d = 2`); the
@@ -45,12 +44,6 @@ pub struct MultiQueueConfig {
     /// falling back to a blocking lock acquisition (prevents livelock on
     /// heavily oversubscribed machines).
     pub max_retries: usize,
-    /// Contended-retry count at (or above) which a publish records a
-    /// `LaneContention` flight-recorder event, whichever lane took the
-    /// element. The blocking fallback always records one; this threshold
-    /// makes contention that fresh lane draws absorbed (failed try-locks
-    /// followed by a successful one) visible to the flight recorder too.
-    pub contention_event_threshold: u64,
 }
 
 impl MultiQueueConfig {
@@ -71,7 +64,6 @@ impl MultiQueueConfig {
             choice: ChoiceRule::TwoChoice,
             seed: 0x5EED_CAFE,
             max_retries: 64,
-            contention_event_threshold: 4,
         }
     }
 
@@ -163,20 +155,6 @@ impl MultiQueueConfig {
     pub fn with_max_retries(mut self, max_retries: usize) -> Self {
         assert!(max_retries > 0, "retry limit must be positive");
         self.max_retries = max_retries;
-        self
-    }
-
-    /// Sets the contended-retry count at which a publish records a
-    /// `LaneContention` event (see
-    /// [`contention_event_threshold`](MultiQueueConfig::contention_event_threshold)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold == 0` (every publish would record an event,
-    /// flooding the flight recorder).
-    pub fn with_contention_event_threshold(mut self, threshold: u64) -> Self {
-        assert!(threshold > 0, "contention event threshold must be positive");
-        self.contention_event_threshold = threshold;
         self
     }
 
@@ -314,22 +292,6 @@ mod tests {
     #[should_panic(expected = "retry limit must be positive")]
     fn zero_retries_panics() {
         let _ = MultiQueueConfig::with_queues(2).with_max_retries(0);
-    }
-
-    #[test]
-    fn contention_event_threshold_builder() {
-        assert_eq!(
-            MultiQueueConfig::with_queues(2).contention_event_threshold,
-            4
-        );
-        let cfg = MultiQueueConfig::with_queues(2).with_contention_event_threshold(1);
-        assert_eq!(cfg.contention_event_threshold, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "contention event threshold must be positive")]
-    fn zero_contention_event_threshold_panics() {
-        let _ = MultiQueueConfig::with_queues(2).with_contention_event_threshold(0);
     }
 
     #[test]

@@ -139,7 +139,5 @@ mod tests {
             (stats.inserts, stats.removals, stats.failed_removals),
             (2, 2, 1)
         );
-        // flush is a no-op for flat handles.
-        h.flush();
     }
 }

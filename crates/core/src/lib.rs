@@ -29,8 +29,8 @@
 //! Access is organised the way the paper's model is: per *thread*. A queue is
 //! a [`SharedPq`]; operating on it requires registering a session, which
 //! returns an owned [`PqHandle`] carrying the session-local state (private
-//! RNG stream, sticky-lane affinity, batch buffer, instrumentation log —
-//! selected via [`HandlePolicy`]). There is no hidden `thread_local!` state.
+//! RNG stream, insert shard, and the instrumentation log a
+//! [`HandlePolicy`] turns on). There is no hidden `thread_local!` state.
 //!
 //! # Example
 //!

@@ -131,10 +131,10 @@ impl QueueObs {
     /// An insert's publish was contended: it either fell through to the
     /// blocking arm (always recorded, whatever the retry count), or
     /// published on a later draw after accumulating at least
-    /// [`contention_event_threshold`](crate::MultiQueueConfig::contention_event_threshold)
-    /// contended retries. `lane` is the lane that finally took the
-    /// elements, `retries` the full count — so contention that fresh draws
-    /// absorbed reaches the flight recorder too.
+    /// `MultiQueue::CONTENTION_EVENT_THRESHOLD` (4) contended retries.
+    /// `lane` is the lane that finally took the elements, `retries` the
+    /// full count — so contention that fresh draws absorbed reaches the
+    /// flight recorder too.
     pub(crate) fn on_lane_contention(&self, lane: usize, retries: u64) {
         self.recorder.record(
             EventKind::LaneContention,

@@ -9,11 +9,10 @@
 //! [`with_shards`](MultiQueueConfig::with_shards) refuses more shards than
 //! lanes, so every shard owns at least one lane.
 //!
-//! Handles publish inserts into their own shard (sticky-lane generalised to
-//! sticky-shard) while `delete_min` samples across **all** lanes, so the
-//! paper's rank argument is unchanged — sharding only narrows where a given
-//! session's inserts land, which buys cache locality exactly like sticky
-//! lanes did, one level up. See `DESIGN.md` §7.
+//! The handle with id `i` publishes its inserts into shard `i % shards`
+//! while `delete_min` samples across **all** lanes, so the paper's rank
+//! argument is unchanged — sharding only narrows where a given session's
+//! inserts land. See `DESIGN.md` §7.
 
 use crate::sync::{AtomicU64, Ordering};
 
@@ -219,7 +218,7 @@ impl<V> MultiQueue<V> {
     ///
     /// The handle's RNG stream is seeded deterministically from the queue
     /// seed and the allocated handle id, so a single-threaded run with the
-    /// same seed, policies and registration order replays exactly.
+    /// same seed and registration order replays exactly.
     pub fn register_with(&self, policy: HandlePolicy) -> MqHandle<'_, V> {
         let id = self.next_handle_id.fetch_add(1, Ordering::Relaxed);
         MqHandle::new(self, id, self.handle_rng(id), policy)
@@ -263,22 +262,30 @@ impl<V> MultiQueue<V> {
         }
     }
 
+    /// Contended-retry count at (or above) which a publish records a
+    /// `LaneContention` flight-recorder event, whichever lane took the
+    /// element. The blocking fallback always records one; this threshold
+    /// makes contention that fresh lane draws absorbed (failed try-locks
+    /// followed by a successful one) visible to the flight recorder too.
+    pub(crate) const CONTENTION_EVENT_THRESHOLD: u64 = 4;
+
     /// Records a `LaneContention` event for a publish that blocked or lost
-    /// at least `contention_event_threshold` try-locks.
+    /// at least [`CONTENTION_EVENT_THRESHOLD`](Self::CONTENTION_EVENT_THRESHOLD)
+    /// try-locks.
     fn note_contention(&self, lane: usize, lock_retries: u64, fell_back: bool) {
         if let Some(obs) = &self.obs {
-            if fell_back || lock_retries >= self.config.contention_event_threshold {
+            if fell_back || lock_retries >= Self::CONTENTION_EVENT_THRESHOLD {
                 obs.on_lane_contention(lane, lock_retries);
             }
         }
     }
 
-    /// Inserts `(key, value)` into the handle's shard: the sticky `hint`
-    /// first when present, then random shard lanes, then a blocking lock on
-    /// one more random shard lane once the retry budget is exhausted (heavy
-    /// oversubscription). A lane whose lock is taken costs one contended
-    /// retry and a fresh draw — the paper's rule. Returns the
-    /// contended-retry count for [`HandleStats`](crate::HandleStats).
+    /// Inserts `(key, value)` into the handle's shard: random shard lanes,
+    /// then a blocking lock on one more random shard lane once the retry
+    /// budget is exhausted (heavy oversubscription). A lane whose lock is
+    /// taken costs one contended retry and a fresh draw — the paper's rule.
+    /// Returns the contended-retry count for
+    /// [`HandleStats`](crate::HandleStats).
     // The inline hints here and on `stride_lane` keep both inlined into
     // `insert`, as they were while `insert` was their only caller: without
     // them `insert_drawn`'s fallback call sites left them out of line, and
@@ -288,20 +295,12 @@ impl<V> MultiQueue<V> {
         &self,
         rng: &mut Xoshiro256,
         shard: usize,
-        hint: Option<usize>,
         key: Key,
         value: V,
     ) -> u64 {
         debug_assert!(key != EMPTY_TOP, "keys are validated at the handle layer");
         let mut lock_retries = 0u64;
         let (lane, fell_back) = 'published: {
-            if let Some(q) = hint {
-                if let Some(mut guard) = self.lanes[q].try_lock() {
-                    guard.push(key, value);
-                    break 'published (q, false);
-                }
-                lock_retries += 1;
-            }
             for _ in 0..self.config.max_retries {
                 let q = self.stride_lane(rng, shard);
                 if let Some(mut guard) = self.lanes[q].try_lock() {
@@ -347,54 +346,13 @@ impl<V> MultiQueue<V> {
                 continue;
             }
             lost += 1;
-            retries += 1 + self.insert_with(rng, shard, None, key, value);
+            retries += 1 + self.insert_with(rng, shard, key, value);
             while let Some((_, key, value)) = entries.next_if(|e| e.0 == lane) {
-                retries += self.insert_with(rng, shard, None, key, value);
+                retries += self.insert_with(rng, shard, key, value);
             }
         }
         self.count_ops(published, lost, 0);
         retries
-    }
-
-    /// Publishes a whole insert batch under a single lane lock (the batched
-    /// MultiQueue refinement: one random choice and one lock acquisition
-    /// amortised over the batch, at a bounded rank-quality cost), with the
-    /// same contention strategy as [`insert_with`](Self::insert_with).
-    /// Returns the contended-retry count.
-    pub(crate) fn insert_batch_with(
-        &self,
-        rng: &mut Xoshiro256,
-        shard: usize,
-        hint: Option<usize>,
-        batch: &mut Vec<(Key, V)>,
-    ) -> u64 {
-        if batch.is_empty() {
-            return 0;
-        }
-        let count = batch.len();
-        let mut lock_retries = 0u64;
-        let mut publish = |heap: &mut BinaryHeap<V>| {
-            for (key, value) in batch.drain(..) {
-                heap.push(key, value);
-            }
-        };
-        let (lane, fell_back) = 'published: {
-            let mut target = hint.unwrap_or_else(|| self.stride_lane(rng, shard));
-            for _ in 0..self.config.max_retries {
-                if let Some(mut guard) = self.lanes[target].try_lock() {
-                    publish(&mut guard);
-                    break 'published (target, false);
-                }
-                lock_retries += 1;
-                target = self.stride_lane(rng, shard);
-            }
-            let target = self.stride_lane(rng, shard);
-            publish(&mut self.lanes[target].lock());
-            (target, true)
-        };
-        self.note_contention(lane, lock_retries, fell_back);
-        self.count_ops(count as u64, lock_retries, 0);
-        lock_retries
     }
 
     /// Picks the victim lane for one deleteMin attempt following the
@@ -591,10 +549,6 @@ impl<V: Send> SharedPq<V> for MultiQueue<V> {
 
     fn register(&self) -> MqHandle<'_, V> {
         self.register_with(HandlePolicy::default())
-    }
-
-    fn register_policy(&self, policy: HandlePolicy) -> MqHandle<'_, V> {
-        self.register_with(policy)
     }
 
     fn approx_len(&self) -> usize {
@@ -807,14 +761,14 @@ mod tests {
 
     #[test]
     fn batched_inserts_racing_drains_never_underflow_len() {
-        // Regression for the batched-insert `len` underflow: a batch flush
-        // used to credit a queue-wide `len` only after releasing the lane,
-        // so a drain scheduled into that window popped the elements and
-        // `fetch_sub`'d `len` below zero — wrapping `approx_len()` to ~2^64.
-        // Lane lengths are now copied from the heap under the lane lock, so
-        // the sum cannot underflow; hammer batch-flushes against
-        // batch-drains and assert it never exceeds the number of elements
-        // ever inserted. The companion deterministic check lives in
+        // Regression for the batched-insert `len` underflow: a multi-entry
+        // publish used to credit a queue-wide `len` only after releasing the
+        // lane, so a drain scheduled into that window popped the elements
+        // and `fetch_sub`'d `len` below zero — wrapping `approx_len()` to
+        // ~2^64. Lane lengths are now copied from the heap under the lane
+        // lock, so the sum cannot underflow; hammer `insert_all` groups
+        // against batch-drains and assert it never exceeds the number of
+        // elements ever inserted. The companion deterministic check lives in
         // `tests/check_multiqueue.rs`, which drives the explorer straight
         // into the window this test can only make probable.
         let threads = 4;
@@ -825,12 +779,14 @@ mod tests {
             for t in 0..threads {
                 let q = &q;
                 scope.spawn(move || {
-                    let mut handle = q.register_with(HandlePolicy::default().with_insert_batch(8));
+                    let mut handle = q.register();
                     let base = t as u64 * per_thread;
+                    let mut group = Vec::with_capacity(8);
                     let mut out = Vec::new();
                     for i in 0..per_thread {
-                        handle.insert(base + i, base + i);
+                        group.push((base + i, base + i));
                         if i % 8 == 7 {
+                            handle.insert_all(&mut group);
                             handle.delete_min_batch_into(4, &mut out);
                             let len = q.approx_len();
                             assert!(
@@ -877,6 +833,29 @@ mod tests {
         all.extend(drain(&q));
         all.sort_unstable();
         assert_eq!(all, (0..1_200u64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_panic_under_a_lane_lock_leaves_the_lane_usable() {
+        // An operation that panics while holding a lane lock must not take
+        // the lane down with it: the lock does not poison, so the lane
+        // locks again, and no element is lost or duplicated.
+        let q = queue(2, 1.0);
+        let mut h = q.register();
+        for k in 0..200u64 {
+            h.insert(k, k);
+        }
+        let lengths = q.lane_lengths();
+        assert!(lengths[0] > 0, "the held lane holds elements: {lengths:?}");
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            q.with_lane_locked(0, || panic!("operation panicked under a lane lock"))
+        }));
+        assert!(outcome.is_err(), "the panic propagates to the caller");
+        assert_eq!(q.lane_lengths(), lengths, "the panic moved no element");
+        q.with_lane_locked(0, || {});
+        let mut all = drain(&q);
+        all.sort_unstable();
+        assert_eq!(all, (0..200u64).collect::<Vec<_>>());
     }
 
     #[test]

@@ -2,17 +2,16 @@
 //! implementations.
 //!
 //! The paper's (1 + β) MultiQueue is defined in terms of *threads*: each
-//! thread owns private randomness and (in engineering refinements) lane
-//! affinity and operation buffers. The API mirrors that structure with an
+//! thread owns private randomness. The API mirrors that structure with an
 //! explicit two-level contract:
 //!
 //! * [`SharedPq`] is the thread-safe queue itself. The only way to operate on
 //!   it is to [`register`](SharedPq::register) a session, which returns a
 //!   handle.
 //! * [`PqHandle`] is an owned, `&mut self` session object carrying all
-//!   operation-local state — the per-handle RNG stream, sticky-lane choice,
-//!   batch buffers, and instrumentation logs — so the shared structure's hot
-//!   path never consults thread-local storage.
+//!   operation-local state — the per-handle RNG stream, its insert shard and
+//!   instrumentation log — so the shared structure's hot path never consults
+//!   thread-local storage.
 //!
 //! Handles are cheap to create and [`Send`], so the idiomatic pattern is one
 //! handle per worker thread:
@@ -66,8 +65,7 @@ pub fn check_key(key: Key) {
 /// Per-handle operation counters, returned by [`PqHandle::stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HandleStats {
-    /// Number of elements inserted through this handle (buffered inserts
-    /// count immediately, before they are flushed).
+    /// Number of elements inserted through this handle.
     pub inserts: u64,
     /// Number of successful `delete_min` calls.
     pub removals: u64,
@@ -156,19 +154,10 @@ impl QueueTopology {
 /// An owned, single-session view of a [`SharedPq`].
 ///
 /// All methods take `&mut self`: a handle is owned by exactly one logical
-/// thread of execution and carries that session's private state (RNG, lane
-/// affinity, buffers, logs). The underlying queue handles cross-handle
-/// synchronisation; handles never need external locking.
-///
-/// # Buffering
-///
-/// A handle configured with an insert batch may hold elements privately;
-/// those elements are invisible to other handles until flushed. [`flush`]
-/// publishes them immediately, a `delete_min` on the same handle flushes
-/// first (a session always observes its own inserts), and dropping the
-/// handle flushes — elements are never lost.
-///
-/// [`flush`]: PqHandle::flush
+/// thread of execution and carries that session's private state (RNG, logs).
+/// The underlying queue handles cross-handle synchronisation; handles never
+/// need external locking. A handle holds no elements of its own: every
+/// insert has reached the shared structure when its call returns.
 pub trait PqHandle<V>: Send {
     /// Inserts an entry.
     ///
@@ -238,11 +227,6 @@ pub trait PqHandle<V>: Send {
         out.len() - before
     }
 
-    /// Publishes any privately buffered elements to the shared structure.
-    ///
-    /// A no-op for handles without batch buffers (the default).
-    fn flush(&mut self) {}
-
     /// This session's operation counters.
     fn stats(&self) -> HandleStats;
 
@@ -266,9 +250,6 @@ impl<V, H: PqHandle<V> + ?Sized> PqHandle<V> for Box<H> {
     }
     fn delete_min_batch_into(&mut self, max: usize, out: &mut Vec<(Key, V)>) -> usize {
         (**self).delete_min_batch_into(max, out)
-    }
-    fn flush(&mut self) {
-        (**self).flush();
     }
     fn stats(&self) -> HandleStats {
         (**self).stats()
@@ -313,24 +294,7 @@ pub trait SharedPq<V>: Send + Sync {
     /// ```
     fn register(&self) -> Self::Handle<'_>;
 
-    /// Opens a new session with an explicit per-session [`HandlePolicy`].
-    ///
-    /// The policy knobs (sticky lanes, insert batching, instrumentation) are
-    /// MultiQueue refinements; structures without the corresponding machinery
-    /// accept any policy and ignore the knobs that do not apply, so generic
-    /// consumers (the scheduler, the bench harness) can plumb one policy
-    /// through every backend. The default implementation ignores the policy
-    /// entirely; the MultiQueue overrides it to honour all knobs.
-    ///
-    /// [`HandlePolicy`]: crate::handle::HandlePolicy
-    fn register_policy(&self, policy: crate::handle::HandlePolicy) -> Self::Handle<'_> {
-        let _ = policy;
-        self.register()
-    }
-
     /// An approximate element count (exact when the structure is quiescent).
-    ///
-    /// Elements sitting in unflushed handle buffers are *not* counted.
     fn approx_len(&self) -> usize;
 
     /// Whether the structure appears empty (same caveats as
@@ -360,14 +324,6 @@ pub trait DynSharedPq<V: 'static>: Send + Sync {
     /// Opens a new boxed session on this queue.
     fn register_dyn(&self) -> Box<dyn PqHandle<V> + '_>;
 
-    /// Opens a new boxed session with an explicit [`HandlePolicy`] (see
-    /// [`SharedPq::register_policy`]; ignored by structures without
-    /// per-session machinery).
-    ///
-    /// [`HandlePolicy`]: crate::handle::HandlePolicy
-    fn register_policy_dyn(&self, policy: crate::handle::HandlePolicy)
-        -> Box<dyn PqHandle<V> + '_>;
-
     /// See [`SharedPq::approx_len`]. (The `_dyn` suffix keeps concrete queue
     /// types unambiguous when both traits are in scope; on an erased queue,
     /// prefer the [`SharedPq`] methods, which `dyn DynSharedPq` implements.)
@@ -386,12 +342,6 @@ pub trait DynSharedPq<V: 'static>: Send + Sync {
 impl<V: 'static, Q: SharedPq<V>> DynSharedPq<V> for Q {
     fn register_dyn(&self) -> Box<dyn PqHandle<V> + '_> {
         Box::new(self.register())
-    }
-    fn register_policy_dyn(
-        &self,
-        policy: crate::handle::HandlePolicy,
-    ) -> Box<dyn PqHandle<V> + '_> {
-        Box::new(self.register_policy(policy))
     }
     fn approx_len_dyn(&self) -> usize {
         SharedPq::approx_len(self)
@@ -412,9 +362,6 @@ impl<V: 'static> SharedPq<V> for dyn DynSharedPq<V> {
 
     fn register(&self) -> Self::Handle<'_> {
         self.register_dyn()
-    }
-    fn register_policy(&self, policy: crate::handle::HandlePolicy) -> Self::Handle<'_> {
-        self.register_policy_dyn(policy)
     }
     fn approx_len(&self) -> usize {
         self.approx_len_dyn()
@@ -526,21 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn register_policy_defaults_to_plain_register() {
-        let q = Locked::new();
-        // `Locked` has no per-session machinery; the policy is ignored but a
-        // working session still comes back.
-        let mut h = q.register_policy(crate::handle::HandlePolicy::instrumented());
-        h.insert(1, 10);
-        assert_eq!(h.delete_min(), Some((1, 10)));
-        // Through the erased form too.
-        let e: &dyn DynSharedPq<u64> = &q;
-        let mut h = e.register_policy_dyn(crate::handle::HandlePolicy::default());
-        assert_eq!(h.delete_min(), None);
-        assert_eq!(h.stats().empty_polls, 1);
-    }
-
-    #[test]
     fn default_batch_impl_loops_delete_min() {
         let q = Locked::new();
         let mut h = q.register();
@@ -602,7 +534,6 @@ mod tests {
         let q = Locked::new();
         let mut h: Box<dyn PqHandle<u64> + '_> = Box::new(q.register());
         h.insert(9, 90);
-        h.flush();
         assert_eq!(h.delete_min(), Some((9, 90)));
         h.insert(3, 30);
         let mut out = Vec::new();

@@ -33,7 +33,7 @@ use std::time::Instant;
 use choice_obs::{
     refusal_category, refusal_category_name, Counter, EventKind, FlightRecorder, Gauge, ObsHub,
 };
-use choice_pq::{DynSharedPq, HandlePolicy, HandleStats, Key, PqHandle, QueueTopology};
+use choice_pq::{DynSharedPq, HandleStats, Key, PqHandle, QueueTopology};
 use parking_lot::Mutex;
 use rank_stats::tokens::TokenBucket;
 
@@ -633,10 +633,8 @@ impl QueueBinding {
 
     /// Opens a session handle on the backing queue (the handle borrows this
     /// binding, exactly as in-process handles borrow their queue).
-    pub fn register(&self, policy: HandlePolicy) -> Box<dyn PqHandle<u64> + '_> {
-        self.entry
-            .queue(self.hub.as_ref())
-            .register_policy_dyn(policy)
+    pub fn register(&self) -> Box<dyn PqHandle<u64> + '_> {
+        self.entry.queue(self.hub.as_ref()).register_dyn()
     }
 
     /// Admission check for an insert of `key`. Charges the in-flight quota
@@ -816,7 +814,7 @@ mod tests {
         assert!(!reg.stats()[0].instantiated);
 
         let binding = reg.bind("tenant/a").unwrap();
-        let mut session = binding.register(HandlePolicy::default());
+        let mut session = binding.register();
         binding.admit_insert(5).unwrap();
         session.insert(5, 50);
         binding.admit_removal().unwrap();
@@ -1007,7 +1005,7 @@ mod tests {
         reg.create("q", mq(), QuotaSpec::unlimited()).unwrap();
         for round in 0..100u64 {
             let b = reg.bind("q").unwrap();
-            let mut s = b.register(HandlePolicy::default());
+            let mut s = b.register();
             s.insert(round, round);
             b.publish_stats(s.stats());
             drop(s);
@@ -1031,7 +1029,7 @@ mod tests {
                 scope.spawn(|| {
                     for i in 0..50u64 {
                         let b = reg.bind("q").unwrap();
-                        let mut s = b.register(HandlePolicy::default());
+                        let mut s = b.register();
                         s.insert(i, i);
                         b.publish_stats(s.stats());
                         drop(s);
@@ -1072,7 +1070,7 @@ mod tests {
         reg.install("default", Arc::clone(&queue), QuotaSpec::unlimited())
             .unwrap();
         let b = reg.bind("default").unwrap();
-        let mut s = b.register(HandlePolicy::default());
+        let mut s = b.register();
         assert_eq!(s.delete_min(), Some((9, 90)), "same underlying structure");
         assert_eq!(b.snapshot().backend, "installed");
     }
@@ -1086,7 +1084,7 @@ mod tests {
             .unwrap();
         let b = reg.bind("tenant/a").unwrap();
         {
-            let mut s = b.register(HandlePolicy::default());
+            let mut s = b.register();
             for k in 0..200u64 {
                 s.insert(k, k);
             }
@@ -1108,7 +1106,7 @@ mod tests {
         bare.create("tenant/b", mq(), QuotaSpec::unlimited())
             .unwrap();
         let bb = bare.bind("tenant/b").unwrap();
-        let mut s = bb.register(HandlePolicy::default());
+        let mut s = bb.register();
         s.insert(1, 1);
         assert_eq!(s.delete_min(), Some((1, 1)));
     }

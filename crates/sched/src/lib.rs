@@ -9,10 +9,10 @@
 //! * [`Scheduler`] — a worker pool over any `SharedPq` backend (concrete or
 //!   type-erased). Tasks carry deadline-style priorities (smaller key = more
 //!   urgent) and may **spawn follow-up tasks** from inside workers via
-//!   [`TaskCtx::spawn`]. Per-worker behaviour — sticky lanes, insert
-//!   batching, `delete_min_batch` drain size, exponential idle backoff — is
-//!   configured through [`SchedulerConfig`], so the d/batch engine knobs
-//!   become scheduler throughput knobs.
+//!   [`TaskCtx::spawn`]. Per-worker behaviour — the `delete_min_batch`
+//!   drain size and the exponential idle backoff — is configured through
+//!   [`SchedulerConfig`], so the d/batch engine knobs become scheduler
+//!   throughput knobs.
 //! * **Termination detection** — a count-based quiescence protocol
 //!   ([`scheduler`] module docs) that is correct for the spawn-from-task
 //!   case and robust to the MultiQueue's relaxed `approx_len` and to

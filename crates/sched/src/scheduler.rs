@@ -13,8 +13,7 @@
 //!   observation says nothing about tasks currently *executing*, which may
 //!   spawn more.
 //! * **"`approx_len() == 0`, so we are done"** — the count is maintained
-//!   with relaxed atomics and excludes elements buffered privately in
-//!   session handles; it is a load-balancing hint, not a linearizable
+//!   with relaxed atomics; it is a load-balancing hint, not a linearizable
 //!   emptiness test (see `DESIGN.md` §5.2).
 //!
 //! The scheduler instead runs the standard count-based quiescence protocol
@@ -24,7 +23,7 @@
 //! not yet fully executed*, and a `sources` counter tracks open injectors.
 //!
 //! * an [`Injector`] increments `pending` **before** inserting a task, and
-//!   decrements `sources` only on drop (after flushing its insert buffer);
+//!   decrements `sources` only on drop;
 //! * a finished task passes its own unit on to its spawns instead of
 //!   paying it back and borrowing new ones (the credit transfer of the
 //!   counting detectors): [`TaskCtx::spawn`] only buffers, and once the
@@ -61,7 +60,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use choice_obs::{EventKind, ObsHub};
-use choice_pq::{check_key, HandlePolicy, HandleStats, Key, PqHandle, SharedPq};
+use choice_pq::{check_key, HandleStats, Key, PqHandle, SharedPq};
 use rank_stats::histogram::LogHistogram;
 use rank_stats::timing::OpsTimer;
 
@@ -108,10 +107,6 @@ impl BackoffPolicy {
 pub struct SchedulerConfig {
     /// Number of worker threads.
     pub workers: usize,
-    /// Per-worker session policy (sticky lanes, insert batching,
-    /// instrumentation). Honoured by the MultiQueue, ignored by flat
-    /// backends (see [`SharedPq::register_policy`]).
-    pub handle_policy: HandlePolicy,
     /// How many tasks one poll drains (`delete_min_batch_into` size). `1`
     /// is plain `delete_min`; larger values amortise the lane choice and
     /// lock over the batch at a bounded priority-quality cost.
@@ -121,8 +116,8 @@ pub struct SchedulerConfig {
 }
 
 impl SchedulerConfig {
-    /// A plain configuration: `workers` threads, default session policy,
-    /// single-task polls, default backoff.
+    /// A plain configuration: `workers` threads, single-task polls, default
+    /// backoff.
     ///
     /// # Panics
     ///
@@ -131,16 +126,9 @@ impl SchedulerConfig {
         assert!(workers > 0, "need at least one worker");
         Self {
             workers,
-            handle_policy: HandlePolicy::default(),
             delete_batch: 1,
             backoff: BackoffPolicy::default(),
         }
-    }
-
-    /// Sets the per-worker session policy.
-    pub fn with_handle_policy(mut self, policy: HandlePolicy) -> Self {
-        self.handle_policy = policy;
-        self
     }
 
     /// Sets the per-poll drain size.
@@ -176,8 +164,7 @@ struct Quiescence {
 /// open source until dropped, and every injected task is registered with the
 /// quiescence counter *before* it becomes poppable — so injection may run
 /// concurrently with execution (the open-loop traffic engine does exactly
-/// that). Dropping the injector flushes its session buffer and closes the
-/// source.
+/// that). Dropping the injector closes the source.
 pub struct Injector<'s, 'q, V, Q: SharedPq<V> + ?Sized + 'q> {
     handle: Q::Handle<'q>,
     quiescence: &'s Quiescence,
@@ -208,10 +195,6 @@ impl<V, Q: SharedPq<V> + ?Sized> Injector<'_, '_, V, Q> {
 
 impl<V, Q: SharedPq<V> + ?Sized> Drop for Injector<'_, '_, V, Q> {
     fn drop(&mut self) {
-        // Publish any privately buffered inserts before closing the source:
-        // the handle's own drop-flush would run *after* this drop body, i.e.
-        // after workers may already have terminated.
-        self.handle.flush();
         self.quiescence.sources.fetch_sub(1, Ordering::SeqCst);
     }
 }
@@ -475,7 +458,7 @@ impl<'q, V: Send, Q: SharedPq<V> + ?Sized> Scheduler<'q, V, Q> {
         I: Fn(usize) -> S,
         F: Fn(&mut S, &mut TaskCtx<'_, V>, Key, V),
     {
-        let mut handle = self.queue.register_policy(self.config.handle_policy);
+        let mut handle = self.queue.register();
         let mut state = init(worker);
         let mut report = WorkerReport {
             worker,
@@ -543,11 +526,7 @@ impl<'q, V: Send, Q: SharedPq<V> + ?Sized> Scheduler<'q, V, Q> {
                         .fetch_sub(orphaned, Ordering::SeqCst);
                     std::panic::resume_unwind(payload);
                 }
-                // One publication per batch, one lock per drawn lane. Under
-                // an insert-batch policy the spawns may stay buffered in the
-                // session; that is safe: they are counted as pending, and
-                // this worker's own next poll flushes the buffer before it
-                // could conclude emptiness.
+                // One publication per batch, one lock per drawn lane.
                 handle.insert_all(&mut spawned);
                 continue;
             }
@@ -647,32 +626,6 @@ mod tests {
             sched.run_simple(|_, _, _| {})
         });
         assert_eq!(report.executed, 2_000);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn buffered_injector_tasks_are_flushed_on_drop() {
-        let q = queue(1, 4);
-        let sched = Scheduler::new(
-            &q,
-            SchedulerConfig::new(1)
-                .with_handle_policy(HandlePolicy::default().with_insert_batch(64)),
-        );
-        {
-            // The injector session itself uses the default policy; buffering
-            // happens in *worker* sessions. Spawn from a task so a worker's
-            // buffered insert is exercised, then make sure nothing strands.
-            let mut seeder = sched.injector();
-            for i in 0..10u64 {
-                seeder.inject(i, i);
-            }
-        }
-        let (report, _) = sched.run_simple(|ctx, d, v| {
-            if v < 10 {
-                ctx.spawn(d + 100, 100 + v);
-            }
-        });
-        assert_eq!(report.executed, 20);
         assert!(q.is_empty());
     }
 

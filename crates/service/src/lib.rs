@@ -16,9 +16,7 @@
 //!   each accepted connection binds a queue (the `"default"` queue until it
 //!   issues `UseQueue`) and registers its own session handle (deterministic
 //!   per-connection RNG falls out of the session API). Any
-//!   [`DynSharedPq`](choice_pq::DynSharedPq) backend serves, a
-//!   [`HandlePolicy`](choice_pq::HandlePolicy) from the server config
-//!   applies to every session, per-queue
+//!   [`DynSharedPq`](choice_pq::DynSharedPq) backend serves, per-queue
 //!   [`QuotaSpec`] quotas shed work as typed
 //!   `QuotaExceeded` refusals, a credit window bounds response buffering,
 //!   and a `Stats` op aggregates

@@ -8,9 +8,8 @@
 //! that structure onto the network one-to-one — each accepted TCP connection
 //! binds a [`QueueBinding`] on one named queue of the shared
 //! [`QueueRegistry`] and registers its own session handle on that queue's
-//! backend. The session API's guarantees come along for free: a
-//! per-connection deterministic RNG stream, sticky lanes / insert batching /
-//! instrumentation selected by the server-wide [`HandlePolicy`], and
+//! backend (through [`register_dyn`]). The session API's guarantees come
+//! along for free: a per-connection deterministic RNG stream and
 //! per-connection [`HandleStats`](choice_pq::HandleStats) that roll up into
 //! per-queue aggregates.
 //!
@@ -50,6 +49,7 @@
 //! then observes every session's final counters.
 //!
 //! [`register`]: choice_pq::SharedPq::register
+//! [`register_dyn`]: choice_pq::DynSharedPq::register_dyn
 
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -60,7 +60,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use choice_obs::{EventKind, Gauge, Histogram, ObsHub, SpanStage, SPAN_STAGES};
-use choice_pq::{DynSharedPq, HandlePolicy, Key, PqHandle};
+use choice_pq::{DynSharedPq, Key, PqHandle};
 use choice_registry::{
     QueueBinding, QueueRegistry, QuotaSpec, Refusal, RegistryError, DEFAULT_QUEUE,
 };
@@ -71,14 +71,9 @@ use crate::protocol::{
     MAX_BATCH, WIRE_VERSION,
 };
 
-/// Server-side configuration: the per-session policy and the service limits.
+/// Server-side configuration: the service limits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Session policy applied to every connection's handle (sticky lanes,
-    /// insert batching, instrumentation — see [`HandlePolicy`]). Backends
-    /// without the corresponding machinery ignore the knobs that do not
-    /// apply.
-    pub policy: HandlePolicy,
     /// Upper bound the server imposes on `DeleteMinBatch` sizes (requests
     /// asking for more are clamped, not refused). Also bounded by the wire
     /// limit [`MAX_BATCH`].
@@ -97,7 +92,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
-            policy: HandlePolicy::default(),
             max_batch: MAX_BATCH,
             credit_window: 64,
             panic_on_key: None,
@@ -106,12 +100,6 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// Sets the per-session [`HandlePolicy`].
-    pub fn with_policy(mut self, policy: HandlePolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Sets the server-side batch clamp.
     ///
     /// # Panics
@@ -585,7 +573,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) -> io::Result<()> {
                 .take()
                 .and_then(|name| shared.registry.bind(&name).ok()),
         };
-        let mut session = binding.as_ref().map(|b| b.register(shared.config.policy));
+        let mut session = binding.as_ref().map(|b| b.register());
 
         let inner = 'conn: loop {
             // Decode and execute every complete frame currently buffered.
@@ -871,10 +859,9 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) -> io::Result<()> {
                 Err(e) => break 'conn Err(e),
             }
         };
-        // The session drops here, flushing any policy-buffered inserts back
-        // to the shared queue; dropping the binding then rolls the slot's
-        // final counters (published after every request above) into the
-        // queue's closed accumulator.
+        // The session drops here; dropping the binding then rolls the
+        // slot's final counters (published after every request above) into
+        // the queue's closed accumulator.
         break 'bind inner;
     }));
     drop(span_scope);
@@ -1533,10 +1520,8 @@ mod tests {
     #[test]
     fn config_builders_validate() {
         let c = ServerConfig::default()
-            .with_policy(HandlePolicy::default().with_insert_batch(8))
             .with_max_batch(100)
             .with_credit_window(7);
-        assert_eq!(c.policy.insert_batch, 8);
         assert_eq!(c.max_batch, 100);
         assert_eq!(c.credit_window, 7);
         assert_eq!(c.panic_on_key, None);

@@ -17,8 +17,8 @@
 //! ## Quick start
 //!
 //! A queue is a [`SharedPq`](prelude::SharedPq); every worker registers a
-//! session handle carrying its private state (RNG stream, lane affinity,
-//! buffers — see `HandlePolicy`):
+//! session handle carrying its private state (RNG stream, insert shard and,
+//! under `HandlePolicy::instrumented()`, a removal log):
 //!
 //! ```
 //! use power_of_choice::prelude::*;

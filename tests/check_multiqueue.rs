@@ -5,7 +5,7 @@
 //! feature — under bounded-random schedules. Exhaustive DFS is out of reach
 //! here (a single real operation has dozens of schedule points), so
 //! coverage scales with `CHECK_SCHEDULES` (PR CI keeps the default; the
-//! stress job deepens it). The last test drives the queue into the window
+//! stress job deepens it). The last test drives `insert_all` into the window
 //! of the historical batched-insert `len` underflow.
 //!
 //! Run with: `cargo test --features check --test check_multiqueue`
@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use choice_check as check;
-use choice_pq::{HandlePolicy, MultiQueue, MultiQueueConfig, PqHandle, SharedPq};
+use choice_pq::{MultiQueue, MultiQueueConfig, PqHandle, SharedPq};
 
 /// A 2-lane queue split into two insert shards: each session's inserts land
 /// in its own lane while removals sample both.
@@ -41,7 +41,7 @@ fn real_multiqueue_conserves_keys_across_concurrent_sessions() {
             for t in 0..2u64 {
                 let q = Arc::clone(&q);
                 workers.push(check::spawn(move || {
-                    let mut h = q.register_with(HandlePolicy::plain());
+                    let mut h = q.register();
                     let mut popped = Vec::new();
                     h.insert(10 + t, 10 + t);
                     h.insert(20 + t, 20 + t);
@@ -57,7 +57,7 @@ fn real_multiqueue_conserves_keys_across_concurrent_sessions() {
             // Quiesced: drain the remainder. Bounded loop — a sparse sample
             // can miss once, but with no writers the steal fallback finds
             // every survivor within a few attempts.
-            let mut h = q.register_with(HandlePolicy::plain());
+            let mut h = q.register();
             for _ in 0..16 {
                 if seen.len() == 4 {
                     break;
@@ -77,14 +77,14 @@ fn real_multiqueue_conserves_keys_across_concurrent_sessions() {
     );
 }
 
-/// Single-session sanity under the explorer: the handle hot path (sticky
-/// lanes, per-handle RNG, batch buffer) behaves identically with
+/// Single-session sanity under the explorer: the handle hot path
+/// (per-handle RNG, shard draws, batched removal) behaves identically with
 /// instrumented primitives.
 #[test]
 fn real_multiqueue_single_session_orders_keys() {
     check::model_with(check::Config::random(check::schedule_budget(32), 7), || {
         let q = MultiQueue::<u32>::new(small_config());
-        let mut h = q.register_with(HandlePolicy::plain());
+        let mut h = q.register();
         for k in [5u64, 3, 9, 1] {
             h.insert(k, k as u32);
         }
@@ -96,13 +96,14 @@ fn real_multiqueue_single_session_orders_keys() {
     });
 }
 
-/// Regression model for the batched-insert `len` underflow: a batch flush
-/// used to publish its elements into the lane heap under the lane lock but
-/// bump a queue-wide `len` only after releasing it, so a drain scheduled
+/// Regression model for the batched-insert `len` underflow: a multi-entry
+/// publish used to push its elements into the lane heap under the lane lock
+/// but bump a queue-wide `len` only after releasing it, so a drain scheduled
 /// into that window popped the elements and `fetch_sub`'d `len` below zero —
-/// wrapping `approx_len()` to ~2^64. The explorer drives the production
-/// queue straight into that window; with each lane's length copied from its
-/// heap under the lock the model is clean.
+/// wrapping `approx_len()` to ~2^64. `insert_all` is the path that pushes
+/// several entries under one lane lock; the explorer drives the production
+/// queue straight into that window, and with each lane's length copied from
+/// its heap under the lock the model is clean.
 #[test]
 fn batched_insert_never_underflows_len() {
     let schedules = check::schedule_budget(2_000);
@@ -117,16 +118,15 @@ fn batched_insert_never_underflows_len() {
             ));
             // One element pre-published so the racing drain does not stop
             // at a quiescent-empty observation.
-            q.register_with(HandlePolicy::plain()).insert(0, 0);
+            q.register().insert(0, 0);
             let qa = Arc::clone(&q);
             let inserter = check::spawn(move || {
-                let mut h = qa.register_with(HandlePolicy::plain().with_insert_batch(2));
-                h.insert(1, 1);
-                h.insert(2, 2); // second buffered insert flushes the batch
+                // One lane: both entries go under one lock, then one release.
+                qa.register().insert_all(&mut vec![(1, 1), (2, 2)]);
             });
             let qb = Arc::clone(&q);
             let drainer = check::spawn(move || {
-                let mut h = qb.register_with(HandlePolicy::plain());
+                let mut h = qb.register();
                 let mut out = Vec::new();
                 for _ in 0..2 {
                     h.delete_min_batch_into(3, &mut out);

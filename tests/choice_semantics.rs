@@ -72,32 +72,32 @@ fn one_plus_beta_reproduces_the_pre_choicerule_golden_trace() {
     assert_eq!(scripted_trace(&q, 32), golden);
 }
 
-/// Golden trace captured from the locked-lane engine (one `Mutex` per
-/// lane): batched sticky inserts (batch 8, sticky 4) and batched drains
-/// over 8 two-choice lanes, seed 2024. Any lane mechanism must replay it
-/// bit-for-bit — uncontended, it consumes the RNG stream identically and
-/// removes the same elements in the same order.
+/// Golden trace of the multi-entry paths: 64 scrambled keys published by
+/// `insert_all` in groups of 8 and drained by `delete_min_batch_into(4)`
+/// over 8 two-choice lanes, seed 2024 (one-by-one inserts give the same
+/// sequence). Any lane mechanism must replay it bit-for-bit — uncontended,
+/// it consumes the RNG stream identically and removes the same elements in
+/// the same order.
 #[test]
-fn lane_fastpath_reproduces_the_locked_path_golden_trace() {
+fn batched_publish_and_drain_reproduce_the_golden_trace() {
     let golden = [
-        1u64, 2, 3, 8, 0, 4, 5, 6, 7, 11, 12, 13, 9, 10, 15, 16, 14, 18, 19, 20, 21, 25, 26, 27,
-        17, 22, 23, 24, 28, 33, 34, 35, 40, 41, 42, 47, 29, 30, 31, 32, 36, 37, 38, 39, 48, 49, 54,
-        55, 56, 61, 62, 63, 43, 44, 45, 46, 50, 51, 52, 53, 57, 58, 59, 60,
+        8u64, 13, 22, 25, 0, 1, 12, 24, 4, 14, 16, 21, 6, 9, 11, 17, 3, 15, 18, 19, 5, 7, 46, 23,
+        35, 39, 43, 2, 10, 20, 27, 37, 38, 41, 59, 48, 55, 63, 42, 47, 51, 54, 28, 29, 34, 50, 26,
+        30, 33, 40, 49, 53, 57, 60, 44, 45, 61, 31, 32, 36, 52, 56, 58, 62,
     ];
     let q = MultiQueue::<u64>::new(
         MultiQueueConfig::with_queues(8)
             .with_choice(ChoiceRule::TwoChoice)
             .with_seed(2024),
     );
-    let mut h = q.register_policy(
-        HandlePolicy::default()
-            .with_insert_batch(8)
-            .with_sticky_ops(4),
-    );
+    let mut h = q.register();
+    let mut group = Vec::with_capacity(8);
     for k in 0..64u64 {
-        h.insert(k * 7 % 64, k);
+        group.push((k * 7 % 64, k));
+        if group.len() == 8 {
+            h.insert_all(&mut group);
+        }
     }
-    h.flush();
     let mut out = Vec::new();
     while h.delete_min_batch_into(4, &mut out) > 0 {}
     let keys: Vec<u64> = out.iter().map(|(k, _)| *k).collect();
@@ -207,19 +207,15 @@ proptest! {
     /// identically seeded queues end with the same lane lengths and pop the
     /// same `(key, value)` sequence, duplicate keys included (the values
     /// tell duplicates apart, so a changed push order within a lane shows),
-    /// under the plain, sticky and two-shard policies.
+    /// on an unsharded queue and for the second session on a two-shard
+    /// queue (handle id 1, so shard 1).
     #[test]
     fn prop_insert_all_lands_like_one_by_one_inserts(
         lanes in 2usize..10,
         seed in 0u64..500,
-        policy in 0usize..3,
+        shards in 1usize..3,
         keys in proptest::collection::vec(0u64..16, 0..64),
     ) {
-        let (shards, policy) = match policy {
-            0 => (1, HandlePolicy::plain()),
-            1 => (1, HandlePolicy::plain().with_sticky_ops(3)),
-            _ => (2, HandlePolicy::plain().with_shard(1)),
-        };
         let queue = || {
             MultiQueue::<u64>::new(
                 MultiQueueConfig::with_queues(lanes)
@@ -228,8 +224,13 @@ proptest! {
             )
         };
         let (qa, qb) = (queue(), queue());
-        let mut ha = qa.register_policy(policy);
-        let mut hb = qb.register_policy(policy);
+        if shards == 2 {
+            // The first session takes shard 0; compare the second's.
+            qa.register();
+            qb.register();
+        }
+        let mut ha = qa.register();
+        let mut hb = qb.register();
         let mut entries: Vec<(u64, u64)> = keys.iter().copied().zip(0..).collect();
         for &(key, value) in &entries {
             ha.insert(key, value);

@@ -62,38 +62,41 @@ fn multiqueue_conserves_elements_under_stress() {
 }
 
 #[test]
-fn multiqueue_with_sticky_and_batched_policies_conserves_elements() {
-    // The handle policies move elements through private buffers and sticky
-    // lanes; conservation must be unaffected.
+fn multiqueue_with_insert_all_sessions_conserves_elements() {
+    // Every session alternates `insert_all` groups with runs of plain
+    // inserts of the same length, one group size per session, while
+    // popping; conservation must be unaffected.
     let q = MultiQueue::new(MultiQueueConfig::for_threads(4).with_beta(0.75));
     let per = 5_000u64;
-    let threads = 4usize;
-    let policies = [
-        HandlePolicy::default().with_sticky_ops(8),
-        HandlePolicy::default().with_insert_batch(32),
-        HandlePolicy::default()
-            .with_sticky_ops(4)
-            .with_insert_batch(16),
-        HandlePolicy::default(),
-    ];
+    let groups = [8u64, 32, 16, 3];
+    let threads = groups.len();
     let removed: Vec<u64> = std::thread::scope(|scope| {
         let mut handles = Vec::new();
-        for (t, policy) in policies.iter().enumerate().take(threads) {
+        for (t, group) in groups.into_iter().enumerate() {
             let q = &q;
             handles.push(scope.spawn(move || {
-                let mut session = q.register_with(*policy);
+                let mut session = q.register();
                 let base = t as u64 * per;
+                let mut pending = Vec::with_capacity(group as usize);
                 let mut got = Vec::new();
                 for i in 0..per {
-                    session.insert(base + i, base + i);
+                    let key = base + i;
+                    if (i / group) % 2 == 0 {
+                        pending.push((key, key));
+                        if pending.len() as u64 == group {
+                            session.insert_all(&mut pending);
+                        }
+                    } else {
+                        session.insert(key, key);
+                    }
                     if i % 2 == 1 {
                         if let Some((k, _)) = session.delete_min() {
                             got.push(k);
                         }
                     }
                 }
+                session.insert_all(&mut pending);
                 got
-                // Dropping the session flushes any remaining buffered inserts.
             }));
         }
         handles

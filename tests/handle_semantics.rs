@@ -1,6 +1,6 @@
 //! Integration tests for the handle-based session API itself: deterministic
-//! replay, buffer flushing on drop, policy equivalence with the former
-//! wrapper types, and cross-handle conservation.
+//! replay, equivalence with the former instrumented wrapper type, and
+//! cross-handle conservation.
 
 use std::collections::HashSet;
 
@@ -67,46 +67,34 @@ fn different_seeds_give_different_orders() {
     assert_ne!(order(1), order(2));
 }
 
-/// Dropping a handle flushes its private insert buffer — no elements are
-/// lost even when the session ends mid-batch.
-#[test]
-fn handle_drop_flushes_its_batch_buffer() {
-    let q = queue(4, 1.0, 9);
-    {
-        let mut h = q.register_with(HandlePolicy::default().with_insert_batch(64));
-        for k in 0..37u64 {
-            h.insert(k, k);
-        }
-        // 37 < 64: nothing published yet.
-        assert_eq!(q.approx_len(), 0);
-    } // h dropped here
-    assert_eq!(q.approx_len(), 37, "drop must publish the buffered inserts");
-    let mut drainer = q.register();
-    let mut got = HashSet::new();
-    while let Some((k, _)) = drainer.delete_min() {
-        got.insert(k);
-    }
-    assert_eq!(got.len(), 37);
-}
-
 /// Two handles on one queue never lose or duplicate elements under a
-/// concurrent stress test mixing policies (batched vs. plain).
+/// concurrent stress test: one session alternates `insert_all` groups of 32
+/// with runs of 32 plain inserts, the other inserts one by one.
 #[test]
 fn two_handles_conserve_elements_under_concurrent_stress() {
     let q = queue(8, 0.5, 77);
     let per = 20_000u64;
     let removed: Vec<u64> = std::thread::scope(|scope| {
         let a = scope.spawn(|| {
-            let mut h = q.register_with(HandlePolicy::default().with_insert_batch(32));
+            let mut h = q.register();
+            let mut group = Vec::with_capacity(32);
             let mut got = Vec::new();
             for i in 0..per {
-                h.insert(i, i);
+                if (i / 32) % 2 == 0 {
+                    group.push((i, i));
+                    if group.len() == 32 {
+                        h.insert_all(&mut group);
+                    }
+                } else {
+                    h.insert(i, i);
+                }
                 if i % 2 == 1 {
                     if let Some((k, _)) = h.delete_min() {
                         got.push(k);
                     }
                 }
             }
+            h.insert_all(&mut group);
             got
         });
         let b = scope.spawn(|| {
@@ -182,29 +170,6 @@ fn instrumented_policy_reproduces_instrumented_handle_behaviour() {
     let summary = counter.summarize();
     assert_eq!(summary.removals, total as u64);
     assert!(summary.mean_rank >= 1.0);
-}
-
-/// Equivalence with the former `StickyHandle`: a sticky policy keeps
-/// reusing one lane between refreshes (observable through lane lengths in an
-/// uncontended run) and, like the old wrapper, never affects conservation.
-#[test]
-fn sticky_policy_reproduces_sticky_handle_behaviour() {
-    let q = queue(8, 1.0, 21);
-    let mut h = q.register_with(HandlePolicy::default().with_sticky_ops(50));
-    for k in 0..50u64 {
-        h.insert(k, k);
-    }
-    // One choice amortised over the 50 inserts ⇒ exactly one non-empty lane.
-    let lengths = q.lane_lengths();
-    assert_eq!(lengths.iter().sum::<usize>(), 50);
-    assert_eq!(lengths.iter().filter(|&&l| l > 0).count(), 1);
-    // Conservation holds exactly as with the old wrapper.
-    let mut out = Vec::new();
-    while let Some((k, _)) = h.delete_min() {
-        out.push(k);
-    }
-    out.sort_unstable();
-    assert_eq!(out, (0..50u64).collect::<Vec<_>>());
 }
 
 /// Handle statistics count the session's own operations, not the queue's.

@@ -254,19 +254,15 @@ fn quota_refusal_dump_carries_the_tenant() {
     assert!(exposition.contains("quota-refusal") && exposition.contains("tenant/a"));
 }
 
-/// The contention-event rule: a publish that accumulates `lock_retries >=
-/// contention_event_threshold` records a `LaneContention` event even when a
-/// fresh lane draw published — not just the blocking fallback, which used
-/// to be the only emitter. Pinned so the emission rule cannot silently
-/// regress to fallback-only.
+/// The contention-event rule: a publish that accumulates at least four
+/// lost try-locks (the queue's contention-event threshold) records a
+/// `LaneContention` event even when a fresh lane draw published — not just
+/// the blocking fallback, which used to be the only emitter. Pinned so the
+/// emission rule cannot silently regress to fallback-only.
 #[test]
 fn fast_path_contention_reaches_the_flight_recorder() {
     let hub = ObsHub::with_capacity(64);
-    let mut queue = MultiQueue::<u64>::new(
-        MultiQueueConfig::with_queues(2)
-            .with_seed(7)
-            .with_contention_event_threshold(1),
-    );
+    let mut queue = MultiQueue::<u64>::new(MultiQueueConfig::with_queues(2).with_seed(7));
     queue.attach_obs(QueueObs::new(&hub, "contended"));
     let mut h = queue.register();
     // Uncontended inserts publish directly: below the threshold, no events.
@@ -279,12 +275,12 @@ fn fast_path_contention_reaches_the_flight_recorder() {
             .all(|e| e.kind != EventKind::LaneContention),
         "uncontended inserts must not record contention events"
     );
-    // Hold lane 0's lock and insert until a draw lands on it (p = 1/2 per
-    // insert): that insert counts one failed try-lock (>= threshold 1),
-    // draws again until it lands on lane 1, and must surface in the flight
-    // recorder despite never falling back.
+    // Hold lane 0's lock and insert until one insert draws it four times in
+    // a row (p = 1/16 per insert): that insert counts four failed
+    // try-locks (>= the threshold), draws again until it lands on lane 1,
+    // and must surface in the flight recorder despite never falling back.
     queue.with_lane_locked(0, || {
-        for k in 0..64u64 {
+        for k in 0..512u64 {
             h.insert(10 + k, k);
             if hub
                 .recorder()
@@ -311,7 +307,7 @@ fn fast_path_contention_reaches_the_flight_recorder() {
         "the event names the lane that took the element, not the held one"
     );
     assert!(
-        contention[0].fields[1] >= 1,
+        contention[0].fields[1] >= 4,
         "and carries the accumulated retry count"
     );
 }
@@ -325,7 +321,7 @@ fn drain_with_exact_ranks(seed: u64) -> Option<(u64, u64)> {
     let hub = ObsHub::new();
     let mut queue = MultiQueue::<u64>::new(MultiQueueConfig::with_queues(32).with_seed(seed));
     queue.attach_obs(QueueObs::with_sample_every(&hub, "exact", 1));
-    let mut session = queue.register_with(HandlePolicy::plain());
+    let mut session = queue.register();
     for key in KEYS {
         session.insert(key, key);
     }
@@ -408,7 +404,7 @@ fn four_thread_estimated_p99_stays_within_the_inversion_envelope() {
 
     let mut truth = InversionCounter::new();
     let logs = std::thread::scope(|scope| {
-        let mut prefiller = queue.register_with(HandlePolicy::plain());
+        let mut prefiller = queue.register();
         for i in 0..PREFILL {
             prefiller.insert(scatter(i), i);
         }
