@@ -42,45 +42,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use choice_bench::env_u64;
-use choice_bench::report::{emit_json_row, print_header, print_row, print_section, JsonValue};
-use choice_bench::trajectory::commit_hash;
+use choice_bench::report::{
+    emit_json_row, median, print_header, print_row, print_section, rel_dispersion, JsonValue,
+};
 use choice_obs::ObsHub;
 use choice_sched::LatenessTracker;
 use choice_wire::{
     BackendSpec, PqClient, PqServer, QueueRegistry, QuotaSpec, Request, Response, ServerConfig,
 };
-
-/// Median of a sample vector (odd or even length; NaN-free inputs).
-fn median(mut samples: Vec<f64>) -> f64 {
-    assert!(!samples.is_empty());
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-    let mid = samples.len() / 2;
-    if samples.len() % 2 == 1 {
-        samples[mid]
-    } else {
-        (samples[mid - 1] + samples[mid]) / 2.0
-    }
-}
-
-/// Relative dispersion of the samples behind a reported median: half the
-/// span over the median — what `t12_compare`'s noise-aware gate widens its
-/// allowance by. A zero median with spread degrades to 1.0 (fully noisy).
-fn rel_dispersion(samples: &[f64]) -> f64 {
-    let m = median(samples.to_vec());
-    let (lo, hi) = samples
-        .iter()
-        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &s| {
-            (lo.min(s), hi.max(s))
-        });
-    let half_span = (hi - lo) / 2.0;
-    if half_span == 0.0 {
-        0.0
-    } else if m.abs() < 1e-12 {
-        1.0
-    } else {
-        half_span / m.abs()
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Scenario A: queue-count spread
@@ -395,8 +364,8 @@ fn run_phase(
 /// Per-phase medians across samples.
 struct PhaseSummary {
     victim_kops: f64,
-    /// Dispersion of the victim-throughput samples behind the median —
-    /// carried into the JSON row for the trajectory gate.
+    /// Dispersion of the victim-throughput samples behind the median,
+    /// carried into the JSON row.
     victim_kops_dispersion: f64,
     victim_p99_us: f64,
     aggressor_ops: f64,
@@ -452,9 +421,6 @@ fn main() {
     let aggressors = env_u64("T11_AGGRESSORS", 3) as usize;
     let window = env_u64("T11_WINDOW", 64) as usize;
     let strict = std::env::var("T11_STRICT").as_deref() == Ok("1");
-    // Stamped into every JSON row so a BENCH_t11.json artifact is a
-    // per-commit trajectory point (`t12_compare` reads it back).
-    let commit = commit_hash();
 
     print_section(
         "T11",
@@ -494,7 +460,6 @@ fn main() {
                     "rel_dispersion",
                     JsonValue::from(rel_dispersion(&kops_samples)),
                 ),
-                ("commit", JsonValue::from(commit.as_str())),
             ],
         );
     }
@@ -559,7 +524,6 @@ fn main() {
                     "rel_dispersion",
                     JsonValue::from(summary.victim_kops_dispersion),
                 ),
-                ("commit", JsonValue::from(commit.as_str())),
             ],
         );
         summaries.push(summary);

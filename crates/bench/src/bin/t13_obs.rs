@@ -1,19 +1,22 @@
 //! T13 — telemetry overhead: the Figure-1 throughput workload with the
-//! choice-obs hub attached vs detached, plus a flight-recorder demo dump.
+//! choice-obs hub detached, attached and traced, gated against a 3 % budget,
+//! plus a flight-recorder demo dump.
 //!
-//! The observability budget is a *claim*, so it is measured like any other
-//! bench and gated like any other trajectory: one invocation runs the
-//! alternating insert/deleteMin workload in exactly **one** telemetry mode
-//! (`T13_OBS=0` detached — the baseline; `T13_OBS=1` attached — sharded
-//! counters on every operation plus 1-in-`T13_SAMPLE_EVERY` latency
-//! sampling; `T13_OBS=2` attached **and traced** — sampled operations also
-//! record request spans into the hub's span ring, the same write a traced
-//! wire request costs the server), and emits the same `BENCH_JSON=1` row
-//! identity in every mode: `obs_mode`/`obs_enabled` are **diagnostic**
-//! fields, not config keys, so the artifacts compare as the *same* bench
-//! points. CI runs the binary three times and feeds each pair through
-//! `t12_compare` at `T12_THRESHOLD=0.03` — the ≤3% overhead budget as a
-//! failing gate, with the usual noise-aware allowance on top.
+//! One invocation measures all three modes: **detached** (no hub, the
+//! baseline), **attached** (sharded counters on every operation plus
+//! 1-in-`T13_SAMPLE_EVERY` latency sampling) and **traced** (attached, and
+//! sampled operations also record request spans into the hub's span ring,
+//! the same write a traced wire request costs the server). Each mode reports
+//! into its own hub. Every rep runs the three modes back to back on the same
+//! seed and rotates which mode goes first, so a change in machine state
+//! during the run lands on all three alike instead of reading as overhead.
+//!
+//! The overhead budget is a claim, so the run gates it. For each pair —
+//! attached vs detached, traced vs detached, traced vs attached — the second
+//! mode's median throughput may fall below the first's by at most
+//! [`BUDGET`] plus both modes' relative dispersion
+//! ([`exceeds_budget`]). A pair beyond that makes the process exit with
+//! status 1, after every table, row and dump below has been written.
 //!
 //! After the throughput rows, a deterministic **flight-recorder demo**
 //! forces a quota refusal on a tenant queue (via the registry's admission
@@ -21,59 +24,65 @@
 //! observability quick-start output. The demo asserts the refusal landed,
 //! so a silent telemetry regression fails the smoke run, not just the docs.
 //!
-//! Environment knobs: `T13_OBS` (0/1/2, default 0), `T13_SAMPLES` (reps per
-//! row, default 3), `T13_THREADS` (default 4), `T13_OPS` (operations per
-//! thread, default 200000), `T13_PREFILL` (default 4096),
-//! `T13_SAMPLE_EVERY` (latency sampling stride when enabled, default 64),
-//! `T13_SPAN_DUMP` (path: in traced mode, write the span-ring dump there —
-//! the CI artifact showing what the traced run recorded); `BENCH_JSON=1`
-//! emits one JSON object per row to stderr.
+//! Environment knobs: `T13_SAMPLES` (reps, default 3), `T13_THREADS`
+//! (default 4), `T13_OPS` (operations per thread, default 200000),
+//! `T13_PREFILL` (default 4096), `T13_SAMPLE_EVERY` (latency sampling
+//! stride when attached, default 64), `T13_SPAN_DUMP` (path: write the
+//! traced hub's span-ring dump there); `BENCH_JSON=1` emits one JSON object
+//! per mode and one per compared pair to stderr.
 
 use std::sync::Arc;
 
-use choice_bench::report::{emit_json_row, print_header, print_row, print_section, JsonValue};
+use choice_bench::report::{
+    allowance, emit_json_row, exceeds_budget, median, print_header, print_row, print_section,
+    rel_dispersion, relative_change, JsonValue,
+};
 use choice_bench::{env_u64, throughput_workload};
 use choice_obs::ObsHub;
 use choice_pq::{DynSharedPq, MultiQueue, MultiQueueConfig, QueueObs};
 use choice_wire::{BackendSpec, QueueRegistry, QuotaSpec};
 
-/// Median of a non-empty sample vector.
-fn median(mut samples: Vec<f64>) -> f64 {
-    assert!(!samples.is_empty());
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-    let mid = samples.len() / 2;
-    if samples.len() % 2 == 1 {
-        samples[mid]
-    } else {
-        (samples[mid - 1] + samples[mid]) / 2.0
+/// The telemetry overhead budget: the largest throughput fall a mode may
+/// show against a cheaper one, before both modes' dispersion widens it.
+const BUDGET: f64 = 0.03;
+
+/// How the MultiQueue under test reports.
+#[derive(Clone, Copy)]
+enum Mode {
+    /// No hub attached: the baseline.
+    Detached,
+    /// Counters and sampled latencies.
+    Attached,
+    /// Attached, plus request spans for the sampled operations.
+    Traced,
+}
+
+impl Mode {
+    /// Every mode, indexed by `mode as usize`.
+    const ALL: [Mode; 3] = [Mode::Detached, Mode::Attached, Mode::Traced];
+
+    fn label(self) -> &'static str {
+        match self {
+            Mode::Detached => "detached",
+            Mode::Attached => "attached",
+            Mode::Traced => "traced",
+        }
     }
 }
 
-/// Half the sample span over the median — the dispersion `t12_compare`
-/// widens its allowance by (same convention as `t11_registry`).
-fn rel_dispersion(samples: &[f64]) -> f64 {
-    let m = median(samples.to_vec());
-    let (lo, hi) = samples
-        .iter()
-        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &s| {
-            (lo.min(s), hi.max(s))
-        });
-    let half_span = (hi - lo) / 2.0;
-    if half_span == 0.0 {
-        0.0
-    } else if m.abs() < 1e-12 {
-        1.0
-    } else {
-        half_span / m.abs()
-    }
-}
+/// The gated pairs, `(base, current)`: `current` must not fall below
+/// `base` beyond the allowance.
+const PAIRS: [(Mode, Mode); 3] = [
+    (Mode::Detached, Mode::Attached),
+    (Mode::Detached, Mode::Traced),
+    (Mode::Attached, Mode::Traced),
+];
 
-/// One throughput sample: a fresh MultiQueue (obs attached when `hub` is
-/// given, span-traced when `traced` too), run through the shared Figure-1
-/// workload. Returns (ops, ops/s).
+/// One throughput sample: a fresh MultiQueue reporting into `hub` as `mode`
+/// says, run through the shared Figure-1 workload. Returns (ops, ops/s).
 fn run_sample(
-    hub: Option<&Arc<ObsHub>>,
-    traced: bool,
+    mode: Mode,
+    hub: &Arc<ObsHub>,
     threads: usize,
     prefill: u64,
     ops_per_thread: u64,
@@ -82,12 +91,12 @@ fn run_sample(
 ) -> (u64, f64) {
     let mut queue =
         MultiQueue::<u64>::new(MultiQueueConfig::with_queues(2 * threads).with_seed(seed));
-    if let Some(hub) = hub {
-        queue.attach_obs(if traced {
-            QueueObs::with_trace(hub, "bench", sample_every)
-        } else {
-            QueueObs::with_sample_every(hub, "bench", sample_every)
-        });
+    match mode {
+        Mode::Detached => {}
+        Mode::Attached => {
+            queue.attach_obs(QueueObs::with_sample_every(hub, "bench", sample_every));
+        }
+        Mode::Traced => queue.attach_obs(QueueObs::with_trace(hub, "bench", sample_every)),
     }
     let shared: Arc<dyn DynSharedPq<u64>> = Arc::new(queue);
     let result = throughput_workload(shared, threads, prefill, ops_per_thread, seed);
@@ -128,115 +137,45 @@ fn flight_recorder_demo() -> String {
 }
 
 fn main() {
-    let obs_mode = env_u64("T13_OBS", 0).min(2);
-    let obs_enabled = obs_mode != 0;
-    let traced = obs_mode == 2;
     let samples = env_u64("T13_SAMPLES", 3).max(1);
     let threads = env_u64("T13_THREADS", 4) as usize;
     let ops_per_thread = env_u64("T13_OPS", 200_000);
     let prefill = env_u64("T13_PREFILL", 4_096);
     let sample_every = env_u64("T13_SAMPLE_EVERY", 64).max(1) as u32;
     let seed = 53u64;
-    let mode_label = match obs_mode {
-        0 => "detached",
-        1 => "ATTACHED",
-        _ => "ATTACHED+TRACED",
-    };
 
     print_section(
         "T13",
-        "choice-obs overhead: Figure-1 workload, telemetry attached vs detached",
+        "choice-obs overhead: Figure-1 workload, telemetry detached / attached / traced",
     );
     println!(
-        "mode: obs {mode_label} — {threads} threads × {ops_per_thread} ops, prefill \
-         {prefill}, latency sampling 1-in-{sample_every}; median of {samples} samples. \
-         Run once per mode and gate each pair with t12_compare (T12_THRESHOLD=0.03): \
-         `obs_mode` is a diagnostic, so all modes are the same trajectory point.",
+        "{threads} threads × {ops_per_thread} ops, prefill {prefill}, latency sampling \
+         1-in-{sample_every}; {samples} reps, each running every mode on one seed with the \
+         first mode rotating; median per mode. Gate: no pair falls by more than {:.0}% plus \
+         both modes' dispersion.",
+        BUDGET * 100.0
     );
-    println!();
-    print_header(&["threads", "obs", "ops", "mops/s", "disp %"]);
 
-    let hub = ObsHub::new();
-    let runs: Vec<(u64, f64)> = (0..samples)
-        .map(|s| {
-            run_sample(
-                obs_enabled.then_some(&hub),
-                traced,
+    let hubs: [Arc<ObsHub>; 3] = std::array::from_fn(|_| ObsHub::new());
+    let mut mops: [Vec<f64>; 3] = Default::default();
+    let mut operations = 0u64;
+    for rep in 0..samples {
+        let rep_seed = seed ^ (rep + 1).wrapping_mul(0x9E37);
+        for i in 0..Mode::ALL.len() {
+            let mode = Mode::ALL[(rep as usize + i) % Mode::ALL.len()];
+            let (ops, ops_per_second) = run_sample(
+                mode,
+                &hubs[mode as usize],
                 threads,
                 prefill,
                 ops_per_thread,
                 sample_every,
-                seed ^ (s + 1).wrapping_mul(0x9E37),
-            )
-        })
-        .collect();
-    let operations = runs[0].0;
-    let mops_samples: Vec<f64> = runs.iter().map(|(_, r)| r / 1e6).collect();
-    let mops = median(mops_samples.clone());
-    let dispersion = rel_dispersion(&mops_samples);
-    print_row(&[
-        threads.to_string(),
-        match obs_mode {
-            0 => "off",
-            1 => "on",
-            _ => "traced",
+                rep_seed,
+            );
+            operations = ops;
+            mops[mode as usize].push(ops_per_second / 1e6);
         }
-        .to_string(),
-        operations.to_string(),
-        format!("{mops:.2}"),
-        format!("{:.1}", dispersion * 100.0),
-    ]);
-
-    // Telemetry self-check: with obs attached, the sharded counters must
-    // have seen (at least) every completed operation across the samples.
-    let mq_ops = hub
-        .metrics()
-        .snapshot()
-        .counter("mq_ops_total", &[("queue", "bench")])
-        .unwrap_or(0);
-    if obs_enabled {
-        assert!(
-            mq_ops >= operations,
-            "obs attached but mq_ops_total={mq_ops} < {operations} completed operations"
-        );
-    } else {
-        assert_eq!(mq_ops, 0, "obs detached must record nothing");
     }
-    // In traced mode the span ring must actually have seen sampled spans —
-    // a traced run that recorded nothing would gate a vacuous overhead.
-    let spans_recorded = hub.spans().recorded();
-    if traced {
-        assert!(
-            spans_recorded > 0,
-            "obs traced but the span ring recorded nothing"
-        );
-        if let Ok(path) = std::env::var("T13_SPAN_DUMP") {
-            if !path.is_empty() {
-                std::fs::write(&path, hub.spans().dump_text())
-                    .unwrap_or_else(|e| panic!("T13_SPAN_DUMP={path}: {e}"));
-                println!("span-ring dump written to {path}");
-            }
-        }
-    } else {
-        assert_eq!(spans_recorded, 0, "untraced modes must not record spans");
-    }
-
-    emit_json_row(
-        "t13",
-        &[
-            ("threads", JsonValue::from(threads as u64)),
-            ("prefill", JsonValue::from(prefill)),
-            ("samples", JsonValue::from(samples)),
-            ("ops", JsonValue::from(operations)),
-            ("mops_per_s", JsonValue::from(mops)),
-            ("rel_dispersion", JsonValue::from(dispersion)),
-            ("obs_enabled", JsonValue::from(obs_enabled as u64)),
-            ("obs_mode", JsonValue::from(obs_mode)),
-            ("mq_ops_total", JsonValue::from(mq_ops)),
-            ("spans_recorded", JsonValue::from(spans_recorded)),
-        ],
-    );
-
     // The CI smoke step relies on this: a run that silently did nothing is
     // a failure, not a fast success.
     assert!(
@@ -245,11 +184,119 @@ fn main() {
     );
 
     println!();
+    print_header(&["mode", "ops", "mops/s", "disp %", "mq_ops_total", "spans"]);
+    // Telemetry self-check: an attached hub counted every operation of every
+    // rep, prefill included; the detached hub counted none; only the traced
+    // hub recorded spans (a traced run that recorded nothing would gate a
+    // vacuous overhead).
+    let counted_ops = samples * (prefill + operations);
+    for mode in Mode::ALL {
+        let hub = &hubs[mode as usize];
+        let mq_ops = hub
+            .metrics()
+            .snapshot()
+            .counter("mq_ops_total", &[("queue", "bench")])
+            .unwrap_or(0);
+        let spans = hub.spans().recorded();
+        match mode {
+            Mode::Detached => assert_eq!(mq_ops, 0, "the detached hub must record nothing"),
+            Mode::Attached | Mode::Traced => assert!(
+                mq_ops >= counted_ops,
+                "{} hub: mq_ops_total={mq_ops} < {counted_ops} operations over {samples} reps",
+                mode.label()
+            ),
+        }
+        assert_eq!(
+            spans > 0,
+            matches!(mode, Mode::Traced),
+            "{} hub recorded {spans} spans; only the traced hub may, and must",
+            mode.label()
+        );
+        let samples_of_mode = &mops[mode as usize];
+        let mops_median = median(samples_of_mode.clone());
+        let dispersion = rel_dispersion(samples_of_mode);
+        print_row(&[
+            mode.label().to_string(),
+            operations.to_string(),
+            format!("{mops_median:.2}"),
+            format!("{:.1}", dispersion * 100.0),
+            mq_ops.to_string(),
+            spans.to_string(),
+        ]);
+        emit_json_row(
+            "t13",
+            &[
+                ("mode", JsonValue::from(mode.label())),
+                ("threads", JsonValue::from(threads as u64)),
+                ("prefill", JsonValue::from(prefill)),
+                ("samples", JsonValue::from(samples)),
+                ("ops", JsonValue::from(operations)),
+                ("mops_per_s", JsonValue::from(mops_median)),
+                ("rel_dispersion", JsonValue::from(dispersion)),
+                ("mq_ops_total", JsonValue::from(mq_ops)),
+                ("spans_recorded", JsonValue::from(spans)),
+            ],
+        );
+    }
+
+    println!();
+    print_header(&["current", "base", "change %", "allow %", "verdict"]);
+    let mut failed_pairs = 0;
+    for (base, current) in PAIRS {
+        let (base_mops, current_mops) = (&mops[base as usize], &mops[current as usize]);
+        let change = relative_change(base_mops, current_mops);
+        let allowed = allowance(base_mops, current_mops, BUDGET);
+        let breach = exceeds_budget(base_mops, current_mops, BUDGET);
+        let verdict = if breach { "FAIL" } else { "pass" };
+        failed_pairs += usize::from(breach);
+        print_row(&[
+            current.label().to_string(),
+            base.label().to_string(),
+            format!("{:+.1}", change * 100.0),
+            format!("{:.1}", allowed * 100.0),
+            verdict.to_string(),
+        ]);
+        emit_json_row(
+            "t13",
+            &[
+                (
+                    "pair",
+                    JsonValue::Str(format!("{}_vs_{}", current.label(), base.label())),
+                ),
+                ("budget", JsonValue::from(BUDGET)),
+                ("change", JsonValue::from(change)),
+                ("allowance", JsonValue::from(allowed)),
+                ("verdict", JsonValue::from(verdict)),
+            ],
+        );
+    }
+
+    println!();
+    println!(
+        "gate: {} — {failed_pairs} of {} pairs beyond the budget",
+        if failed_pairs == 0 { "PASS" } else { "FAIL" },
+        PAIRS.len()
+    );
+
+    if let Ok(path) = std::env::var("T13_SPAN_DUMP") {
+        if !path.is_empty() {
+            std::fs::write(&path, hubs[Mode::Traced as usize].spans().dump_text())
+                .unwrap_or_else(|e| panic!("T13_SPAN_DUMP={path}: {e}"));
+            println!("span-ring dump written to {path}");
+        }
+    }
+
+    println!();
     println!("-- flight recorder demo: one forced quota refusal --");
     println!("{}", flight_recorder_demo());
     println!(
-        "Expected shape: the attached and detached rows agree within the 3% telemetry \
-         budget (the gate t12_compare enforces in CI); the demo dump above shows the \
-         quota-refusal event with its tenant, category, key and in-flight depth."
+        "Expected shape: every pair passes the {:.0}% budget (widened by both modes' \
+         dispersion); the demo dump above shows the quota-refusal event with its tenant, \
+         category, key and in-flight depth.",
+        BUDGET * 100.0
     );
+
+    if failed_pairs > 0 {
+        std::process::exit(1);
+    }
 }

@@ -21,7 +21,7 @@
 //!
 //! Environment knobs: `T5_PREFILL` (default 50000), `T5_OPS` ops/thread
 //! (default 100000); `BENCH_JSON=1` additionally emits one JSON row per
-//! configuration for the t12 trajectory gate.
+//! configuration to stderr.
 
 use choice_bench::env_u64;
 use choice_bench::report::{

@@ -16,7 +16,6 @@
 
 pub mod queues;
 pub mod report;
-pub mod trajectory;
 pub mod workloads;
 
 pub use queues::{build_queue, QueueSpec};

@@ -1,14 +1,20 @@
-//! Plain-text table output helpers, plus opt-in machine-readable rows.
+//! Plain-text table output helpers, opt-in machine-readable rows, and the
+//! sample statistics the binaries report.
 //!
 //! Every binary prints one or more tables with a fixed-width layout so the
 //! output can be pasted into EXPERIMENTS.md verbatim and diffed across runs.
 //!
 //! Setting `BENCH_JSON=1` additionally emits one JSON object per data row
 //! to **stderr** (tables stay on stdout, so the two streams separate
-//! cleanly): `{"experiment":"t9",...}`, one line each — the groundwork for
-//! a perf-trajectory file that scripts can append to without parsing the
-//! human tables. No serde exists in this offline workspace, so the emitter
-//! is a small hand-rolled one over [`JsonValue`].
+//! cleanly): `{"experiment":"t9",...}`, one line each, so scripts can
+//! collect rows without parsing the human tables. No serde exists in this
+//! offline workspace, so the emitter is a small hand-rolled one over
+//! [`JsonValue`].
+//!
+//! A binary that repeats a measurement reports its [`median`] with a
+//! [`rel_dispersion`]; [`exceeds_budget`] is the one comparison built on
+//! them (t13 gates its telemetry overhead with it). A/B comparisons of two
+//! commits belong to the repository benchmark (`perf-ledger/`), not here.
 
 /// Prints a section banner (the experiment id and its paper counterpart).
 pub fn print_section(id: &str, title: &str) {
@@ -163,9 +169,108 @@ pub fn emit_json_row(experiment: &str, fields: &[(&str, JsonValue)]) {
     }
 }
 
+/// Median of a non-empty, finite sample set (the mean of the middle two
+/// for an even count).
+pub fn median(mut samples: Vec<f64>) -> f64 {
+    assert!(!samples.is_empty(), "median of no samples");
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
+    let mid = samples.len() / 2;
+    if samples.len() % 2 == 1 {
+        samples[mid]
+    } else {
+        (samples[mid - 1] + samples[mid]) / 2.0
+    }
+}
+
+/// Relative dispersion of the samples behind a reported median: half the
+/// sample span over the median. A zero median with spread degrades to 1.0
+/// (fully noisy) rather than dividing by zero.
+pub fn rel_dispersion(samples: &[f64]) -> f64 {
+    let m = median(samples.to_vec());
+    let (lo, hi) = samples
+        .iter()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &s| {
+            (lo.min(s), hi.max(s))
+        });
+    let half_span = (hi - lo) / 2.0;
+    if half_span == 0.0 {
+        0.0
+    } else if m.abs() < 1e-12 {
+        1.0
+    } else {
+        half_span / m.abs()
+    }
+}
+
+/// Relative change of `cur`'s median from `base`'s (−0.05 is 5 % lower). A
+/// near-zero base median makes a relative change meaningless; it reads 0.
+pub fn relative_change(base: &[f64], cur: &[f64]) -> f64 {
+    let base = median(base.to_vec());
+    if base.abs() < 1e-9 {
+        0.0
+    } else {
+        (median(cur.to_vec()) - base) / base.abs()
+    }
+}
+
+/// The largest fall [`exceeds_budget`] tolerates: `budget` widened by both
+/// sample sets' [`rel_dispersion`], so a noisy measurement cannot read as a
+/// breach.
+pub fn allowance(base: &[f64], cur: &[f64], budget: f64) -> f64 {
+    budget + rel_dispersion(base) + rel_dispersion(cur)
+}
+
+/// Whether `cur`'s median (a higher-is-better figure such as throughput)
+/// fell below `base`'s by more than the [`allowance`].
+pub fn exceeds_budget(base: &[f64], cur: &[f64], budget: f64) -> bool {
+    relative_change(base, cur) < -allowance(base, cur, budget)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn medians_of_odd_and_even_counts() {
+        assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(vec![4.0, 1.0, 3.0, 2.0]), 2.5);
+        assert_eq!(median(vec![7.0]), 7.0);
+    }
+
+    #[test]
+    fn zero_span_has_zero_dispersion() {
+        assert_eq!(rel_dispersion(&[5.0, 5.0, 5.0]), 0.0);
+        assert_eq!(rel_dispersion(&[0.0, 0.0]), 0.0);
+        assert!((rel_dispersion(&[90.0, 100.0, 110.0]) - 0.10).abs() < 1e-12);
+    }
+
+    #[test]
+    fn identical_samples_stay_within_budget() {
+        let samples = [100.0, 101.0, 99.0];
+        assert_eq!(relative_change(&samples, &samples), 0.0);
+        assert!(!exceeds_budget(&samples, &samples, 0.03));
+    }
+
+    #[test]
+    fn a_twenty_percent_drop_at_zero_dispersion_fails() {
+        let base = [100.0, 100.0, 100.0];
+        let slowed = [80.0, 80.0, 80.0];
+        assert!((relative_change(&base, &slowed) + 0.20).abs() < 1e-12);
+        assert_eq!(allowance(&base, &slowed, 0.03), 0.03);
+        assert!(exceeds_budget(&base, &slowed, 0.03));
+        // A rise is never a breach.
+        assert!(!exceeds_budget(&slowed, &base, 0.03));
+    }
+
+    #[test]
+    fn dispersion_widens_the_allowance() {
+        // Samples spanning ±10 % around the median: the 20 % drop that a
+        // quiet measurement fails is inside this noisy one's allowance.
+        let base = [90.0, 100.0, 110.0];
+        let slowed = [72.0, 80.0, 88.0];
+        assert!((allowance(&base, &slowed, 0.03) - 0.23).abs() < 1e-12);
+        assert!(!exceeds_budget(&base, &slowed, 0.03));
+    }
 
     #[test]
     fn formatters() {

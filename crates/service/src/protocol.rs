@@ -243,7 +243,8 @@ pub enum Request {
     ListQueues,
     /// Rebind this connection's session to the named queue. On success the
     /// old session ends (its counters roll up into its queue) and a fresh
-    /// session opens on the target.
+    /// session opens on the target, unless the target is the live queue the
+    /// session is already bound to: then the session is kept.
     UseQueue {
         /// The queue to bind.
         name: String,

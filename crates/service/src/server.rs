@@ -761,13 +761,20 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) -> io::Result<()> {
                                 shared.obs.render_dump(*include_events),
                             ))
                         }
-                        Request::UseQueue { name } => Some(match shared.registry.bind(name) {
-                            Ok(new_binding) => {
-                                rebind = Some(new_binding);
-                                Response::Using
-                            }
-                            // A failed rebind keeps the current binding.
-                            Err(e) => registry_error(e),
+                        Request::UseQueue { name } => Some(match binding.as_ref() {
+                            // Already bound to this live queue: keep the
+                            // session. Binding afresh would claim a second
+                            // session slot before releasing this one, which
+                            // a session quota of 1 refuses.
+                            Some(b) if b.name() == name && !b.is_dropped() => Response::Using,
+                            _ => match shared.registry.bind(name) {
+                                Ok(new_binding) => {
+                                    rebind = Some(new_binding);
+                                    Response::Using
+                                }
+                                // A failed rebind keeps the current binding.
+                                Err(e) => registry_error(e),
+                            },
                         }),
                     }
                 };
@@ -984,6 +991,94 @@ mod tests {
         fresh.write_all(&wire).unwrap();
         assert!(read_frame_bytes(&mut fresh, &mut frame).unwrap());
         assert_eq!(Response::decode(&frame).unwrap().0, Response::Len(0));
+    }
+
+    /// A registry server whose default queue (an exact coarse heap) admits
+    /// one session at a time.
+    fn spawn_single_session_server() -> PqServer {
+        let registry = Arc::new(QueueRegistry::default());
+        registry
+            .create(
+                DEFAULT_QUEUE,
+                BackendSpec::CoarseHeap,
+                QuotaSpec::unlimited().with_max_sessions(1),
+            )
+            .unwrap();
+        PqServer::spawn_registry(registry, "127.0.0.1:0", ServerConfig::default()).unwrap()
+    }
+
+    /// `UseQueue` of the queue the session is already bound to keeps that
+    /// session. Binding afresh would need a second slot while the current
+    /// binding still holds the only one.
+    #[test]
+    fn use_queue_of_the_bound_queue_keeps_the_session_at_a_quota_of_one() {
+        let server = spawn_single_session_server();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        let use_default = Request::UseQueue {
+            name: DEFAULT_QUEUE.to_string(),
+        };
+        assert_eq!(request_reply(&mut stream, &use_default), Response::Using);
+        assert_eq!(
+            request_reply(&mut stream, &Request::Insert { key: 4, value: 40 }),
+            Response::Inserted
+        );
+        assert_eq!(
+            request_reply(&mut stream, &Request::DeleteMin),
+            Response::Entry { key: 4, value: 40 }
+        );
+        match request_reply(&mut stream, &Request::Stats) {
+            Response::Stats(stats) => assert_eq!(stats.queues[0].sessions, 1),
+            other => panic!("expected stats, got {other:?}"),
+        }
+        drop(stream);
+        let stats = server.join();
+        assert_eq!(stats.queues[0].sessions, 1);
+        assert_eq!(stats.totals.inserts, 1);
+    }
+
+    /// A peer that dies mid-frame with its responses unread: the frames it
+    /// completed are applied, the torn tail is discarded, and its session
+    /// slot is released for the next peer.
+    #[test]
+    fn a_peer_dying_mid_frame_with_responses_unread_releases_its_session() {
+        let server = spawn_single_session_server();
+        let mut a = TcpStream::connect(server.local_addr()).unwrap();
+        // One round trip proves A holds the queue's only session slot.
+        assert_eq!(request_reply(&mut a, &Request::ApproxLen), Response::Len(0));
+        let mut wire = Vec::new();
+        for key in 0..32u64 {
+            Request::Insert { key, value: key }.encode(&mut wire);
+        }
+        let whole_frames = wire.len();
+        Request::Insert { key: 32, value: 32 }.encode(&mut wire);
+        wire.truncate(whole_frames + 5);
+        a.write_all(&wire).unwrap();
+        drop(a);
+
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.registry().stats()[0].sessions_live > 0 {
+            assert!(
+                Instant::now() < deadline,
+                "peer A's session was never released"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        // B starts bound to the freed slot; a UseQueue is not needed.
+        let mut b = TcpStream::connect(server.local_addr()).unwrap();
+        let mut keys = Vec::new();
+        loop {
+            match request_reply(&mut b, &Request::DeleteMin) {
+                Response::Entry { key, .. } => keys.push(key),
+                Response::Empty => break,
+                other => panic!("expected an entry or Empty, got {other:?}"),
+            }
+        }
+        assert_eq!(keys, (0..32).collect::<Vec<u64>>());
+        drop(b);
+        let stats = server.join();
+        assert_eq!(stats.sessions, 2);
+        assert_eq!(stats.totals.inserts, 32);
     }
 
     #[test]
