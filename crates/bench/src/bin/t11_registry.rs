@@ -30,11 +30,11 @@
 //! Every reported number is the **median of `T11_SAMPLES` runs** (default
 //! 5). Environment knobs: `T11_SAMPLES`, `T11_CLIENTS` (spread clients,
 //! default 4), `T11_SPREAD_OPS` (arrivals per spread client, default
-//! 20000), `T11_VICTIM_OPS` (default 20000), `T11_VICTIM_RATE` (arrivals/s,
-//! default 40000), `T11_AGGRESSOR_RATE` (quota ops/s, default 2000),
-//! `T11_WINDOW` (pipeline window, default 64), `T11_STRICT=1` (assert the
+//! 20000), `T11_VICTIM_OPS` (default 20000), `T11_STRICT=1` (assert the
 //! 10% isolation bounds — the acceptance gate), `BENCH_JSON=1` (one JSON
-//! object per row to stderr; redirect to `BENCH_t11.json`).
+//! object per row to stderr; redirect to `BENCH_t11.json`). The victim's
+//! arrival rate, the aggressor fleet and its quota, and the pipeline window
+//! are the constants below.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -51,6 +51,18 @@ use choice_wire::{
     BackendSpec, PqClient, PqServer, QueueRegistry, QuotaSpec, Request, Response, ServerConfig,
 };
 
+/// Pipeline credit window of every client and of the server.
+const WINDOW: usize = 64;
+
+/// The paced victim's arrival rate (arrivals/s).
+const VICTIM_RATE: f64 = 40_000.0;
+
+/// Saturating aggressor connections sharing the aggressor tenant's queue.
+const AGGRESSORS: usize = 3;
+
+/// The aggressor tenant's ops/s quota in the rate-limited phase.
+const AGGRESSOR_RATE: u64 = 2_000;
+
 // ---------------------------------------------------------------------------
 // Scenario A: queue-count spread
 // ---------------------------------------------------------------------------
@@ -59,7 +71,7 @@ use choice_wire::{
 /// pushing `ops_per_client` inserts (plus one `DeleteMinBatch(8)` per 8
 /// inserts), rebinding across the namespace in blocks. Returns (total wire
 /// ops, ops/s).
-fn run_spread(queues: u64, clients: usize, ops_per_client: u64, window: usize) -> (u64, f64) {
+fn run_spread(queues: u64, clients: usize, ops_per_client: u64) -> (u64, f64) {
     const BLOCK: u64 = 256;
     const BATCH: u32 = 8;
     let registry = Arc::new(QueueRegistry::default());
@@ -78,7 +90,7 @@ fn run_spread(queues: u64, clients: usize, ops_per_client: u64, window: usize) -
     let server = PqServer::spawn_registry(
         Arc::clone(&registry),
         "127.0.0.1:0",
-        ServerConfig::default().with_credit_window(window),
+        ServerConfig::default().with_credit_window(WINDOW),
     )
     .expect("bind ephemeral loopback port");
     let addr = server.local_addr();
@@ -88,7 +100,7 @@ fn run_spread(queues: u64, clients: usize, ops_per_client: u64, window: usize) -
         let joins: Vec<_> = (0..clients as u64)
             .map(|c| {
                 scope.spawn(move || {
-                    let mut client = PqClient::connect_with_window(addr, window).expect("connect");
+                    let mut client = PqClient::connect_with_window(addr, WINDOW).expect("connect");
                     let mut operations = 0u64;
                     let mut bound = u64::MAX;
                     for i in 0..ops_per_client {
@@ -142,14 +154,14 @@ struct VictimOutcome {
 /// (arrival + deadline, in ns since the run epoch), one synchronous insert
 /// per arrival and one `DeleteMinBatch(4)` per 4 arrivals; the lateness of
 /// a popped task is measured on receipt against the deadline in its key.
-fn run_victim(addr: SocketAddr, ops: u64, rate: f64) -> VictimOutcome {
+fn run_victim(addr: SocketAddr, ops: u64) -> VictimOutcome {
     const DEADLINE: Duration = Duration::from_millis(2);
     let mut client = PqClient::connect(addr).expect("victim connect");
     client.use_queue("victim").expect("victim bind");
     let hub = ObsHub::with_capacity(16);
     let mut lateness = LatenessTracker::with_obs(1, &hub);
     let mut completed = 0u64;
-    let interval_ns = 1e9 / rate;
+    let interval_ns = 1e9 / VICTIM_RATE;
     let epoch = Instant::now();
     for i in 0..ops {
         let at = Duration::from_nanos((interval_ns * i as f64) as u64);
@@ -209,9 +221,9 @@ struct AggressorOutcome {
 /// `DeleteMinBatch(8)` per 8 inserts) on its own queue until `stop`. A
 /// `QuotaExceeded` response is treated as the shed signal it is: count it
 /// as a refusal and back off briefly before offering more load.
-fn run_aggressor(addr: SocketAddr, window: usize, stop: &AtomicBool) -> AggressorOutcome {
+fn run_aggressor(addr: SocketAddr, stop: &AtomicBool) -> AggressorOutcome {
     const BACKOFF: Duration = Duration::from_micros(200);
-    let mut client = PqClient::connect_with_window(addr, window).expect("aggressor connect");
+    let mut client = PqClient::connect_with_window(addr, WINDOW).expect("aggressor connect");
     client.use_queue("aggressor").expect("aggressor bind");
     let hub = ObsHub::with_capacity(16);
     let mut tracker = LatenessTracker::with_obs(1, &hub);
@@ -287,13 +299,7 @@ impl Neighbour {
 
 /// One noisy-neighbour phase: victim (+ optional aggressor) against a fresh
 /// server; returns the victim outcome and the aggressor's counters.
-fn run_phase(
-    neighbour: Neighbour,
-    victim_ops: u64,
-    victim_rate: f64,
-    window: usize,
-    aggressors: usize,
-) -> (VictimOutcome, AggressorOutcome) {
+fn run_phase(neighbour: Neighbour, victim_ops: u64) -> (VictimOutcome, AggressorOutcome) {
     let registry = Arc::new(QueueRegistry::default());
     registry
         .create(
@@ -326,7 +332,7 @@ fn run_phase(
     let server = PqServer::spawn_registry(
         Arc::clone(&registry),
         "127.0.0.1:0",
-        ServerConfig::default().with_credit_window(window),
+        ServerConfig::default().with_credit_window(WINDOW),
     )
     .expect("bind ephemeral loopback port");
     let addr = server.local_addr();
@@ -338,11 +344,11 @@ fn run_phase(
         // across every session of the tenant, not a per-connection one.
         let fleet: Vec<_> = match neighbour {
             Neighbour::Absent => Vec::new(),
-            _ => (0..aggressors)
-                .map(|_| scope.spawn(|| run_aggressor(addr, window, &stop)))
+            _ => (0..AGGRESSORS)
+                .map(|_| scope.spawn(|| run_aggressor(addr, &stop)))
                 .collect(),
         };
-        let victim = run_victim(addr, victim_ops, victim_rate);
+        let victim = run_victim(addr, victim_ops);
         stop.store(true, Ordering::Relaxed);
         let aggressor = fleet.into_iter().map(|j| j.join().unwrap()).fold(
             AggressorOutcome {
@@ -416,10 +422,6 @@ fn main() {
     let clients = env_u64("T11_CLIENTS", 4) as usize;
     let spread_ops = env_u64("T11_SPREAD_OPS", 20_000);
     let victim_ops = env_u64("T11_VICTIM_OPS", 20_000);
-    let victim_rate = env_u64("T11_VICTIM_RATE", 40_000) as f64;
-    let aggressor_rate = env_u64("T11_AGGRESSOR_RATE", 2_000);
-    let aggressors = env_u64("T11_AGGRESSORS", 3) as usize;
-    let window = env_u64("T11_WINDOW", 64) as usize;
     let strict = std::env::var("T11_STRICT").as_deref() == Ok("1");
 
     print_section(
@@ -428,9 +430,9 @@ fn main() {
     );
     println!(
         "median of {samples} samples; spread: {clients} clients × {spread_ops} arrivals; \
-         noisy neighbour: victim {victim_ops} arrivals @ {victim_rate:.0}/s (EDF, 2ms \
-         deadline) vs {aggressors} saturating aggressor connections sharing one \
-         tenant queue (quota {aggressor_rate} ops/s)"
+         noisy neighbour: victim {victim_ops} arrivals @ {VICTIM_RATE:.0}/s (EDF, 2ms \
+         deadline) vs {AGGRESSORS} saturating aggressor connections sharing one \
+         tenant queue (quota {AGGRESSOR_RATE} ops/s)"
     );
 
     // -- Scenario A: spread ------------------------------------------------
@@ -440,7 +442,7 @@ fn main() {
     let mut total_operations = 0u64;
     for queues in [1u64, 8, 64] {
         let runs: Vec<(u64, f64)> = (0..samples)
-            .map(|_| run_spread(queues, clients, spread_ops, window))
+            .map(|_| run_spread(queues, clients, spread_ops))
             .collect();
         let ops = runs[0].0;
         total_operations += runs.iter().map(|(o, _)| o).sum::<u64>();
@@ -479,13 +481,13 @@ fn main() {
         Neighbour::Absent,
         Neighbour::Unlimited,
         Neighbour::RateLimited {
-            ops_per_sec: aggressor_rate,
+            ops_per_sec: AGGRESSOR_RATE,
         },
     ];
     let mut summaries = Vec::new();
     for neighbour in phases {
         let runs: Vec<(VictimOutcome, AggressorOutcome)> = (0..samples)
-            .map(|_| run_phase(neighbour, victim_ops, victim_rate, window, aggressors))
+            .map(|_| run_phase(neighbour, victim_ops))
             .collect();
         total_operations += runs.iter().map(|(v, _)| v.ops).sum::<u64>();
         let summary = summarise(&runs);
@@ -503,9 +505,9 @@ fn main() {
                 ("scenario", JsonValue::from("noisy-neighbour")),
                 ("phase", JsonValue::from(neighbour.label())),
                 ("samples", JsonValue::from(samples)),
-                ("aggressor_connections", JsonValue::from(aggressors as u64)),
+                ("aggressor_connections", JsonValue::from(AGGRESSORS as u64)),
                 ("victim_ops", JsonValue::from(victim_ops)),
-                ("victim_rate", JsonValue::from(victim_rate)),
+                ("victim_rate", JsonValue::from(VICTIM_RATE)),
                 ("victim_kops_per_s", JsonValue::from(summary.victim_kops)),
                 (
                     "victim_p99_lateness_us",

@@ -4,7 +4,7 @@
 //!
 //! One invocation measures all three modes: **detached** (no hub, the
 //! baseline), **attached** (sharded counters on every operation plus
-//! 1-in-`T13_SAMPLE_EVERY` latency sampling) and **traced** (attached, and
+//! 1-in-[`SAMPLE_EVERY`] latency sampling) and **traced** (attached, and
 //! sampled operations also record request spans into the hub's span ring,
 //! the same write a traced wire request costs the server). Each mode reports
 //! into its own hub. Every rep runs the three modes back to back on the same
@@ -26,10 +26,9 @@
 //!
 //! Environment knobs: `T13_SAMPLES` (reps, default 3), `T13_THREADS`
 //! (default 4), `T13_OPS` (operations per thread, default 200000),
-//! `T13_PREFILL` (default 4096), `T13_SAMPLE_EVERY` (latency sampling
-//! stride when attached, default 64), `T13_SPAN_DUMP` (path: write the
-//! traced hub's span-ring dump there); `BENCH_JSON=1` emits one JSON object
-//! per mode and one per compared pair to stderr.
+//! `T13_SPAN_DUMP` (path: write the traced hub's span-ring dump there);
+//! `BENCH_JSON=1` emits one JSON object per mode and one per compared pair
+//! to stderr.
 
 use std::sync::Arc;
 
@@ -45,6 +44,12 @@ use choice_wire::{BackendSpec, QueueRegistry, QuotaSpec};
 /// The telemetry overhead budget: the largest throughput fall a mode may
 /// show against a cheaper one, before both modes' dispersion widens it.
 const BUDGET: f64 = 0.03;
+
+/// Keys inserted before the timed phase of every sample.
+const PREFILL: u64 = 4_096;
+
+/// Latency sampling stride of the attached and traced modes.
+const SAMPLE_EVERY: u32 = 64;
 
 /// How the MultiQueue under test reports.
 #[derive(Clone, Copy)]
@@ -84,9 +89,7 @@ fn run_sample(
     mode: Mode,
     hub: &Arc<ObsHub>,
     threads: usize,
-    prefill: u64,
     ops_per_thread: u64,
-    sample_every: u32,
     seed: u64,
 ) -> (u64, f64) {
     let mut queue =
@@ -94,12 +97,12 @@ fn run_sample(
     match mode {
         Mode::Detached => {}
         Mode::Attached => {
-            queue.attach_obs(QueueObs::with_sample_every(hub, "bench", sample_every));
+            queue.attach_obs(QueueObs::with_sample_every(hub, "bench", SAMPLE_EVERY));
         }
-        Mode::Traced => queue.attach_obs(QueueObs::with_trace(hub, "bench", sample_every)),
+        Mode::Traced => queue.attach_obs(QueueObs::with_trace(hub, "bench", SAMPLE_EVERY)),
     }
     let shared: Arc<dyn DynSharedPq<u64>> = Arc::new(queue);
-    let result = throughput_workload(shared, threads, prefill, ops_per_thread, seed);
+    let result = throughput_workload(shared, threads, PREFILL, ops_per_thread, seed);
     (result.operations, result.ops_per_second)
 }
 
@@ -140,8 +143,6 @@ fn main() {
     let samples = env_u64("T13_SAMPLES", 3).max(1);
     let threads = env_u64("T13_THREADS", 4) as usize;
     let ops_per_thread = env_u64("T13_OPS", 200_000);
-    let prefill = env_u64("T13_PREFILL", 4_096);
-    let sample_every = env_u64("T13_SAMPLE_EVERY", 64).max(1) as u32;
     let seed = 53u64;
 
     print_section(
@@ -149,8 +150,8 @@ fn main() {
         "choice-obs overhead: Figure-1 workload, telemetry detached / attached / traced",
     );
     println!(
-        "{threads} threads × {ops_per_thread} ops, prefill {prefill}, latency sampling \
-         1-in-{sample_every}; {samples} reps, each running every mode on one seed with the \
+        "{threads} threads × {ops_per_thread} ops, prefill {PREFILL}, latency sampling \
+         1-in-{SAMPLE_EVERY}; {samples} reps, each running every mode on one seed with the \
          first mode rotating; median per mode. Gate: no pair falls by more than {:.0}% plus \
          both modes' dispersion.",
         BUDGET * 100.0
@@ -167,9 +168,7 @@ fn main() {
                 mode,
                 &hubs[mode as usize],
                 threads,
-                prefill,
                 ops_per_thread,
-                sample_every,
                 rep_seed,
             );
             operations = ops;
@@ -189,7 +188,7 @@ fn main() {
     // rep, prefill included; the detached hub counted none; only the traced
     // hub recorded spans (a traced run that recorded nothing would gate a
     // vacuous overhead).
-    let counted_ops = samples * (prefill + operations);
+    let counted_ops = samples * (PREFILL + operations);
     for mode in Mode::ALL {
         let hub = &hubs[mode as usize];
         let mq_ops = hub
@@ -228,7 +227,7 @@ fn main() {
             &[
                 ("mode", JsonValue::from(mode.label())),
                 ("threads", JsonValue::from(threads as u64)),
-                ("prefill", JsonValue::from(prefill)),
+                ("prefill", JsonValue::from(PREFILL)),
                 ("samples", JsonValue::from(samples)),
                 ("ops", JsonValue::from(operations)),
                 ("mops_per_s", JsonValue::from(mops_median)),

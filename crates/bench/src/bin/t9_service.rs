@@ -14,7 +14,7 @@
 //! 3. each client follows its schedule *open-loop* — it sleeps until an
 //!    arrival's nominal time, never pacing itself on the service — and on
 //!    each arrival submits one `Insert`, interleaving one
-//!    `DeleteMinBatch(SERVICE_BENCH_BATCH)` every batch-sized block of
+//!    `DeleteMinBatch(BATCH)` every batch-sized block of
 //!    arrivals so the queue stays near steady state;
 //! 4. every response is matched (in order — the protocol guarantees it) to
 //!    its send time, giving a per-request round-trip latency recorded into a
@@ -30,10 +30,9 @@
 //! absorbs the load swings.
 //!
 //! Environment knobs: `SERVICE_BENCH_OPS` (arrivals per client, default
-//! 40000), `SERVICE_BENCH_CLIENTS` (default 4), `SERVICE_BENCH_WINDOW`
-//! (pipeline credit window, default 64), `SERVICE_BENCH_BATCH` (delete
-//! batch, default 8); `BENCH_JSON=1` emits one JSON object per row to
-//! stderr.
+//! 40000), `SERVICE_BENCH_CLIENTS` (default 4); `BENCH_JSON=1` emits one
+//! JSON object per row to stderr. The pipeline window ([`WINDOW`]) and the
+//! delete batch ([`BATCH`]) are constants.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -45,17 +44,21 @@ use choice_obs::{Histogram, HistogramSnapshot, MetricsRegistry};
 use choice_sched::{ArrivalPattern, TrafficClass, TrafficSpec};
 use choice_wire::{PqClient, PqServer, Request, Response, ServerConfig};
 
+/// Pipeline credit window of every client and of the server.
+const WINDOW: usize = 64;
+
+/// Entries one `DeleteMinBatch` asks for, sent once per this many arrivals.
+const BATCH: u32 = 8;
+
 /// Runs one client: follow the arrival schedule open-loop, pipeline the
 /// operations, time every response into the scenario's shared histogram.
 fn run_client(
     addr: SocketAddr,
-    window: usize,
-    batch: u32,
     spec: &TrafficSpec,
     rtt_ns: &Histogram,
 ) -> Result<u64, choice_wire::ClientError> {
     let schedule = spec.schedule();
-    let mut client = PqClient::connect_with_window(addr, window)?;
+    let mut client = PqClient::connect_with_window(addr, WINDOW)?;
     let mut operations = 0u64;
     let mut record = |(response, rtt): (Response, Duration)| {
         // A refusal would be a bug in the generator (it never sends the
@@ -79,8 +82,8 @@ fn run_client(
             record(timed);
         }
         operations += 1;
-        if (i + 1) % batch.max(1) as usize == 0 {
-            if let Some(timed) = client.submit(&Request::DeleteMinBatch { max: batch })? {
+        if (i + 1) % BATCH as usize == 0 {
+            if let Some(timed) = client.submit(&Request::DeleteMinBatch { max: BATCH })? {
                 record(timed);
             }
             operations += 1;
@@ -97,15 +100,13 @@ fn run_scenario(
     pattern: ArrivalPattern,
     clients: usize,
     ops_per_client: u64,
-    window: usize,
-    batch: u32,
     seed: u64,
 ) -> (u64, f64, HistogramSnapshot) {
     let queue = build_queue::<u64>(queue_spec, clients, seed);
     let server = PqServer::spawn(
         Arc::clone(&queue),
         "127.0.0.1:0",
-        ServerConfig::default().with_credit_window(window),
+        ServerConfig::default().with_credit_window(WINDOW),
     )
     .expect("bind ephemeral loopback port");
     let addr = server.local_addr();
@@ -134,8 +135,7 @@ fn run_scenario(
                 };
                 let rtt_ns = &rtt_ns;
                 scope.spawn(move || {
-                    run_client(addr, window, batch, &spec, rtt_ns)
-                        .expect("client ran to completion")
+                    run_client(addr, &spec, rtt_ns).expect("client ran to completion")
                 })
             })
             .collect();
@@ -154,8 +154,6 @@ fn run_scenario(
 fn main() {
     let ops_per_client = env_u64("SERVICE_BENCH_OPS", 40_000);
     let clients = env_u64("SERVICE_BENCH_CLIENTS", 4) as usize;
-    let window = env_u64("SERVICE_BENCH_WINDOW", 64) as usize;
-    let batch = env_u64("SERVICE_BENCH_BATCH", 8) as u32;
     let seed = 31u64;
 
     // Steady saturates loopback (nominal 50M arrivals/s per client: the
@@ -185,8 +183,8 @@ fn main() {
         "choice-wire service: backend × arrival pattern over loopback TCP",
     );
     println!(
-        "{clients} clients × {ops_per_client} arrivals, pipeline window {window}, \
-         delete batch {batch}; open-loop traffic schedules reused from sched::traffic"
+        "{clients} clients × {ops_per_client} arrivals, pipeline window {WINDOW}, \
+         delete batch {BATCH}; open-loop traffic schedules reused from sched::traffic"
     );
 
     let mut total_operations = 0u64;
@@ -202,15 +200,8 @@ fn main() {
             "max rtt µs",
         ]);
         for backend in backends {
-            let (operations, ops_per_second, rtt_ns) = run_scenario(
-                backend,
-                pattern,
-                clients,
-                ops_per_client,
-                window,
-                batch,
-                seed,
-            );
+            let (operations, ops_per_second, rtt_ns) =
+                run_scenario(backend, pattern, clients, ops_per_client, seed);
             total_operations += operations;
             let quantile_us = |q: f64| rtt_ns.quantile_upper_bound(q).unwrap_or(0) as f64 / 1_000.0;
             print_row(&[
@@ -227,8 +218,8 @@ fn main() {
                     ("backend", JsonValue::Str(backend.label())),
                     ("pattern", JsonValue::Str(pattern.label())),
                     ("clients", JsonValue::from(clients as u64)),
-                    ("window", JsonValue::from(window as u64)),
-                    ("delete_batch", JsonValue::from(u64::from(batch))),
+                    ("window", JsonValue::from(WINDOW as u64)),
+                    ("delete_batch", JsonValue::from(u64::from(BATCH))),
                     ("ops", JsonValue::from(operations)),
                     ("kops_per_s", JsonValue::from(ops_per_second / 1e3)),
                     ("p50_rtt_us", JsonValue::from(quantile_us(0.50))),

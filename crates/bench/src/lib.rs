@@ -22,16 +22,47 @@ pub use queues::{build_queue, QueueSpec};
 pub use report::{emit_json_row, json_enabled, print_header, print_row, print_section, JsonValue};
 
 /// Reads a `u64` knob from the environment (`SCHED_BENCH_*`,
-/// `SERVICE_BENCH_*`, `BENCH_*`, …), falling back to `default` when the
-/// variable is unset or unparsable — the one scaling mechanism every bench
-/// binary shares with the CI smoke steps.
+/// `SERVICE_BENCH_*`, the examples' `QUICKSTART_ITEMS`, …), falling back to
+/// `default` when the variable is unset — the one scaling mechanism every
+/// bench binary and example shares with the CI smoke steps.
+///
+/// # Panics
+///
+/// Panics, naming the knob and its value, when the variable is set but does
+/// not parse as a `u64`: `SCHED_BENCH_TASKS=5k` is a typo, not a request for
+/// the default.
 pub fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    match std::env::var(name) {
+        Err(std::env::VarError::NotPresent) => default,
+        Ok(value) => value
+            .parse()
+            .unwrap_or_else(|_| panic!("{name}={value:?} is not a u64")),
+        Err(std::env::VarError::NotUnicode(value)) => panic!("{name}={value:?} is not a u64"),
+    }
 }
 pub use workloads::{
     d_sweep_workload, rank_quality_workload, scheduler_workload, sssp_workload,
     throughput_workload, DSweepResult, RankQualityResult, ThroughputResult,
 };
+
+#[cfg(test)]
+mod tests {
+    use super::env_u64;
+
+    #[test]
+    fn env_u64_reads_an_unset_or_a_valid_knob() {
+        const KNOB: &str = "CHOICE_BENCH_TEST_VALID_KNOB";
+        std::env::remove_var(KNOB);
+        assert_eq!(env_u64(KNOB, 7), 7);
+        std::env::set_var(KNOB, "5000");
+        assert_eq!(env_u64(KNOB, 7), 5000);
+    }
+
+    #[test]
+    #[should_panic(expected = "CHOICE_BENCH_TEST_MALFORMED_KNOB=\"5k\" is not a u64")]
+    fn env_u64_refuses_a_malformed_knob() {
+        const KNOB: &str = "CHOICE_BENCH_TEST_MALFORMED_KNOB";
+        std::env::set_var(KNOB, "5k");
+        env_u64(KNOB, 7);
+    }
+}

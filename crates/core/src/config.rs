@@ -40,10 +40,6 @@ pub struct MultiQueueConfig {
     pub choice: ChoiceRule,
     /// Base seed for the per-handle random number generators.
     pub seed: u64,
-    /// Maximum number of try-lock failures tolerated in one operation before
-    /// falling back to a blocking lock acquisition (prevents livelock on
-    /// heavily oversubscribed machines).
-    pub max_retries: usize,
 }
 
 impl MultiQueueConfig {
@@ -63,7 +59,6 @@ impl MultiQueueConfig {
             shards: 1,
             choice: ChoiceRule::TwoChoice,
             seed: 0x5EED_CAFE,
-            max_retries: 64,
         }
     }
 
@@ -131,13 +126,8 @@ impl MultiQueueConfig {
     /// Panics if `shards == 0` or `shards > queues` (every shard must own at
     /// least one lane).
     pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(shards > 0, "need at least one shard");
-        assert!(
-            shards <= self.queues,
-            "shard count {shards} exceeds the lane count {}",
-            self.queues
-        );
         self.shards = shards;
+        self.validate();
         self
     }
 
@@ -147,15 +137,19 @@ impl MultiQueueConfig {
         self
     }
 
-    /// Sets the try-lock retry limit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_retries == 0`.
-    pub fn with_max_retries(mut self, max_retries: usize) -> Self {
-        assert!(max_retries > 0, "retry limit must be positive");
-        self.max_retries = max_retries;
-        self
+    /// Checks the whole value: at least one lane, `1 ≤ shards ≤ queues`,
+    /// and a valid choice rule. Every field is public, so `MultiQueue::new`
+    /// checks here too, not only the builders.
+    pub(crate) fn validate(&self) {
+        assert!(self.queues > 0, "need at least one queue");
+        assert!(self.shards > 0, "need at least one shard");
+        assert!(
+            self.shards <= self.queues,
+            "shard count {} exceeds the lane count {}",
+            self.shards,
+            self.queues
+        );
+        self.choice.validate();
     }
 
     /// The effective two-choice probability β of the configured rule (see
@@ -210,15 +204,11 @@ mod tests {
 
     #[test]
     fn builder_chain() {
-        let cfg = MultiQueueConfig::with_queues(8)
-            .with_beta(0.5)
-            .with_seed(9)
-            .with_max_retries(16);
+        let cfg = MultiQueueConfig::with_queues(8).with_beta(0.5).with_seed(9);
         assert_eq!(cfg.queues, 8);
         assert_eq!(cfg.choice, ChoiceRule::OnePlusBeta(0.5));
         assert_eq!(cfg.beta(), 0.5);
         assert_eq!(cfg.seed, 9);
-        assert_eq!(cfg.max_retries, 16);
         assert_eq!(cfg.label(), "multiqueue(n=8, beta=0.5)");
     }
 
@@ -286,12 +276,6 @@ mod tests {
     #[should_panic(expected = "d must be positive")]
     fn zero_d_panics() {
         let _ = MultiQueueConfig::with_queues(2).with_d(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "retry limit must be positive")]
-    fn zero_retries_panics() {
-        let _ = MultiQueueConfig::with_queues(2).with_max_retries(0);
     }
 
     #[test]

@@ -109,11 +109,15 @@ pub struct MultiQueue<V> {
 
 impl<V> MultiQueue<V> {
     /// Creates an empty MultiQueue with `config.queues` lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `queues ≥ 1`, `1 ≤ shards ≤ queues` and the choice rule
+    /// is valid (see [`ChoiceRule::validate`](crate::ChoiceRule::validate)):
+    /// the fields are public, so a struct literal can skip the builders'
+    /// checks.
     pub fn new(config: MultiQueueConfig) -> Self {
-        assert!(
-            config.shards <= config.queues,
-            "shard count exceeds the lane count"
-        );
+        config.validate();
         let lanes = (0..config.queues)
             .map(|_| CachePadded::new(Lane::new()))
             .collect();
@@ -262,6 +266,11 @@ impl<V> MultiQueue<V> {
         }
     }
 
+    /// Try-lock failures one operation tolerates before it falls back to a
+    /// blocking lock (insert) or the steal scan (removal), so a heavily
+    /// oversubscribed machine cannot livelock.
+    pub const MAX_RETRIES: usize = 64;
+
     /// Contended-retry count at (or above) which a publish records a
     /// `LaneContention` flight-recorder event, whichever lane took the
     /// element. The blocking fallback always records one; this threshold
@@ -301,7 +310,7 @@ impl<V> MultiQueue<V> {
         debug_assert!(key != EMPTY_TOP, "keys are validated at the handle layer");
         let mut lock_retries = 0u64;
         let (lane, fell_back) = 'published: {
-            for _ in 0..self.config.max_retries {
+            for _ in 0..Self::MAX_RETRIES {
                 let q = self.stride_lane(rng, shard);
                 if let Some(mut guard) = self.lanes[q].try_lock() {
                     guard.push(key, value);
@@ -429,7 +438,7 @@ impl<V> MultiQueue<V> {
         }
         let mut contended_retries = 0u64;
         let mut sparse_retries = 0u64;
-        for _ in 0..self.config.max_retries {
+        for _ in 0..Self::MAX_RETRIES {
             let Some(victim) = self.choose_victim(rng, scratch) else {
                 if self.len_sum() == 0 {
                     return DrainOutcome {
@@ -657,6 +666,46 @@ mod tests {
         for _ in 0..1_000 {
             assert_eq!(h1.delete_min(), h2.delete_min());
         }
+    }
+
+    /// The config's fields are public, so `new` must check a struct literal
+    /// the builders never saw: with zero shards, the first `register` would
+    /// divide by zero.
+    #[test]
+    #[should_panic(expected = "need at least one shard")]
+    fn new_rejects_zero_shards() {
+        let q = MultiQueue::<u64>::new(MultiQueueConfig {
+            shards: 0,
+            ..MultiQueueConfig::with_queues(4)
+        });
+        let _ = q.register();
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the lane count")]
+    fn new_rejects_more_shards_than_lanes() {
+        let _ = MultiQueue::<u64>::new(MultiQueueConfig {
+            shards: 5,
+            ..MultiQueueConfig::with_queues(4)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one queue")]
+    fn new_rejects_zero_queues() {
+        let _ = MultiQueue::<u64>::new(MultiQueueConfig {
+            queues: 0,
+            ..MultiQueueConfig::with_queues(4)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "d must be positive")]
+    fn new_rejects_an_invalid_choice_rule() {
+        let _ = MultiQueue::<u64>::new(MultiQueueConfig {
+            choice: crate::ChoiceRule::DChoice(0),
+            ..MultiQueueConfig::with_queues(4)
+        });
     }
 
     #[test]

@@ -19,16 +19,6 @@ use rank_stats::rng::{RandomSource, SplitMix64};
 
 pub use rank_stats::choice::ChoiceRule;
 
-/// The former process-local removal-rule enum; `ChoiceRule` carries the same
-/// variants (`SingleChoice`, `TwoChoice`, `OnePlusBeta`) plus the general
-/// `DChoice(d)`.
-#[deprecated(
-    since = "0.3.0",
-    note = "use rank_stats::choice::ChoiceRule (re-exported as \
-            choice_process::ChoiceRule), which the concurrent queue shares"
-)]
-pub type RemovalRule = ChoiceRule;
-
 /// The insertion distribution over queues.
 #[derive(Clone, Debug, PartialEq)]
 pub enum BiasSpec {

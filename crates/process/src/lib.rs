@@ -58,8 +58,6 @@ pub mod potential;
 pub mod round_robin;
 pub mod sequential;
 
-#[allow(deprecated)]
-pub use config::RemovalRule;
 pub use config::{BiasSpec, ChoiceRule, ProcessConfig};
 pub use coupling::{distance_to_theory, rank_occupancy_distance, RankOccupancy};
 pub use exponential::{ExponentialInsertion, ExponentialTopProcess};

@@ -32,7 +32,7 @@ mod registry;
 mod spec;
 
 pub use registry::{
-    valid_name, QueueBinding, QueueRegistry, QueueSnapshot, Refusal, RegistryConfig, RegistryError,
-    DEFAULT_QUEUE, MAX_NAME_LEN, MAX_QUEUES,
+    valid_name, QueueBinding, QueueRegistry, QueueSnapshot, Refusal, RegistryError, DEFAULT_QUEUE,
+    MAX_NAME_LEN, MAX_QUEUES,
 };
 pub use spec::{BackendSpec, QuotaSpec};

@@ -11,7 +11,8 @@
 //! **dropped** by name; the entry leaves the namespace immediately (the name
 //! can be recreated) and every live binding observes the tombstone on its
 //! next admitted operation, getting a typed refusal — never a panic, and
-//! never a dangling session.
+//! never a dangling session. A registry holds at most [`MAX_QUEUES`]
+//! queues, the row count the wire's list and stats frames are sized for.
 //!
 //! # Statistics
 //!
@@ -23,6 +24,12 @@
 //! go backwards. Refusals are counted on the entry (they have no session
 //! stats slot of their own) and folded into the aggregate's
 //! `HandleStats::refusals`.
+//!
+//! A dropped queue's counters move to the registry's retired total, which
+//! stays complete and monotonic: an operation admitted just before the drop
+//! may publish its counters after it, so the dropped entry is read live
+//! until its last binding closes, and only then folds into the retired
+//! roll-up.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -39,9 +46,13 @@ use rank_stats::tokens::TokenBucket;
 
 use crate::spec::{BackendSpec, QuotaSpec};
 
-/// Hard ceiling on the number of queues any registry may hold (the wire
-/// protocol sizes its list/stats frames against this).
+/// The number of queues a registry may hold (the wire protocol sizes its
+/// list/stats frames against this).
 pub const MAX_QUEUES: usize = 1024;
+
+/// Base RNG seed ("nest"); each queue derives its own seed from this and its
+/// name, so a registry full of queues stays deterministic per name.
+const SEED: u64 = 0x5EED_4E57;
 
 /// The queue every service connection starts bound to (when it exists).
 pub const DEFAULT_QUEUE: &str = "default";
@@ -71,7 +82,7 @@ pub enum RegistryError {
     NotFound(String),
     /// The registry is at its queue-count ceiling.
     Full {
-        /// The configured ceiling that was hit.
+        /// The ceiling that was hit ([`MAX_QUEUES`]).
         limit: usize,
     },
     /// The queue's concurrent-session quota is exhausted.
@@ -177,14 +188,11 @@ struct QueueEntry {
     inflight: AtomicU64,
     sessions_live: AtomicU64,
     sessions_total: AtomicU64,
-    refusals_rate_urgent: AtomicU64,
-    refusals_rate_background: AtomicU64,
-    refusals_inflight: AtomicU64,
-    refusals_dropped: AtomicU64,
-    /// Refusals decided outside the quota machinery (e.g. the service
-    /// layer's reserved-key check), attributed here so per-queue totals
-    /// stay complete.
-    refusals_external: AtomicU64,
+    /// Refusals of every category, including those decided outside the
+    /// quota machinery (e.g. the service layer's reserved-key check), so
+    /// per-queue totals stay complete. The per-category split lives in
+    /// `registry_refusals_total{category}`.
+    refusals: AtomicU64,
     bucket: Option<Mutex<TokenBucket>>,
     stats: Mutex<StatsInner>,
 }
@@ -213,11 +221,7 @@ impl QueueEntry {
             inflight: AtomicU64::new(0),
             sessions_live: AtomicU64::new(0),
             sessions_total: AtomicU64::new(0),
-            refusals_rate_urgent: AtomicU64::new(0),
-            refusals_rate_background: AtomicU64::new(0),
-            refusals_inflight: AtomicU64::new(0),
-            refusals_dropped: AtomicU64::new(0),
-            refusals_external: AtomicU64::new(0),
+            refusals: AtomicU64::new(0),
             bucket,
             stats: Mutex::new(StatsInner {
                 live: Vec::new(),
@@ -244,15 +248,6 @@ impl QueueEntry {
         })
     }
 
-    fn total_refusals(&self) -> u64 {
-        self.refusals_rate_urgent
-            .load(Ordering::Relaxed)
-            .saturating_add(self.refusals_rate_background.load(Ordering::Relaxed))
-            .saturating_add(self.refusals_inflight.load(Ordering::Relaxed))
-            .saturating_add(self.refusals_dropped.load(Ordering::Relaxed))
-            .saturating_add(self.refusals_external.load(Ordering::Relaxed))
-    }
-
     /// Aggregated counters: closed roll-up + every live slot + refusals.
     fn aggregate(&self) -> HandleStats {
         let inner = self.stats.lock();
@@ -261,7 +256,9 @@ impl QueueEntry {
             totals.merge(&slot.lock());
         }
         drop(inner);
-        totals.refusals = totals.refusals.saturating_add(self.total_refusals());
+        totals.refusals = totals
+            .refusals
+            .saturating_add(self.refusals.load(Ordering::Relaxed));
         totals
     }
 
@@ -284,47 +281,6 @@ impl QueueEntry {
     }
 }
 
-/// Registry-wide configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RegistryConfig {
-    /// Queue-count ceiling (at most [`MAX_QUEUES`]).
-    pub max_queues: usize,
-    /// Base RNG seed; each queue derives its own seed from this and its
-    /// name, so a registry full of queues stays deterministic per name.
-    pub seed: u64,
-}
-
-impl Default for RegistryConfig {
-    fn default() -> Self {
-        Self {
-            max_queues: 256,
-            seed: 0x5EED_4E57, // "nest"
-        }
-    }
-}
-
-impl RegistryConfig {
-    /// Sets the queue-count ceiling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_queues` is `0` or exceeds [`MAX_QUEUES`].
-    pub fn with_max_queues(mut self, max_queues: usize) -> Self {
-        assert!(
-            (1..=MAX_QUEUES).contains(&max_queues),
-            "max_queues must be in 1..={MAX_QUEUES}"
-        );
-        self.max_queues = max_queues;
-        self
-    }
-
-    /// Sets the base seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-}
-
 /// FNV-1a over the queue name: mixed into the registry seed so each queue's
 /// RNG stream is deterministic per (registry seed, name).
 fn name_hash(name: &str) -> u64 {
@@ -343,36 +299,33 @@ fn name_hash(name: &str) -> u64 {
 /// queue or taking stats locks.
 pub struct QueueRegistry {
     queues: Mutex<BTreeMap<String, Arc<QueueEntry>>>,
-    config: RegistryConfig,
     /// Monotonic origin for token-bucket timestamps.
     epoch: Instant,
     /// Refusals answered without any queue bound (e.g. session ops from a
     /// connection whose queue vanished) — kept out of per-queue rows but
     /// folded into service-level totals.
     unbound_refusals: AtomicU64,
-    /// Roll-up of dropped queues' final aggregates, so service-level totals
-    /// stay monotonic across `drop_queue` (per-queue rows for dropped
-    /// queues disappear; their history does not).
-    retired: Mutex<HandleStats>,
+    /// Dropped queues' counters, so service-level totals stay monotonic
+    /// across `drop_queue` (per-queue rows for dropped queues disappear;
+    /// their history does not). Shared with every binding, whose close may
+    /// be the one that folds its dropped queue in.
+    retired: Arc<Mutex<Retired>>,
     /// Telemetry hub, attached once via [`set_obs`](Self::set_obs). A
     /// `OnceLock` because the registry `Arc` is typically created before
     /// the server that owns the hub.
     obs: OnceLock<Arc<ObsHub>>,
 }
 
-impl QueueRegistry {
-    /// Creates an empty registry.
-    pub fn new(config: RegistryConfig) -> Self {
-        Self {
-            queues: Mutex::new(BTreeMap::new()),
-            config,
-            epoch: Instant::now(),
-            unbound_refusals: AtomicU64::new(0),
-            retired: Mutex::new(HandleStats::default()),
-            obs: OnceLock::new(),
-        }
-    }
+/// The retired roll-up: final aggregates of dropped queues whose bindings
+/// have all closed, plus the dropped queues that still have a live binding
+/// (read live, since those bindings may still publish counters).
+#[derive(Default)]
+struct Retired {
+    folded: HandleStats,
+    draining: Vec<Arc<QueueEntry>>,
+}
 
+impl QueueRegistry {
     /// Attaches a telemetry hub: every binding opened afterwards counts its
     /// refusals into `registry_refusals_total{queue=,category=}`, mirrors
     /// the in-flight quota into the `registry_inflight{queue=}` gauge, and
@@ -387,11 +340,6 @@ impl QueueRegistry {
     /// The attached telemetry hub, if any.
     pub fn obs(&self) -> Option<&Arc<ObsHub>> {
         self.obs.get()
-    }
-
-    /// The configured ceiling.
-    pub fn max_queues(&self) -> usize {
-        self.config.max_queues
     }
 
     /// Number of queues currently registered.
@@ -441,7 +389,7 @@ impl QueueRegistry {
         if !valid_name(name) {
             return Err(RegistryError::BadName(name.to_string()));
         }
-        let seed = self.config.seed ^ name_hash(name);
+        let seed = SEED ^ name_hash(name);
         let entry = Arc::new(QueueEntry::new(name, spec, quota, seed));
         if let Some(queue) = prebuilt {
             let _ = entry.queue.set(queue);
@@ -450,10 +398,8 @@ impl QueueRegistry {
         if map.contains_key(name) {
             return Err(RegistryError::Exists(name.to_string()));
         }
-        if map.len() >= self.config.max_queues {
-            return Err(RegistryError::Full {
-                limit: self.config.max_queues,
-            });
+        if map.len() >= MAX_QUEUES {
+            return Err(RegistryError::Full { limit: MAX_QUEUES });
         }
         map.insert(name.to_string(), entry);
         Ok(())
@@ -461,9 +407,11 @@ impl QueueRegistry {
 
     /// Drops the named queue: the name leaves the namespace immediately and
     /// live bindings observe a [`Refusal::Dropped`] tombstone on their next
-    /// admitted operation. The queue's aggregate counters (as of the drop)
-    /// move into the retired roll-up so service-level totals stay
-    /// monotonic; per-queue rows for it disappear.
+    /// admitted operation. The queue's counters move into the retired total
+    /// so service-level totals stay monotonic; per-queue rows for it
+    /// disappear. With no binding left the final aggregate folds in now;
+    /// otherwise the entry is read live until its last binding closes,
+    /// which folds it in.
     pub fn drop_queue(&self, name: &str) -> Result<(), RegistryError> {
         let entry = self
             .queues
@@ -471,36 +419,47 @@ impl QueueRegistry {
             .remove(name)
             .ok_or_else(|| RegistryError::NotFound(name.to_string()))?;
         entry.dropped.store(true, Ordering::SeqCst);
-        self.retired.lock().merge(&entry.aggregate());
+        // Sessions are claimed under the namespace lock, so none can be
+        // added now. A binding whose close this load does not see sees
+        // `dropped` and folds the entry itself (see `QueueBinding::drop`).
+        let mut retired = self.retired.lock();
+        if entry.sessions_live.load(Ordering::SeqCst) == 0 {
+            retired.folded.merge(&entry.aggregate());
+        } else {
+            retired.draining.push(entry);
+        }
         Ok(())
     }
 
     /// Opens a session binding on the named queue (counted against its
     /// session quota until the binding drops).
     pub fn bind(&self, name: &str) -> Result<QueueBinding, RegistryError> {
-        let entry = self
-            .queues
-            .lock()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| RegistryError::NotFound(name.to_string()))?;
-        let max = entry.quota.max_sessions;
-        if max > 0 {
-            let claimed =
-                entry
-                    .sessions_live
-                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| {
-                        (v < max).then_some(v + 1)
+        // The session is claimed under the namespace lock, so `drop_queue`
+        // never sees a dropped entry gain a binding.
+        let entry = {
+            let map = self.queues.lock();
+            let entry = map
+                .get(name)
+                .ok_or_else(|| RegistryError::NotFound(name.to_string()))?;
+            let max = entry.quota.max_sessions;
+            if max > 0 {
+                let claimed =
+                    entry
+                        .sessions_live
+                        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| {
+                            (v < max).then_some(v + 1)
+                        });
+                if claimed.is_err() {
+                    return Err(RegistryError::SessionLimit {
+                        name: name.to_string(),
+                        limit: max,
                     });
-            if claimed.is_err() {
-                return Err(RegistryError::SessionLimit {
-                    name: name.to_string(),
-                    limit: max,
-                });
+                }
+            } else {
+                entry.sessions_live.fetch_add(1, Ordering::SeqCst);
             }
-        } else {
-            entry.sessions_live.fetch_add(1, Ordering::SeqCst);
-        }
+            Arc::clone(entry)
+        };
         entry.sessions_total.fetch_add(1, Ordering::Relaxed);
         let slot = Arc::new(Mutex::new(HandleStats::default()));
         entry.stats.lock().live.push(Arc::clone(&slot));
@@ -510,6 +469,7 @@ impl QueueRegistry {
             entry,
             slot,
             epoch: self.epoch,
+            retired: Arc::clone(&self.retired),
         })
     }
 
@@ -519,9 +479,15 @@ impl QueueRegistry {
         entries.iter().map(|e| e.snapshot()).collect()
     }
 
-    /// The retired roll-up: final aggregates of every dropped queue.
+    /// The retired total: the counters of every dropped queue, including
+    /// what its still-open bindings have published since the drop.
     pub fn retired_totals(&self) -> HandleStats {
-        *self.retired.lock()
+        let retired = self.retired.lock();
+        let mut totals = retired.folded;
+        for entry in &retired.draining {
+            totals.merge(&entry.aggregate());
+        }
+        totals
     }
 
     /// Counts one refusal that no queue can be charged for.
@@ -547,8 +513,15 @@ impl QueueRegistry {
 }
 
 impl Default for QueueRegistry {
+    /// An empty registry.
     fn default() -> Self {
-        Self::new(RegistryConfig::default())
+        Self {
+            queues: Mutex::new(BTreeMap::new()),
+            epoch: Instant::now(),
+            unbound_refusals: AtomicU64::new(0),
+            retired: Arc::default(),
+            obs: OnceLock::new(),
+        }
     }
 }
 
@@ -556,7 +529,6 @@ impl fmt::Debug for QueueRegistry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("QueueRegistry")
             .field("queues", &self.len())
-            .field("max_queues", &self.config.max_queues)
             .finish()
     }
 }
@@ -608,6 +580,9 @@ pub struct QueueBinding {
     /// The registry's telemetry hub at bind time, handed to the entry's
     /// lazy queue build so registry-built backends come up instrumented.
     hub: Option<Arc<ObsHub>>,
+    /// The registry's retired roll-up, which the last binding of a dropped
+    /// queue folds the queue into.
+    retired: Arc<Mutex<Retired>>,
 }
 
 impl QueueBinding {
@@ -654,7 +629,6 @@ impl QueueBinding {
 
     fn admit(&self, is_insert: bool, key: Key) -> Result<(), Refusal> {
         if self.entry.dropped.load(Ordering::SeqCst) {
-            self.entry.refusals_dropped.fetch_add(1, Ordering::Relaxed);
             self.obs_refusal(refusal_category::DROPPED, key);
             return Err(Refusal::Dropped);
         }
@@ -669,7 +643,6 @@ impl QueueBinding {
                             (v < max).then_some(v + 1)
                         });
                 if claimed.is_err() {
-                    self.entry.refusals_inflight.fetch_add(1, Ordering::Relaxed);
                     self.obs_refusal(refusal_category::INFLIGHT, key);
                     return Err(Refusal::InFlight);
                 }
@@ -698,18 +671,11 @@ impl QueueBinding {
                                 Some(v.saturating_sub(1))
                             });
                 }
-                let (counter, category) = if background {
-                    (
-                        &self.entry.refusals_rate_background,
-                        refusal_category::RATE_BACKGROUND,
-                    )
+                let category = if background {
+                    refusal_category::RATE_BACKGROUND
                 } else {
-                    (
-                        &self.entry.refusals_rate_urgent,
-                        refusal_category::RATE_URGENT,
-                    )
+                    refusal_category::RATE_URGENT
                 };
-                counter.fetch_add(1, Ordering::Relaxed);
                 self.obs_refusal(category, key);
                 return Err(Refusal::Rate { background });
             }
@@ -722,10 +688,12 @@ impl QueueBinding {
         Ok(())
     }
 
-    /// Mirrors one refusal into the obs hub: per-category counter plus a
-    /// flight-recorder [`EventKind::QuotaRefusal`] event labelled with the
-    /// queue name, carrying `[category, key, inflight-at-refusal]`.
+    /// Counts one refusal on the entry and mirrors it into the obs hub:
+    /// per-category counter plus a flight-recorder
+    /// [`EventKind::QuotaRefusal`] event labelled with the queue name,
+    /// carrying `[category, key, inflight-at-refusal]`.
     fn obs_refusal(&self, category: u64, key: Key) {
+        self.entry.refusals.fetch_add(1, Ordering::Relaxed);
         if let Some(obs) = &self.obs {
             obs.refusals[category as usize].inc();
             obs.recorder.record(
@@ -757,7 +725,6 @@ impl QueueBinding {
     /// Counts one refusal decided outside the quota machinery (e.g. a
     /// reserved-key refusal at the service layer) against this queue.
     pub fn note_external_refusal(&self) {
-        self.entry.refusals_external.fetch_add(1, Ordering::Relaxed);
         self.obs_refusal(refusal_category::EXTERNAL, 0);
     }
 
@@ -791,7 +758,18 @@ impl Drop for QueueBinding {
         inner.closed.merge(&finals);
         inner.live.retain(|s| !Arc::ptr_eq(s, &self.slot));
         drop(inner);
-        self.entry.sessions_live.fetch_sub(1, Ordering::SeqCst);
+        // The last binding of a dropped queue folds it into the retired
+        // roll-up (unless `drop_queue`, reading no binding, already did).
+        if self.entry.sessions_live.fetch_sub(1, Ordering::SeqCst) == 1
+            && self.entry.dropped.load(Ordering::SeqCst)
+        {
+            let mut retired = self.retired.lock();
+            let draining = &mut retired.draining;
+            if let Some(i) = draining.iter().position(|e| Arc::ptr_eq(e, &self.entry)) {
+                draining.swap_remove(i);
+                retired.folded.merge(&self.entry.aggregate());
+            }
+        }
     }
 }
 
@@ -846,19 +824,22 @@ mod tests {
 
     #[test]
     fn lazy_instantiation_is_deterministic_per_name() {
-        let reg_a = QueueRegistry::new(RegistryConfig::default().with_seed(7));
-        let reg_b = QueueRegistry::new(RegistryConfig::default().with_seed(7));
-        for reg in [&reg_a, &reg_b] {
+        let removal_order = || {
+            let reg = QueueRegistry::default();
             reg.create("q", mq(), QuotaSpec::unlimited()).unwrap();
-        }
-        let ba = reg_a.bind("q").unwrap();
-        let bb = reg_b.bind("q").unwrap();
-        assert_eq!(ba.queue().name_dyn(), bb.queue().name_dyn());
+            let b = reg.bind("q").unwrap();
+            let mut s = b.register();
+            for k in 0..64u64 {
+                s.insert(k * 37 % 64, k);
+            }
+            std::iter::from_fn(|| s.delete_min()).collect::<Vec<_>>()
+        };
+        assert_eq!(removal_order(), removal_order());
     }
 
     #[test]
     fn namespace_errors_are_typed() {
-        let reg = QueueRegistry::new(RegistryConfig::default().with_max_queues(2));
+        let reg = QueueRegistry::default();
         assert!(matches!(
             reg.create("", mq(), QuotaSpec::unlimited()),
             Err(RegistryError::BadName(_))
@@ -876,10 +857,13 @@ mod tests {
             reg.create("a", mq(), QuotaSpec::unlimited()),
             Err(RegistryError::Exists("a".to_string()))
         );
-        reg.create("b", mq(), QuotaSpec::unlimited()).unwrap();
+        for i in 1..MAX_QUEUES {
+            reg.create(&format!("q{i}"), mq(), QuotaSpec::unlimited())
+                .unwrap();
+        }
         assert_eq!(
             reg.create("c", mq(), QuotaSpec::unlimited()),
-            Err(RegistryError::Full { limit: 2 })
+            Err(RegistryError::Full { limit: MAX_QUEUES })
         );
         assert!(matches!(
             reg.bind("missing"),
@@ -997,6 +981,43 @@ mod tests {
         assert_eq!(b.admit_removal(), Err(Refusal::Dropped));
         // The binding itself never panics; dropping it releases cleanly.
         drop(b);
+    }
+
+    /// Work admitted just before `drop_queue` publishes its counters after
+    /// it; the retired total must still count it, and fold the queue in
+    /// exactly once, when its last binding closes.
+    #[test]
+    fn counts_that_straddle_a_drop_reach_the_retired_totals() {
+        let reg = QueueRegistry::default();
+        reg.create("q", BackendSpec::CoarseHeap, QuotaSpec::unlimited())
+            .unwrap();
+        let b = reg.bind("q").unwrap();
+        let other = reg.bind("q").unwrap();
+        let mut s = b.register();
+        for k in 0..8u64 {
+            b.admit_insert(k).unwrap();
+            s.insert(k, k);
+        }
+        b.publish_stats(s.stats());
+        b.admit_removal().unwrap();
+        reg.drop_queue("q").unwrap();
+        assert_eq!(reg.retired_totals().inserts, 8);
+        // The batch admitted before the drop lands after it.
+        let mut out = Vec::new();
+        assert_eq!(s.delete_min_batch_into(8, &mut out), 8);
+        b.note_removed(8);
+        b.publish_stats(s.stats());
+        assert_eq!(b.admit_insert(9), Err(Refusal::Dropped));
+        let live = reg.retired_totals();
+        assert_eq!((live.inserts, live.removals, live.refusals), (8, 8, 1));
+        drop(s);
+        drop(b);
+        // One binding is still open: the entry is read live, not folded.
+        assert_eq!(reg.retired.lock().draining.len(), 1);
+        assert_eq!(reg.retired_totals(), live);
+        drop(other);
+        assert!(reg.retired.lock().draining.is_empty(), "folded on close");
+        assert_eq!(reg.retired_totals(), live, "folded exactly once");
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! * [`Scheduler`] — a worker pool over any `SharedPq` backend (concrete or
 //!   type-erased). Tasks carry deadline-style priorities (smaller key = more
 //!   urgent) and may **spawn follow-up tasks** from inside workers via
-//!   [`TaskCtx::spawn`]. Per-worker behaviour — the `delete_min_batch`
-//!   drain size and the exponential idle backoff — is configured through
-//!   [`SchedulerConfig`], so the d/batch engine knobs become scheduler
-//!   throughput knobs.
+//!   [`TaskCtx::spawn`]. The per-worker `delete_min_batch` drain size is
+//!   configured through [`SchedulerConfig`], so the d/batch engine knobs
+//!   become scheduler throughput knobs; the idle backoff is one fixed
+//!   schedule (8 yields, then sleeps doubling from 20 µs to 2 ms).
 //! * **Termination detection** — a count-based quiescence protocol
 //!   ([`scheduler`] module docs) that is correct for the spawn-from-task
 //!   case and robust to the MultiQueue's relaxed `approx_len` and to
@@ -61,9 +61,7 @@ pub mod scheduler;
 pub mod traffic;
 
 pub use lateness::{ClassLateness, LatenessTracker};
-pub use scheduler::{
-    BackoffPolicy, Injector, Scheduler, SchedulerConfig, SchedulerReport, TaskCtx, WorkerReport,
-};
+pub use scheduler::{Injector, Scheduler, SchedulerConfig, SchedulerReport, TaskCtx, WorkerReport};
 pub use traffic::{
     run_scenario, Arrival, ArrivalPattern, ScenarioReport, TrafficClass, TrafficSpec, TrafficTask,
 };

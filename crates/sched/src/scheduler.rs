@@ -64,42 +64,26 @@ use choice_pq::{check_key, HandleStats, Key, PqHandle, SharedPq};
 use rank_stats::histogram::LogHistogram;
 use rank_stats::timing::OpsTimer;
 
-/// Exponential idle-backoff policy for workers that keep finding the queue
-/// empty (while termination has not been detected).
-///
-/// The first `spin_polls` consecutive empty polls just yield the CPU;
-/// subsequent ones sleep, doubling from `initial` up to `max`. Any
-/// successful pop resets the progression.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BackoffPolicy {
-    /// Consecutive empty polls that only `yield_now` before sleeping starts.
-    pub spin_polls: u32,
-    /// First sleep duration once spinning is exhausted.
-    pub initial: Duration,
-    /// Sleep-duration ceiling.
-    pub max: Duration,
-}
+/// Consecutive empty polls that only `yield_now` before an idle worker
+/// starts sleeping.
+const SPIN_POLLS: u32 = 8;
+/// The first idle sleep once spinning is exhausted.
+const FIRST_SLEEP: Duration = Duration::from_micros(20);
+/// The idle-sleep ceiling.
+const MAX_SLEEP: Duration = Duration::from_millis(2);
 
-impl Default for BackoffPolicy {
-    fn default() -> Self {
-        Self {
-            spin_polls: 8,
-            initial: Duration::from_micros(20),
-            max: Duration::from_millis(2),
-        }
+/// The exponential idle backoff of a worker that keeps finding the queue
+/// empty (while termination has not been detected): the wait for the
+/// `attempt`-th consecutive empty poll (1-based). The first
+/// [`SPIN_POLLS`] only yield (`None`); later ones sleep, doubling from
+/// [`FIRST_SLEEP`] up to [`MAX_SLEEP`]. Any successful pop resets the
+/// progression.
+fn idle_wait(attempt: u32) -> Option<Duration> {
+    if attempt <= SPIN_POLLS {
+        return None;
     }
-}
-
-impl BackoffPolicy {
-    /// The wait for the `attempt`-th consecutive empty poll (1-based);
-    /// `None` means "yield, do not sleep".
-    fn wait_for(&self, attempt: u32) -> Option<Duration> {
-        if attempt <= self.spin_polls {
-            return None;
-        }
-        let doublings = (attempt - self.spin_polls - 1).min(20);
-        Some(self.initial.saturating_mul(1 << doublings).min(self.max))
-    }
+    let doublings = (attempt - SPIN_POLLS - 1).min(20);
+    Some(FIRST_SLEEP.saturating_mul(1 << doublings).min(MAX_SLEEP))
 }
 
 /// Configuration of a [`Scheduler`] worker pool.
@@ -111,13 +95,10 @@ pub struct SchedulerConfig {
     /// is plain `delete_min`; larger values amortise the lane choice and
     /// lock over the batch at a bounded priority-quality cost.
     pub delete_batch: usize,
-    /// Idle backoff applied on consecutive empty polls.
-    pub backoff: BackoffPolicy,
 }
 
 impl SchedulerConfig {
-    /// A plain configuration: `workers` threads, single-task polls, default
-    /// backoff.
+    /// A plain configuration: `workers` threads, single-task polls.
     ///
     /// # Panics
     ///
@@ -127,7 +108,6 @@ impl SchedulerConfig {
         Self {
             workers,
             delete_batch: 1,
-            backoff: BackoffPolicy::default(),
         }
     }
 
@@ -139,12 +119,6 @@ impl SchedulerConfig {
     pub fn with_delete_batch(mut self, delete_batch: usize) -> Self {
         assert!(delete_batch > 0, "delete batch must be positive");
         self.delete_batch = delete_batch;
-        self
-    }
-
-    /// Sets the idle-backoff policy.
-    pub fn with_backoff(mut self, backoff: BackoffPolicy) -> Self {
-        self.backoff = backoff;
         self
     }
 }
@@ -556,7 +530,7 @@ impl<'q, V: Send, Q: SharedPq<V> + ?Sized> Scheduler<'q, V, Q> {
             }
             idle_polls += 1;
             report.backoff_waits += 1;
-            match self.config.backoff.wait_for(idle_polls) {
+            match idle_wait(idle_polls) {
                 None => std::thread::yield_now(),
                 Some(sleep) => std::thread::sleep(sleep),
             }
@@ -719,18 +693,17 @@ mod tests {
     }
 
     #[test]
-    fn backoff_policy_escalates_and_caps() {
-        let p = BackoffPolicy {
-            spin_polls: 2,
-            initial: Duration::from_micros(10),
-            max: Duration::from_micros(35),
-        };
-        assert_eq!(p.wait_for(1), None);
-        assert_eq!(p.wait_for(2), None);
-        assert_eq!(p.wait_for(3), Some(Duration::from_micros(10)));
-        assert_eq!(p.wait_for(4), Some(Duration::from_micros(20)));
-        assert_eq!(p.wait_for(5), Some(Duration::from_micros(35)));
-        assert_eq!(p.wait_for(60), Some(Duration::from_micros(35)));
+    fn idle_backoff_yields_eight_times_then_sleeps_doubling_to_two_ms() {
+        for attempt in 1..=8 {
+            assert_eq!(idle_wait(attempt), None, "attempt {attempt} only yields");
+        }
+        let sleeps: Vec<u64> = (9..=16)
+            .map(|attempt| idle_wait(attempt).unwrap().as_micros() as u64)
+            .collect();
+        assert_eq!(sleeps, [20, 40, 80, 160, 320, 640, 1280, 2000]);
+        for attempt in [17, 60, u32::MAX] {
+            assert_eq!(idle_wait(attempt), Some(Duration::from_millis(2)));
+        }
     }
 
     #[test]

@@ -80,7 +80,7 @@ pub use server::{PqServer, ServerConfig};
 // Registry vocabulary used in the service API surface (queue specs, quotas,
 // and the registry itself for `PqServer::spawn_registry`), re-exported so
 // wire users don't need a direct `choice-registry` dependency.
-pub use choice_registry::{BackendSpec, QueueRegistry, QuotaSpec, RegistryConfig, DEFAULT_QUEUE};
+pub use choice_registry::{BackendSpec, QueueRegistry, QuotaSpec, DEFAULT_QUEUE};
 
 // The telemetry hub type appears in the server API
 // (`PqServer::spawn_registry_with_obs`, `PqServer::obs`); re-exported for

@@ -71,46 +71,23 @@ use crate::protocol::{
     MAX_BATCH, WIRE_VERSION,
 };
 
-/// Server-side configuration: the service limits.
+/// Server-side configuration. `DeleteMinBatch` sizes are clamped to the wire
+/// limit [`MAX_BATCH`] (requests asking for more are clamped, not refused).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Upper bound the server imposes on `DeleteMinBatch` sizes (requests
-    /// asking for more are clamped, not refused). Also bounded by the wire
-    /// limit [`MAX_BATCH`].
-    pub max_batch: u32,
     /// Response credit window: how many responses may accumulate in a
     /// connection's write buffer before a flush is forced. Mirrors the
     /// client's pipelining window; `1` degenerates to flush-per-response.
     pub credit_window: usize,
-    /// Fault injection for the panic-recovery path: an `Insert` of exactly
-    /// this key panics the connection handler (before admission, so no
-    /// counters move). The panic is caught, the flight recorder dumps, and
-    /// only that connection dies. `None` (the default) disables the trap.
-    pub panic_on_key: Option<Key>,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        Self {
-            max_batch: MAX_BATCH,
-            credit_window: 64,
-            panic_on_key: None,
-        }
+        Self { credit_window: 64 }
     }
 }
 
 impl ServerConfig {
-    /// Sets the server-side batch clamp.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_batch == 0`.
-    pub fn with_max_batch(mut self, max_batch: u32) -> Self {
-        assert!(max_batch > 0, "max batch must be positive");
-        self.max_batch = max_batch.min(MAX_BATCH);
-        self
-    }
-
     /// Sets the response credit window.
     ///
     /// # Panics
@@ -119,13 +96,6 @@ impl ServerConfig {
     pub fn with_credit_window(mut self, credit_window: usize) -> Self {
         assert!(credit_window > 0, "credit window must be positive");
         self.credit_window = credit_window;
-        self
-    }
-
-    /// Arms the panic fault-injection trap on `key` (see
-    /// [`panic_on_key`](ServerConfig::panic_on_key)).
-    pub fn with_panic_on_key(mut self, key: Key) -> Self {
-        self.panic_on_key = Some(key);
         self
     }
 }
@@ -228,14 +198,10 @@ impl Shared {
     }
 }
 
-/// Maps an admission refusal to its typed wire error. Tombstone refusals
-/// are re-attributed to the registry's unbound counter: the dropped entry's
-/// own counters were already snapshotted into the retired roll-up at drop
-/// time, so counting there would lose them from service totals.
-fn refusal_error(registry: &QueueRegistry, refusal: Refusal) -> Response {
-    if matches!(refusal, Refusal::Dropped) {
-        registry.note_unbound_refusal();
-    }
+/// Maps an admission refusal to its typed wire error. A tombstone refusal
+/// stays counted on its dropped queue, which the registry's retired total
+/// reads until the queue's last binding closes.
+fn refusal_error(refusal: Refusal) -> Response {
     let code = match refusal {
         Refusal::Rate { .. } | Refusal::InFlight => ErrorCode::QuotaExceeded,
         Refusal::Dropped => ErrorCode::QueueDropped,
@@ -327,7 +293,6 @@ impl PqServer {
         obs: Arc<ObsHub>,
     ) -> io::Result<PqServer> {
         assert!(config.credit_window > 0, "credit window must be positive");
-        assert!(config.max_batch > 0, "max batch must be positive");
         registry.set_obs(Arc::clone(&obs));
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
@@ -633,7 +598,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) -> io::Result<()> {
                                         // entries vector: drain into it,
                                         // encode from the borrow, reuse the
                                         // allocation next request.
-                                        let clamped = (*max).min(shared.config.max_batch) as usize;
+                                        let clamped = (*max).min(MAX_BATCH) as usize;
                                         batch_buf.clear();
                                         sess.delete_min_batch_into(clamped, &mut batch_buf);
                                         b.note_removed(batch_buf.len() as u64);
@@ -649,7 +614,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) -> io::Result<()> {
                                         writer.write_all(&out_scratch)?;
                                         None
                                     }
-                                    Err(refusal) => Some(refusal_error(&shared.registry, refusal)),
+                                    Err(refusal) => Some(refusal_error(refusal)),
                                 },
                                 _ => {
                                     shared.registry.note_unbound_refusal();
@@ -658,9 +623,6 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) -> io::Result<()> {
                             }
                         }
                         Request::Insert { key, value } => {
-                            if shared.config.panic_on_key == Some(*key) {
-                                panic!("fault injection: insert of key {key} trips the panic trap");
-                            }
                             Some(match (binding.as_ref(), session.as_mut()) {
                                 (Some(b), Some(sess)) => {
                                     if *key == Key::MAX {
@@ -686,9 +648,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) -> io::Result<()> {
                                                 }
                                                 Response::Inserted
                                             }
-                                            Err(refusal) => {
-                                                refusal_error(&shared.registry, refusal)
-                                            }
+                                            Err(refusal) => refusal_error(refusal),
                                         }
                                     }
                                 }
@@ -716,7 +676,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) -> io::Result<()> {
                                         None => Response::Empty,
                                     }
                                 }
-                                Err(refusal) => refusal_error(&shared.registry, refusal),
+                                Err(refusal) => refusal_error(refusal),
                             },
                             _ => {
                                 shared.registry.note_unbound_refusal();
@@ -887,7 +847,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) -> io::Result<()> {
 mod tests {
     use super::*;
     use crate::protocol::read_frame_bytes;
-    use choice_pq::{MultiQueue, MultiQueueConfig};
+    use choice_pq::{MultiQueue, MultiQueueConfig, SharedPq};
     use choice_registry::BackendSpec;
 
     fn spawn_server(config: ServerConfig) -> PqServer {
@@ -1105,33 +1065,30 @@ mod tests {
     }
 
     #[test]
-    fn batch_requests_are_clamped_to_the_server_limit() {
-        let server = spawn_server(ServerConfig::default().with_max_batch(4));
+    fn batch_requests_are_clamped_to_the_wire_limit() {
+        // One lane, so the whole batch comes off one heap: exactly the
+        // `MAX_BATCH` smallest keys, in order.
+        let queue = MultiQueue::<u64>::new(MultiQueueConfig::with_queues(1).with_seed(9));
+        let held = u64::from(MAX_BATCH) + 16;
+        let mut session = queue.register();
+        for k in (0..held).rev() {
+            session.insert(k, k);
+        }
+        drop(session);
+        let server = PqServer::spawn(Arc::new(queue), "127.0.0.1:0", ServerConfig::default())
+            .expect("bind ephemeral");
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-        let mut wire = Vec::new();
-        for k in 0..16u64 {
-            Request::Insert { key: k, value: k }.encode(&mut wire);
-        }
-        Request::DeleteMinBatch { max: u32::MAX }.encode(&mut wire);
-        stream.write_all(&wire).unwrap();
-        let mut frame = Vec::new();
-        for _ in 0..16 {
-            assert!(read_frame_bytes(&mut stream, &mut frame).unwrap());
-            assert_eq!(Response::decode(&frame).unwrap().0, Response::Inserted);
-        }
-        assert!(read_frame_bytes(&mut stream, &mut frame).unwrap());
-        match Response::decode(&frame).unwrap().0 {
+        match request_reply(&mut stream, &Request::DeleteMinBatch { max: u32::MAX }) {
             Response::Batch(entries) => {
-                assert!(
-                    (1..=4).contains(&entries.len()),
-                    "clamp to 4, got {}",
-                    entries.len()
-                );
-                // Within one batch keys come off one lane in ascending order.
-                assert!(entries.windows(2).all(|w| w[0].0 <= w[1].0));
+                let keys: Vec<u64> = entries.iter().map(|&(k, _)| k).collect();
+                assert_eq!(keys, (0..u64::from(MAX_BATCH)).collect::<Vec<_>>());
             }
             other => panic!("expected a batch, got {other:?}"),
         }
+        assert_eq!(
+            request_reply(&mut stream, &Request::ApproxLen),
+            Response::Len(16)
+        );
     }
 
     #[test]
@@ -1563,12 +1520,106 @@ mod tests {
         assert!(echo.is_none(), "no trace was requested");
     }
 
-    /// The panic-recovery path (fault-injected): a panicking op dumps the
-    /// flight recorder, kills only its own connection, and the server keeps
-    /// serving other sessions.
+    /// A registry at its `MAX_QUEUES` ceiling, with the longest names,
+    /// still answers `ListQueues` and `Stats` in one frame each, and refuses
+    /// one more `CreateQueue`.
+    #[test]
+    fn a_full_registry_lists_and_reports_every_queue_in_one_frame() {
+        let registry = Arc::new(QueueRegistry::default());
+        let names: Vec<String> = (0..choice_registry::MAX_QUEUES)
+            .map(|i| format!("{i:0>64}"))
+            .collect();
+        for name in &names {
+            registry
+                .create(name, BackendSpec::CoarseHeap, QuotaSpec::unlimited())
+                .unwrap();
+        }
+        let server =
+            PqServer::spawn_registry(registry, "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        let mut frame = Vec::new();
+        for request in [Request::ListQueues, Request::Stats] {
+            let mut wire = Vec::new();
+            request.encode(&mut wire);
+            stream.write_all(&wire).unwrap();
+            assert!(read_frame_bytes(&mut stream, &mut frame).unwrap());
+            assert!(
+                frame.len() < 160_000,
+                "{request:?} reply takes {} bytes",
+                frame.len()
+            );
+            let rows: Vec<String> = match Response::decode(&frame).unwrap().0 {
+                Response::QueueList(rows) => rows.into_iter().map(|r| r.name).collect(),
+                Response::Stats(stats) => stats.queues.into_iter().map(|q| q.name).collect(),
+                other => panic!("expected a queue list or stats, got {other:?}"),
+            };
+            assert_eq!(rows, names, "{request:?} carries every queue in order");
+        }
+        let one_more = Request::CreateQueue {
+            name: "one-more".to_string(),
+            backend: BackendSpec::CoarseHeap,
+            quota: QuotaSpec::unlimited(),
+        };
+        match request_reply(&mut stream, &one_more) {
+            Response::Error { code, .. } => assert_eq!(code, ErrorCode::RegistryFull),
+            other => panic!("expected RegistryFull, got {other:?}"),
+        }
+        drop(stream);
+        server.join();
+    }
+
+    /// The key whose insert [`TrapQueue`] turns into a panic.
+    const TRAP_KEY: Key = 77;
+
+    /// A MultiQueue backend whose `insert` panics on [`TRAP_KEY`]: a handler
+    /// panic raised inside a queue operation.
+    struct TrapQueue(MultiQueue<u64>);
+
+    struct TrapHandle<'q>(choice_pq::MqHandle<'q, u64>);
+
+    impl PqHandle<u64> for TrapHandle<'_> {
+        fn insert(&mut self, key: Key, value: u64) {
+            if key == TRAP_KEY {
+                panic!("fault injection: insert of key {key} trips the trap backend");
+            }
+            self.0.insert(key, value);
+        }
+
+        fn delete_min(&mut self) -> Option<(Key, u64)> {
+            self.0.delete_min()
+        }
+
+        fn stats(&self) -> choice_pq::HandleStats {
+            self.0.stats()
+        }
+    }
+
+    impl SharedPq<u64> for TrapQueue {
+        type Handle<'q> = TrapHandle<'q>;
+
+        fn register(&self) -> TrapHandle<'_> {
+            TrapHandle(self.0.register())
+        }
+
+        fn approx_len(&self) -> usize {
+            self.0.approx_len()
+        }
+
+        fn name(&self) -> String {
+            "trap".to_string()
+        }
+    }
+
+    /// The panic-recovery path: a panicking op dumps the flight recorder,
+    /// kills only its own connection, and the server keeps serving other
+    /// sessions.
     #[test]
     fn panicking_op_dumps_the_flight_recorder_and_the_server_survives() {
-        let server = spawn_server(ServerConfig::default().with_panic_on_key(77));
+        let queue = TrapQueue(MultiQueue::new(
+            MultiQueueConfig::with_queues(4).with_seed(9),
+        ));
+        let server = PqServer::spawn(Arc::new(queue), "127.0.0.1:0", ServerConfig::default())
+            .expect("bind ephemeral");
         let mut victim = TcpStream::connect(server.local_addr()).unwrap();
         // A normal op first, so the session is demonstrably live.
         assert_eq!(
@@ -1578,7 +1629,11 @@ mod tests {
         // Trip the trap: the handler panics, the hook dumps, the socket
         // closes (EOF or reset — either proves the handler released it).
         let mut wire = Vec::new();
-        Request::Insert { key: 77, value: 0 }.encode(&mut wire);
+        Request::Insert {
+            key: TRAP_KEY,
+            value: 0,
+        }
+        .encode(&mut wire);
         victim.write_all(&wire).unwrap();
         let mut frame = Vec::new();
         // An `Err` (connection reset) equally proves the handler released
@@ -1614,17 +1669,8 @@ mod tests {
 
     #[test]
     fn config_builders_validate() {
-        let c = ServerConfig::default()
-            .with_max_batch(100)
-            .with_credit_window(7);
-        assert_eq!(c.max_batch, 100);
+        let c = ServerConfig::default().with_credit_window(7);
         assert_eq!(c.credit_window, 7);
-        assert_eq!(c.panic_on_key, None);
-        assert_eq!(
-            ServerConfig::default().with_panic_on_key(9).panic_on_key,
-            Some(9)
-        );
-        assert!(std::panic::catch_unwind(|| ServerConfig::default().with_max_batch(0)).is_err());
         assert!(
             std::panic::catch_unwind(|| ServerConfig::default().with_credit_window(0)).is_err()
         );

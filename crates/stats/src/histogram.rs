@@ -1,110 +1,7 @@
-//! Histograms for summarising rank-cost distributions.
-//!
-//! Two flavours are provided:
-//!
-//! * [`ExactHistogram`] — one bucket per integer value up to a cap; used when
-//!   the domain is small (e.g. ranks up to a few thousand) and exact quantiles
-//!   are wanted.
-//! * [`LogHistogram`] — power-of-two buckets; used for long-tailed rank
-//!   distributions where only the order of magnitude matters (e.g. Figure 2's
-//!   log-scale mean-rank plot).
-
-/// A histogram with one bucket per integer value in `[0, cap)` plus an
-/// overflow bucket.
-#[derive(Clone, Debug)]
-pub struct ExactHistogram {
-    buckets: Vec<u64>,
-    overflow: u64,
-    count: u64,
-    sum: u128,
-    max: u64,
-}
-
-impl ExactHistogram {
-    /// Creates a histogram covering values `0..cap` exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap == 0`.
-    pub fn new(cap: usize) -> Self {
-        assert!(cap > 0, "cap must be positive");
-        Self {
-            buckets: vec![0; cap],
-            overflow: 0,
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, value: u64) {
-        if (value as usize) < self.buckets.len() {
-            self.buckets[value as usize] += 1;
-        } else {
-            self.overflow += 1;
-        }
-        self.count += 1;
-        self.sum += value as u128;
-        self.max = self.max.max(value);
-    }
-
-    /// Number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Number of observations that exceeded the exact range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Mean of all recorded observations (including overflowed ones).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Maximum recorded observation.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// The `q`-quantile (`0.0..=1.0`) computed over the exact buckets.
-    ///
-    /// Observations in the overflow bucket are treated as equal to the cap,
-    /// which biases high quantiles downwards only if the cap was too small —
-    /// callers should size the cap generously.
-    ///
-    /// Returns `None` if nothing has been recorded.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = ((self.count as f64) * q).ceil().max(1.0) as u64;
-        let mut acc = 0;
-        for (value, &c) in self.buckets.iter().enumerate() {
-            acc += c;
-            if acc >= target {
-                return Some(value as u64);
-            }
-        }
-        Some(self.buckets.len() as u64)
-    }
-
-    /// Iterates over `(value, count)` pairs with non-zero counts.
-    pub fn iter_nonzero(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(v, &c)| (v as u64, c))
-    }
-}
+//! Histograms for summarising rank-cost distributions: [`LogHistogram`],
+//! with power-of-two buckets, for long-tailed rank distributions where only
+//! the order of magnitude matters (e.g. Figure 2's log-scale mean-rank
+//! plot).
 
 /// A histogram with power-of-two buckets: bucket `i` covers `[2^(i-1), 2^i)`,
 /// bucket 0 covers the single value 0.
@@ -220,56 +117,6 @@ impl LogHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn exact_histogram_basic_stats() {
-        let mut h = ExactHistogram::new(16);
-        for v in [1u64, 2, 2, 3, 10] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.max(), 10);
-        assert!((h.mean() - 3.6).abs() < 1e-9);
-        assert_eq!(h.overflow(), 0);
-        assert_eq!(h.quantile(0.0), Some(1));
-        assert_eq!(h.quantile(0.5), Some(2));
-        assert_eq!(h.quantile(1.0), Some(10));
-    }
-
-    #[test]
-    fn exact_histogram_overflow_counted() {
-        let mut h = ExactHistogram::new(4);
-        h.record(3);
-        h.record(100);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.max(), 100);
-        // Mean still uses the true values.
-        assert!((h.mean() - 51.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn exact_histogram_empty_quantile() {
-        let h = ExactHistogram::new(4);
-        assert_eq!(h.quantile(0.5), None);
-        assert_eq!(h.mean(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "cap must be positive")]
-    fn exact_histogram_zero_cap_panics() {
-        let _ = ExactHistogram::new(0);
-    }
-
-    #[test]
-    fn exact_histogram_iter_nonzero() {
-        let mut h = ExactHistogram::new(8);
-        h.record(1);
-        h.record(1);
-        h.record(5);
-        let pairs: Vec<_> = h.iter_nonzero().collect();
-        assert_eq!(pairs, vec![(1, 2), (5, 1)]);
-    }
 
     #[test]
     fn log_histogram_bucket_boundaries() {

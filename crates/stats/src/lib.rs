@@ -16,8 +16,8 @@
 //! * [`order`] — an order-statistics multiset built on the Fenwick tree, with
 //!   `rank`, `select` and removal, the workhorse of the sequential-process cost
 //!   accounting.
-//! * [`histogram`] — log-bucketed histograms and exact small-domain histograms
-//!   used to summarise rank distributions.
+//! * [`histogram`] — the log-bucketed histogram used to summarise rank
+//!   distributions.
 //! * [`summary`] — streaming mean/min/max/variance and percentile summaries.
 //! * [`inversion`] — the timestamp-based rank-inversion counter replicating the
 //!   measurement methodology of Section 5 of the paper.
@@ -56,7 +56,7 @@ pub mod tokens;
 
 pub use choice::ChoiceRule;
 pub use fenwick::FenwickTree;
-pub use histogram::{ExactHistogram, LogHistogram};
+pub use histogram::LogHistogram;
 pub use inversion::{InversionCounter, TimestampedRemoval};
 pub use order::OrderStatisticsSet;
 pub use rng::{RandomSource, SplitMix64, Xoshiro256};

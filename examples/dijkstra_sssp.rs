@@ -13,8 +13,8 @@
 
 use std::time::Instant;
 
+use choice_bench::env_u64;
 use power_of_choice::prelude::*;
-use power_of_choice::util::env_u64;
 
 fn main() {
     // A sparse road-like graph: side×side grid, random weights in [1, 1000].

@@ -9,21 +9,22 @@
 //! ```
 //!
 //! Environment knobs (used by the CI smoke run): `SERVICE_ITEMS` (items per
-//! client, default 20000), `SERVICE_CLIENTS` (default 4),
-//! `SERVICE_WINDOW` (pipeline credit window, default 32).
+//! client, default 20000), `SERVICE_CLIENTS` (default 4).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use choice_bench::env_u64;
 use power_of_choice::prelude::*;
 use power_of_choice::service::{Request, Response};
-use power_of_choice::util::env_u64;
+
+/// Pipeline credit window of every client.
+const WINDOW: usize = 32;
 
 fn main() {
     let per_client_items = env_u64("SERVICE_ITEMS", 20_000);
     let clients = env_u64("SERVICE_CLIENTS", 4) as usize;
-    let window = env_u64("SERVICE_WINDOW", 32) as usize;
 
     // The queue outlives the server: the Arc is shared, not moved away.
     let queue: Arc<dyn DynSharedPq<u64>> = Arc::new(MultiQueue::new(
@@ -34,7 +35,7 @@ fn main() {
     let server = PqServer::spawn(Arc::clone(&queue), "127.0.0.1:0", ServerConfig::default())
         .expect("bind an ephemeral loopback port");
     println!(
-        "serving {} on {} ({clients} clients × {per_client_items} items, window {window})",
+        "serving {} on {} ({clients} clients × {per_client_items} items, window {WINDOW})",
         queue.name_dyn(),
         server.local_addr()
     );
@@ -54,7 +55,7 @@ fn main() {
                 scope.spawn(move || {
                     // One pipelined session per worker — the remote mirror
                     // of "one registered handle per thread".
-                    let mut client = PqClient::connect_with_window(addr, window).expect("connect");
+                    let mut client = PqClient::connect_with_window(addr, WINDOW).expect("connect");
                     for i in 0..per_client_items {
                         client
                             .submit(&Request::Insert {

@@ -13,8 +13,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use choice_bench::env_u64;
 use power_of_choice::prelude::*;
-use power_of_choice::util::env_u64;
 
 fn main() {
     let threads = env_u64("QUICKSTART_THREADS", 4) as usize;

@@ -16,9 +16,9 @@
 //! per configuration, default 100000), `RANK_QUEUES` (number of queues n,
 //! default 16).
 
+use choice_bench::env_u64;
 use power_of_choice::prelude::*;
 use power_of_choice::process::potential::{PotentialParams, PotentialSnapshot};
-use power_of_choice::util::env_u64;
 
 fn main() {
     let n = env_u64("RANK_QUEUES", 16).max(2) as usize;

@@ -26,9 +26,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use choice_bench::env_u64;
 use power_of_choice::prelude::*;
 use power_of_choice::sched::{ArrivalPattern, TrafficClass, TrafficSpec};
-use power_of_choice::util::env_u64;
 
 fn main() {
     let workers = env_u64("SCHED_WORKERS", 4) as usize;

@@ -79,20 +79,6 @@ pub use choice_registry as registry;
 /// layer above reports through.
 pub use choice_obs as obs;
 
-/// Small helpers shared by the examples and downstream harnesses.
-pub mod util {
-    /// Reads a `u64` knob from the environment (e.g. `QUICKSTART_ITEMS`,
-    /// `SERVICE_CLIENTS`), falling back to `default` when the variable is
-    /// unset or unparsable. The CI smoke steps scale every example down
-    /// through knobs read with this.
-    pub fn env_u64(name: &str, default: u64) -> u64 {
-        std::env::var(name)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
-}
-
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
     pub use balls_bins::{AllocationProcess, ChoiceRule};
@@ -105,9 +91,7 @@ pub mod prelude {
         BiasSpec, ExponentialTopProcess, ProcessConfig, RankCostSummary, SequentialProcess,
     };
     pub use choice_registry::{BackendSpec, QueueRegistry, QuotaSpec, DEFAULT_QUEUE};
-    pub use choice_sched::{
-        BackoffPolicy, LatenessTracker, Scheduler, SchedulerConfig, SchedulerReport, TaskCtx,
-    };
+    pub use choice_sched::{LatenessTracker, Scheduler, SchedulerConfig, SchedulerReport, TaskCtx};
     pub use choice_wire::{PqClient, PqServer, ServerConfig, ServiceStats};
     pub use pq_baselines::{CoarseHeap, KLsmConfig, KLsmQueue, SkipListQueue};
     pub use rank_stats::inversion::InversionCounter;

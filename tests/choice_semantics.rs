@@ -281,24 +281,32 @@ proptest! {
     }
 }
 
-/// The steal path: when the sampled lanes miss the only occupied lane and the
-/// retry budget is tiny, a batch must still come back via the deterministic
-/// steal scan.
+/// The steal path: when every sampled lane misses the only occupied lane for
+/// the whole retry budget, a batch must still come back via the
+/// deterministic steal scan. With one key on 4096 lanes and d = 1, all
+/// `MAX_RETRIES` (64) draws miss with probability (4095/4096)^64 ≈ 0.98, so
+/// nearly every seed reaches the scan, and a seed that does reports exactly
+/// `MAX_RETRIES` contended retries (a hit on draw `i` reports `i < 64`).
 #[test]
 fn batch_steal_path_finds_the_lone_occupied_lane() {
+    let budget = MultiQueue::<u64>::MAX_RETRIES as u64;
+    let mut stolen = 0;
     for seed in 0..20u64 {
         let q = MultiQueue::<u64>::new(
-            MultiQueueConfig::with_queues(16)
+            MultiQueueConfig::with_queues(4096)
                 .with_d(1)
-                .with_seed(seed)
-                .with_max_retries(1),
+                .with_seed(seed),
         );
         let mut h = q.register();
         h.insert(5, 50);
         let got: Vec<(u64, u64)> = h.delete_min_batch(4).collect();
         assert_eq!(got, vec![(5, 50)], "seed {seed}");
         assert!(q.is_empty());
+        let retries = h.stats().contended_retries;
+        assert!(retries <= budget, "seed {seed}: {retries} retries");
+        stolen += usize::from(retries == budget);
     }
+    assert!(stolen > 0, "no seed spent its retry budget and stole");
 }
 
 /// A d ≥ n rule inspects every lane, so sequential removals are exact even

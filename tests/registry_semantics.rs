@@ -251,11 +251,16 @@ fn concurrent_drop_under_drain_never_panics_or_duplicates() {
     }
 
     let popped_count = AtomicU64::new(0);
+    // Drainers bound so far: the server accepts on a 25 ms poll, so a
+    // drainer accepted one poll late could otherwise bind after the drop.
+    let bound = AtomicU64::new(0);
     let popped: Vec<Vec<u64>> = std::thread::scope(|scope| {
         let dropper = {
-            let popped_count = &popped_count;
+            let (popped_count, bound) = (&popped_count, &bound);
             scope.spawn(move || {
-                while popped_count.load(Ordering::SeqCst) < DROP_AFTER {
+                while popped_count.load(Ordering::SeqCst) < DROP_AFTER
+                    || bound.load(Ordering::SeqCst) < DRAINERS as u64
+                {
                     std::thread::yield_now();
                 }
                 let mut client = PqClient::connect(addr).unwrap();
@@ -264,10 +269,11 @@ fn concurrent_drop_under_drain_never_panics_or_duplicates() {
         };
         let joins: Vec<_> = (0..DRAINERS)
             .map(|_| {
-                let popped_count = &popped_count;
+                let (popped_count, bound) = (&popped_count, &bound);
                 scope.spawn(move || {
                     let mut client = PqClient::connect(addr).unwrap();
                     client.use_queue("r").unwrap();
+                    bound.fetch_add(1, Ordering::SeqCst);
                     let mut mine = Vec::new();
                     loop {
                         match client.delete_min_batch(16) {
