@@ -3,19 +3,16 @@
 //! The paper's analysis repeatedly leans on the balls-into-bins literature:
 //!
 //! * the classic *two-choice* ("power of two choices") process \[5, 26\],
-//! * its heavily-loaded, long-lived extension \[7, 30\],
-//! * the *(1 + β)-choice* process of Peres, Talwar and Wieder \[30\],
-//! * *weighted* processes where ball weights are exponential \[8, 37\], and
-//! * *graphical* processes where the two choices are the endpoints of a random
-//!   edge (Section 6, future work).
+//! * its heavily-loaded, long-lived extension \[7, 30\], and
+//! * the *(1 + β)-choice* process of Peres, Talwar and Wieder \[30\].
 //!
 //! Appendix A of the paper shows that under **round-robin insertion** the
 //! labelled removal process reduces exactly to a two-choice process on
 //! "virtual bins"; Appendix B uses the known Θ(√(t/n·log n)) gap of the
 //! single-choice process to prove the divergence lower bound. This crate
-//! implements all of those processes so the reductions and gap claims can be
-//! checked empirically (experiment T7), and so the exponential-process
-//! potential argument has an independent substrate to validate against.
+//! implements those processes ([`AllocationProcess`] for insert-only
+//! allocation, [`LongLivedProcess`] for the long-lived one) so the reduction
+//! and the gap claims can be checked empirically (experiment T7).
 //!
 //! # Example
 //!
@@ -33,12 +30,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod graphical;
 pub mod longlived;
 pub mod process;
-pub mod weighted;
 
-pub use graphical::GraphicalAllocation;
 pub use longlived::LongLivedProcess;
 pub use process::{AllocationProcess, ChoiceRule, LoadStats};
-pub use weighted::WeightedAllocation;

@@ -158,11 +158,6 @@ pub fn yield_now() {
     }
 }
 
-/// Whether the calling thread is a virtual thread of a live exploration.
-pub fn is_active() -> bool {
-    current().is_some()
-}
-
 // ---------------------------------------------------------------------------
 // Exploration API
 // ---------------------------------------------------------------------------

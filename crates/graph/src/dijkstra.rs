@@ -1,11 +1,10 @@
 //! Sequential shortest-path references.
 //!
-//! These are the exact baselines the parallel relaxed-queue SSSP is validated
-//! against: classic Dijkstra with a binary heap, Dijkstra with a monotone
-//! bucket queue (often called Dial's algorithm), and Bellman–Ford as an
-//! independent cross-check used by the property tests.
+//! These are the two exact oracles the parallel relaxed-queue SSSP is
+//! validated against: classic Dijkstra with a binary heap, and Bellman–Ford
+//! as an independent, queue-free cross-check used by the property tests.
 
-use seq_pq::{BinaryHeap, BucketQueue, SequentialPriorityQueue};
+use seq_pq::{BinaryHeap, SequentialPriorityQueue};
 
 use crate::graph::{Graph, NodeId};
 
@@ -33,34 +32,6 @@ pub fn dijkstra(graph: &Graph, source: NodeId) -> Vec<u64> {
             if candidate < dist[next as usize] {
                 dist[next as usize] = candidate;
                 heap.push(candidate, next);
-            }
-        }
-    }
-    dist
-}
-
-/// Dijkstra with a monotone bucket queue (Dial's algorithm); requires the
-/// graph's maximum edge weight to size the bucket span.
-///
-/// # Panics
-///
-/// Panics if `source` is out of range.
-pub fn dijkstra_bucket(graph: &Graph, source: NodeId) -> Vec<u64> {
-    assert!((source as usize) < graph.nodes(), "source out of range");
-    let mut dist = vec![UNREACHABLE; graph.nodes()];
-    let span = graph.max_weight().max(1) as usize;
-    let mut queue: BucketQueue<NodeId> = BucketQueue::new(span);
-    dist[source as usize] = 0;
-    queue.push(0, source);
-    while let Some((d, node)) = queue.pop() {
-        if d > dist[node as usize] {
-            continue;
-        }
-        for (next, weight) in graph.neighbors(node) {
-            let candidate = d + weight as u64;
-            if candidate < dist[next as usize] {
-                dist[next as usize] = candidate;
-                queue.push(candidate, next);
             }
         }
     }
@@ -101,7 +72,7 @@ pub fn bellman_ford(graph: &Graph, source: NodeId) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{grid_graph, random_graph};
+    use crate::generators::random_graph;
     use crate::graph::Graph;
     use proptest::prelude::*;
 
@@ -117,14 +88,6 @@ mod tests {
             dijkstra(&g, 3),
             vec![UNREACHABLE, UNREACHABLE, UNREACHABLE, 0]
         );
-    }
-
-    #[test]
-    fn bucket_variant_matches_heap_variant() {
-        let g = diamond();
-        assert_eq!(dijkstra_bucket(&g, 0), dijkstra(&g, 0));
-        let grid = grid_graph(20, 20, 30, 5);
-        assert_eq!(dijkstra_bucket(&grid, 0), dijkstra(&grid, 0));
     }
 
     #[test]
@@ -145,7 +108,6 @@ mod tests {
     fn zero_weight_edges_are_handled() {
         let g = Graph::from_edges(3, &[(0, 1, 0), (1, 2, 0)]);
         assert_eq!(dijkstra(&g, 0), vec![0, 0, 0]);
-        assert_eq!(dijkstra_bucket(&g, 0), vec![0, 0, 0]);
     }
 
     #[test]
@@ -160,11 +122,7 @@ mod tests {
         #[test]
         fn prop_all_variants_agree(nodes in 2usize..40, extra_edges in 0usize..200, seed in 0u64..500) {
             let g = random_graph(nodes, nodes + extra_edges, 20, seed);
-            let a = dijkstra(&g, 0);
-            let b = dijkstra_bucket(&g, 0);
-            let c = bellman_ford(&g, 0);
-            prop_assert_eq!(&a, &b);
-            prop_assert_eq!(&a, &c);
+            prop_assert_eq!(dijkstra(&g, 0), bellman_ford(&g, 0));
         }
 
         #[test]

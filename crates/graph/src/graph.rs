@@ -65,7 +65,6 @@ impl Graph {
     }
 
     /// The largest edge weight in the graph (0 for an edgeless graph).
-    /// Needed to size a monotone bucket queue.
     pub fn max_weight(&self) -> Weight {
         self.weights.iter().copied().max().unwrap_or(0)
     }

@@ -11,8 +11,9 @@
 //!   complete and `2t + 1` while being written (`0`: never written);
 //! * a writer claims the slot by CAS-ing whatever completed (even)
 //!   sequence it currently holds — any *older* lap's, so a dropped ticket
-//!   never wedges its slot — to its own in-progress value, then stores the
-//!   payload words, then releases the completed sequence.
+//!   never wedges its slot — to its own in-progress value, issues a
+//!   release fence, then stores the payload words, then releases the
+//!   completed sequence.
 //!
 //! When writers wrap the ring faster than a lagging writer finishes, the
 //! claim fails and the payload is **dropped, counted** in
@@ -21,7 +22,8 @@
 //! sequence after reading the payload and skip slots that changed
 //! mid-read, so [`read`](SeqRing::read) returns only complete, untorn
 //! payloads (the most recent `capacity` of them, in ticket order).
-//! `tests/check_recorder.rs` model-checks this protocol.
+//! `tests/check_recorder.rs` model-checks a hand copy of this protocol
+//! under sequentially consistent interleavings only.
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
@@ -111,6 +113,15 @@ impl<const W: usize> SeqRing<W> {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
+        // Seqlock writer recipe: the claim is only an acquire, so without
+        // this fence the relaxed payload stores below may become visible
+        // before the odd sequence, and a reader could load new words yet see
+        // the old even sequence on both of its loads. The fence pairs with
+        // the reader's `fence(Acquire)`: a reader that loads any new word
+        // then re-loads the odd sequence and skips the slot. crossbeam's
+        // `SeqLock::write` uses the same recipe, as does Boehm, "Can Seqlocks
+        // Get Along with Programming Language Memory Models?" (MSPC 2012).
+        fence(Ordering::Release);
         for (word, value) in slot.words.iter().zip(words) {
             word.store(value, Ordering::Relaxed);
         }

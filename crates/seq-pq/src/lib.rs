@@ -2,17 +2,14 @@
 //!
 //! The MultiQueue of the paper is built from `n` *sequential* priority queues,
 //! each protected by its own lock (the original implementation uses boost
-//! d-ary heaps). This crate provides several interchangeable sequential
+//! d-ary heaps). This crate provides two interchangeable sequential
 //! implementations behind the [`SequentialPriorityQueue`] trait:
 //!
 //! * [`BinaryHeap`] — an array-backed binary min-heap;
-//!   the default lane used by the concurrent MultiQueue.
+//!   the lane heap of the concurrent MultiQueue.
 //! * [`SkipListPq`] — a randomized skiplist keeping all
 //!   elements in sorted order, mirroring the structure used by skiplist-based
 //!   concurrent priority queues such as Linden–Jonsson.
-//! * [`BucketQueue`] — a monotone bucket queue for
-//!   bounded integer priorities, the classic structure for Dijkstra with small
-//!   edge weights.
 //!
 //! All queues are **min**-queues over `(key, value)` pairs: `pop` returns the
 //! entry with the smallest key, matching the paper's convention that a smaller
@@ -36,11 +33,9 @@
 #![warn(missing_docs)]
 
 pub mod binary_heap;
-pub mod bucket_queue;
 pub mod skiplist;
 
 pub use binary_heap::BinaryHeap;
-pub use bucket_queue::BucketQueue;
 pub use skiplist::SkipListPq;
 
 /// The priority key type used throughout the workspace.

@@ -1096,17 +1096,6 @@ pub fn write_response<W: Write>(
     writer.write_all(scratch)
 }
 
-/// Encodes and writes one untraced request frame (no flush).
-pub fn write_request<W: Write>(
-    writer: &mut W,
-    request: &Request,
-    scratch: &mut Vec<u8>,
-) -> io::Result<()> {
-    scratch.clear();
-    request.encode(scratch);
-    writer.write_all(scratch)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -43,16 +43,18 @@
 //! # Shutdown
 //!
 //! A [`Request::Shutdown`] frame (or [`PqServer::shutdown`] from the owning
-//! process) flips a shared flag. The accept loop notices within one poll
-//! interval; connection handlers notice at their next read timeout or
-//! request boundary, answer in-flight work, and close. Joining the server
-//! then observes every session's final counters.
+//! process) flips a shared flag and then wakes the accept loop, which blocks
+//! in `accept`, with a connection to the listener's own address; the loop
+//! drops whatever it accepts once the flag is set, and stops. Connection
+//! handlers notice at their next read timeout or request boundary, answer
+//! in-flight work, and close. Joining the server then observes every
+//! session's final counters.
 //!
 //! [`register`]: choice_pq::SharedPq::register
 //! [`register_dyn`]: choice_pq::DynSharedPq::register_dyn
 
 use std::io::{self, BufWriter, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -100,11 +102,15 @@ impl ServerConfig {
     }
 }
 
-/// How often blocked accept/read calls re-check the shutdown flag.
+/// How often an idle connection handler re-checks the shutdown flag (its
+/// read timeout). The accept loop blocks in `accept` instead and is woken
+/// for shutdown; it sleeps this long only after a failed `accept`.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// Shared across the accept loop and every connection handler.
 struct Shared {
+    /// The address the listener bound (ephemeral port resolved).
+    addr: SocketAddr,
     registry: Arc<QueueRegistry>,
     config: ServerConfig,
     /// The telemetry hub every layer under this server reports into: the
@@ -132,6 +138,23 @@ struct Shared {
 }
 
 impl Shared {
+    /// Sets the shutdown flag and wakes the accept loop out of its blocking
+    /// `accept` with a connection to the listener's own address (loopback
+    /// for a wildcard bind). The flag is set before the wake, so the loop
+    /// sees it on whatever it accepts next; once the loop has stopped, the
+    /// listener is closed and the wake is simply refused.
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
+    }
+
     /// Service-wide aggregate: the per-queue snapshots merged over the
     /// retired (dropped-queue) roll-up and the unbound-refusal counter, so
     /// totals stay monotonic across queue drops and session churn.
@@ -248,7 +271,6 @@ fn unbound_error() -> Response {
 /// can be inspected after `join`.
 pub struct PqServer {
     shared: Arc<Shared>,
-    addr: SocketAddr,
     accept_thread: Option<JoinHandle<Vec<JoinHandle<()>>>>,
 }
 
@@ -296,7 +318,6 @@ impl PqServer {
         registry.set_obs(Arc::clone(&obs));
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         // `build_info` is the standard Prometheus idiom: a constant-1 gauge
         // whose labels carry the identifying strings. The add-of-difference
         // keeps it at 1 even when several servers share one hub.
@@ -315,6 +336,7 @@ impl PqServer {
                 .histogram("svc_stage_ns", &[("stage", stage.name())])
         });
         let shared = Arc::new(Shared {
+            addr,
             registry,
             config,
             obs,
@@ -331,14 +353,13 @@ impl PqServer {
             .spawn(move || accept_loop(listener, accept_shared))?;
         Ok(PqServer {
             shared,
-            addr,
             accept_thread: Some(accept_thread),
         })
     }
 
     /// The address the server actually bound (resolves ephemeral ports).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.shared.addr
     }
 
     /// The queue registry this server serves (shared — lifecycle calls made
@@ -358,10 +379,10 @@ impl PqServer {
         self.shared.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Requests shutdown without waiting: the accept loop stops within one
-    /// poll interval and connections close at their next request boundary.
+    /// Requests shutdown without waiting: the accept loop is woken and
+    /// stops at once, and connections close at their next request boundary.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.begin_shutdown();
         // Close the live sockets too: a handler blocked writing to a peer
         // that stopped reading would otherwise never observe the flag, and
         // `join` would hang on it. Closed-socket errors end those handlers
@@ -406,6 +427,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) -> Vec<JoinHandle<()>
     let mut connections: Vec<JoinHandle<()>> = Vec::new();
     while !shared.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
+            // The shutdown wake, or a peer that raced it: dropped unserved.
+            Ok(_) if shared.shutdown.load(Ordering::SeqCst) => break,
             Ok((stream, _peer)) => {
                 let conn_shared = Arc::clone(&shared);
                 let handle = std::thread::Builder::new()
@@ -424,9 +447,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) -> Vec<JoinHandle<()>
                 // server does not accumulate dead JoinHandles.
                 connections.retain(|h| !h.is_finished());
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL_INTERVAL);
-            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            // Back off so a persistent error (EMFILE) cannot spin the loop.
             Err(_) => std::thread::sleep(POLL_INTERVAL),
         }
     }
@@ -694,7 +716,7 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) -> io::Result<()> {
                         }),
                         Request::Stats => Some(Response::Stats(shared.aggregate_stats())),
                         Request::Shutdown => {
-                            shared.shutdown.store(true, Ordering::SeqCst);
+                            shared.begin_shutdown();
                             is_shutdown_ack = true;
                             Some(Response::ShuttingDown)
                         }
@@ -1053,15 +1075,52 @@ mod tests {
         assert!(read_frame_bytes(&mut stream, &mut frame).unwrap());
         assert_eq!(Response::decode(&frame).unwrap().0, Response::ShuttingDown);
         assert!(server.is_shutting_down());
-        server.join();
-        // The port is released: a fresh connect is refused (or immediately
-        // reset); either way no frames flow.
-        assert!(
-            TcpStream::connect(addr).is_err()
-                || read_frame_bytes(&mut TcpStream::connect(addr).unwrap(), &mut frame)
-                    .map(|more| !more)
-                    .unwrap_or(true)
+        // The ack's wake ends the accept loop before anyone joins it, and the
+        // listener closes with it: a fresh connect is refused.
+        let acked = Instant::now();
+        let accept = server.accept_thread.as_ref().expect("not joined yet");
+        while !accept.is_finished() {
+            assert!(
+                acked.elapsed() < Duration::from_secs(1),
+                "the accept loop is still running 1 s after the ack"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(
+            TcpStream::connect(addr).unwrap_err().kind(),
+            io::ErrorKind::ConnectionRefused
         );
+        server.join();
+    }
+
+    #[test]
+    fn each_new_connection_gets_its_first_response_within_a_few_ms() {
+        // The accept loop blocks in `accept`, so a connection that arrives
+        // right after another one is served at once, not after a poll sleep.
+        let server = spawn_server(ServerConfig::default());
+        let mut round_trips: Vec<Duration> = (0..50)
+            .map(|_| {
+                let started = Instant::now();
+                let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+                assert_eq!(
+                    request_reply(&mut stream, &Request::ApproxLen),
+                    Response::Len(0)
+                );
+                started.elapsed()
+            })
+            .collect();
+        let total: Duration = round_trips.iter().sum();
+        round_trips.sort();
+        let median = round_trips[round_trips.len() / 2];
+        assert!(
+            median < Duration::from_millis(5),
+            "median connect-to-response {median:?}"
+        );
+        assert!(
+            total < Duration::from_millis(250),
+            "50 connects took {total:?}"
+        );
+        server.join();
     }
 
     #[test]

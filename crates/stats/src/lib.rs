@@ -18,7 +18,7 @@
 //!   accounting.
 //! * [`histogram`] — the log-bucketed histogram used to summarise rank
 //!   distributions.
-//! * [`summary`] — streaming mean/min/max/variance and percentile summaries.
+//! * [`summary`] — streaming mean/min/max/variance summaries.
 //! * [`inversion`] — the timestamp-based rank-inversion counter replicating the
 //!   measurement methodology of Section 5 of the paper.
 //! * [`timing`] — throughput measurement helpers (operations per second over a
@@ -60,6 +60,6 @@ pub use histogram::LogHistogram;
 pub use inversion::{InversionCounter, TimestampedRemoval};
 pub use order::OrderStatisticsSet;
 pub use rng::{RandomSource, SplitMix64, Xoshiro256};
-pub use summary::{Percentiles, StreamingSummary};
+pub use summary::StreamingSummary;
 pub use timing::{OpsTimer, ThroughputReport};
 pub use tokens::TokenBucket;

@@ -136,12 +136,6 @@ impl SplitMix64 {
     pub fn seeded(seed: u64) -> Self {
         Self { state: seed }
     }
-
-    /// Derives a fresh, statistically independent seed. Handy for seeding one
-    /// generator per thread from a single experiment seed.
-    pub fn derive_seed(&mut self) -> u64 {
-        self.next_u64()
-    }
 }
 
 impl Default for SplitMix64 {

@@ -1,9 +1,9 @@
-//! Streaming summaries and percentile reports.
+//! Streaming summaries.
 //!
-//! Experiments report the mean, maximum and a few percentiles of rank costs
-//! and latencies. [`StreamingSummary`] accumulates count/mean/variance/min/max
-//! in constant space (Welford's algorithm); [`Percentiles`] holds a sorted
-//! sample and answers arbitrary quantile queries exactly.
+//! Experiments report the mean and maximum of rank costs and latencies.
+//! [`StreamingSummary`] accumulates count/mean/variance/min/max in constant
+//! space (Welford's algorithm). Quantiles come from the log-bucketed
+//! [`LogHistogram`](crate::histogram::LogHistogram).
 
 /// Constant-space running summary: count, mean, variance, min, max.
 #[derive(Clone, Debug, Default)]
@@ -112,92 +112,6 @@ impl StreamingSummary {
     }
 }
 
-/// An exact quantile estimator holding all samples.
-///
-/// Intended for experiment-sized sample counts (millions at most); sorting is
-/// deferred and cached until the next mutation.
-#[derive(Clone, Debug, Default)]
-pub struct Percentiles {
-    samples: Vec<f64>,
-    sorted: bool,
-}
-
-impl Percentiles {
-    /// Creates an empty estimator.
-    pub fn new() -> Self {
-        Self {
-            samples: Vec::new(),
-            sorted: true,
-        }
-    }
-
-    /// Creates an empty estimator with reserved capacity.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            samples: Vec::with_capacity(capacity),
-            sorted: true,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, value: f64) {
-        self.samples.push(value);
-        self.sorted = false;
-    }
-
-    /// Records an integer observation.
-    pub fn record_u64(&mut self, value: u64) {
-        self.record(value as f64);
-    }
-
-    /// Number of recorded observations.
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.samples
-                .sort_by(|a, b| a.partial_cmp(b).expect("NaN sample recorded"));
-            self.sorted = true;
-        }
-    }
-
-    /// The `q`-quantile (`0.0..=1.0`) using the nearest-rank method.
-    ///
-    /// Returns `None` if no samples have been recorded.
-    pub fn quantile(&mut self, q: f64) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        self.ensure_sorted();
-        let q = q.clamp(0.0, 1.0);
-        let idx = ((self.samples.len() as f64 * q).ceil() as usize)
-            .saturating_sub(1)
-            .min(self.samples.len() - 1);
-        Some(self.samples[idx])
-    }
-
-    /// Median (0.5 quantile).
-    pub fn median(&mut self) -> Option<f64> {
-        self.quantile(0.5)
-    }
-
-    /// Mean of all samples.
-    pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            0.0
-        } else {
-            self.samples.iter().sum::<f64>() / self.samples.len() as f64
-        }
-    }
-
-    /// Maximum sample.
-    pub fn max(&mut self) -> Option<f64> {
-        self.quantile(1.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,39 +169,6 @@ mod tests {
         c.merge(&a);
         assert_eq!(c.count(), 2);
         assert!((c.mean() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn percentiles_nearest_rank() {
-        let mut p = Percentiles::new();
-        for v in 1..=100u64 {
-            p.record_u64(v);
-        }
-        assert_eq!(p.count(), 100);
-        assert_eq!(p.quantile(0.0), Some(1.0));
-        assert_eq!(p.median(), Some(50.0));
-        assert_eq!(p.quantile(0.99), Some(99.0));
-        assert_eq!(p.max(), Some(100.0));
-        assert!((p.mean() - 50.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn percentiles_empty() {
-        let mut p = Percentiles::with_capacity(8);
-        assert_eq!(p.quantile(0.5), None);
-        assert_eq!(p.mean(), 0.0);
-    }
-
-    #[test]
-    fn percentiles_interleaved_records_and_queries() {
-        let mut p = Percentiles::new();
-        p.record(5.0);
-        assert_eq!(p.median(), Some(5.0));
-        p.record(1.0);
-        p.record(9.0);
-        assert_eq!(p.median(), Some(5.0));
-        p.record(0.5);
-        assert_eq!(p.quantile(0.0), Some(0.5));
     }
 
     #[test]

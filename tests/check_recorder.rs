@@ -1,6 +1,10 @@
-//! Model-checks the seqlock slot protocol of `choice_obs`'s `SeqRing`
-//! (`crates/obs/src/ring.rs`, DESIGN.md §11.3), the one ring both the
-//! `FlightRecorder` and the `SpanRing` write through.
+//! Model-checks an SC hand copy of the seqlock slot protocol of
+//! `choice_obs`'s `SeqRing` (`crates/obs/src/ring.rs`, DESIGN.md §11.3),
+//! the one ring both the `FlightRecorder` and the `SpanRing` write through.
+//! Every access in the copy is `SeqCst` and the explorer runs only
+//! sequentially consistent interleavings, so the copy checks the protocol's
+//! order of steps, not the release and acquire fences `SeqRing` issues for
+//! weakly ordered hardware.
 //!
 //! The model mirrors `SeqRing::write` and `SeqRing::read`: writers take a
 //! ticket from a monotone head counter, claim the slot by CAS-ing any
