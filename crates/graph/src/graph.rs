@@ -64,11 +64,6 @@ impl Graph {
         self.offsets[node + 1] - self.offsets[node]
     }
 
-    /// The largest edge weight in the graph (0 for an edgeless graph).
-    pub fn max_weight(&self) -> Weight {
-        self.weights.iter().copied().max().unwrap_or(0)
-    }
-
     /// Total weight of all edges.
     pub fn total_weight(&self) -> u64 {
         self.weights.iter().map(|&w| w as u64).sum()
@@ -167,7 +162,6 @@ mod tests {
         assert_eq!(n0, vec![(1, 1), (2, 4)]);
         let n3: Vec<_> = g.neighbors(3).collect();
         assert!(n3.is_empty());
-        assert_eq!(g.max_weight(), 6);
         assert_eq!(g.total_weight(), 16);
     }
 
@@ -176,7 +170,6 @@ mod tests {
         let g = Graph::from_edges(3, &[]);
         assert_eq!(g.nodes(), 3);
         assert_eq!(g.edges(), 0);
-        assert_eq!(g.max_weight(), 0);
         assert_eq!(g.neighbors(2).count(), 0);
     }
 

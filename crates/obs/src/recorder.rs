@@ -104,12 +104,10 @@ pub mod refusal_category {
     pub const DROPPED: u64 = 0;
     /// In-flight element quota exceeded.
     pub const INFLIGHT: u64 = 1;
-    /// Rate limit shed background-class work.
-    pub const RATE_BACKGROUND: u64 = 2;
-    /// Rate limit refused urgent-class work.
-    pub const RATE_URGENT: u64 = 3;
+    /// Rate quota (token bucket) exhausted.
+    pub const RATE: u64 = 2;
     /// Refused by an outer layer (e.g. reserved key).
-    pub const EXTERNAL: u64 = 4;
+    pub const EXTERNAL: u64 = 3;
 }
 
 /// Human-readable name for a [`refusal_category`] code.
@@ -117,8 +115,7 @@ pub fn refusal_category_name(code: u64) -> &'static str {
     match code {
         refusal_category::DROPPED => "dropped",
         refusal_category::INFLIGHT => "inflight",
-        refusal_category::RATE_BACKGROUND => "rate-background",
-        refusal_category::RATE_URGENT => "rate-urgent",
+        refusal_category::RATE => "rate",
         refusal_category::EXTERNAL => "external",
         _ => "unknown",
     }

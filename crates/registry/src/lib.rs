@@ -11,9 +11,9 @@
 //!   a [`QuotaSpec`] (resource budget); the structure itself is built
 //!   lazily on first use, seeded deterministically per name.
 //! * [`QueueBinding`] — one session's claim on a queue: the admission gate
-//!   (in-flight quota, token-bucket rate with class-aware shedding, drop
-//!   tombstones) plus the session's stats slot. Every refusal is typed
-//!   ([`Refusal`]) and counted first-class in the queue's
+//!   (in-flight quota, token-bucket rate, drop tombstones) plus the
+//!   session's stats slot. Every refusal is typed ([`Refusal`]) and
+//!   counted first-class in the queue's
 //!   [`HandleStats::refusals`](choice_pq::HandleStats) — shedding is an
 //!   observable outcome, not a silent drop.
 //! * Per-queue statistics that stay bounded and monotonic under session

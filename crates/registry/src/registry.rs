@@ -85,13 +85,6 @@ pub enum RegistryError {
         /// The ceiling that was hit ([`MAX_QUEUES`]).
         limit: usize,
     },
-    /// The queue's concurrent-session quota is exhausted.
-    SessionLimit {
-        /// The queue being bound.
-        name: String,
-        /// Its session ceiling.
-        limit: u64,
-    },
 }
 
 impl fmt::Display for RegistryError {
@@ -106,9 +99,6 @@ impl fmt::Display for RegistryError {
             RegistryError::Full { limit } => {
                 write!(f, "registry is full ({limit} queues)")
             }
-            RegistryError::SessionLimit { name, limit } => {
-                write!(f, "queue {name:?} is at its session quota ({limit})")
-            }
         }
     }
 }
@@ -119,11 +109,7 @@ impl std::error::Error for RegistryError {}
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Refusal {
     /// The queue's token bucket could not cover the operation.
-    Rate {
-        /// Whether the operation was background class (shed at the urgent
-        /// reserve rather than at empty).
-        background: bool,
-    },
+    Rate,
     /// The in-flight element quota is exhausted.
     InFlight,
     /// The queue was dropped while this binding was live.
@@ -133,10 +119,7 @@ pub enum Refusal {
 impl fmt::Display for Refusal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Refusal::Rate { background: true } => {
-                write!(f, "rate quota exhausted (background class shed first)")
-            }
-            Refusal::Rate { background: false } => write!(f, "rate quota exhausted"),
+            Refusal::Rate => write!(f, "rate quota exhausted"),
             Refusal::InFlight => write!(f, "in-flight element quota exhausted"),
             Refusal::Dropped => write!(f, "queue was dropped"),
         }
@@ -431,8 +414,8 @@ impl QueueRegistry {
         Ok(())
     }
 
-    /// Opens a session binding on the named queue (counted against its
-    /// session quota until the binding drops).
+    /// Opens a session binding on the named queue (counted as live until
+    /// the binding drops).
     pub fn bind(&self, name: &str) -> Result<QueueBinding, RegistryError> {
         // The session is claimed under the namespace lock, so `drop_queue`
         // never sees a dropped entry gain a binding.
@@ -441,23 +424,7 @@ impl QueueRegistry {
             let entry = map
                 .get(name)
                 .ok_or_else(|| RegistryError::NotFound(name.to_string()))?;
-            let max = entry.quota.max_sessions;
-            if max > 0 {
-                let claimed =
-                    entry
-                        .sessions_live
-                        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| {
-                            (v < max).then_some(v + 1)
-                        });
-                if claimed.is_err() {
-                    return Err(RegistryError::SessionLimit {
-                        name: name.to_string(),
-                        limit: max,
-                    });
-                }
-            } else {
-                entry.sessions_live.fetch_add(1, Ordering::SeqCst);
-            }
+            entry.sessions_live.fetch_add(1, Ordering::SeqCst);
             Arc::clone(entry)
         };
         entry.sessions_total.fetch_add(1, Ordering::Relaxed);
@@ -504,12 +471,6 @@ impl QueueRegistry {
     pub fn unbound_refusals(&self) -> u64 {
         self.unbound_refusals.load(Ordering::Relaxed)
     }
-
-    /// Nanoseconds since the registry's construction (the token-bucket
-    /// clock, exposed for tests and simulations).
-    pub fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
 }
 
 impl Default for QueueRegistry {
@@ -539,7 +500,7 @@ impl fmt::Debug for QueueRegistry {
 /// the flight recorder for per-refusal events.
 struct BindingObs {
     recorder: Arc<FlightRecorder>,
-    refusals: [Arc<Counter>; 5],
+    refusals: [Arc<Counter>; 4],
     inflight: Arc<Gauge>,
 }
 
@@ -548,8 +509,7 @@ impl BindingObs {
         let refusals = [
             refusal_category::DROPPED,
             refusal_category::INFLIGHT,
-            refusal_category::RATE_BACKGROUND,
-            refusal_category::RATE_URGENT,
+            refusal_category::RATE,
             refusal_category::EXTERNAL,
         ]
         .map(|code| {
@@ -570,8 +530,8 @@ impl BindingObs {
 
 /// One session's claim on a named queue: the admission gate every service
 /// operation passes through, plus this session's stats slot. Dropping the
-/// binding releases the session-quota slot and rolls the session's final
-/// counters into the queue's closed accumulator.
+/// binding ends the session and rolls its final counters into the queue's
+/// closed accumulator.
 pub struct QueueBinding {
     entry: Arc<QueueEntry>,
     slot: Arc<Mutex<HandleStats>>,
@@ -613,16 +573,15 @@ impl QueueBinding {
     }
 
     /// Admission check for an insert of `key`. Charges the in-flight quota
-    /// and one rate token; an insert whose key falls in the background
-    /// class is refused while the bucket sits below the urgent reserve
-    /// (half the burst).
+    /// and one rate token; `key` only labels a refusal's flight-recorder
+    /// event.
     pub fn admit_insert(&self, key: Key) -> Result<(), Refusal> {
         self.admit(true, key)
     }
 
     /// Admission check for a removal-side operation (delete-min, batch).
-    /// Charges one urgent-class rate token; the in-flight quota is not
-    /// consulted (removals free it).
+    /// Charges one rate token; the in-flight quota is not consulted
+    /// (removals free it).
     pub fn admit_removal(&self) -> Result<(), Refusal> {
         self.admit(false, 0)
     }
@@ -652,16 +611,8 @@ impl QueueBinding {
             inflight_claimed = true;
         }
         if let Some(bucket) = &self.entry.bucket {
-            let background = is_insert && key >= self.entry.quota.shed_key_bound;
             let now_ns = self.epoch.elapsed().as_nanos() as u64;
-            let mut bucket = bucket.lock();
-            let reserve = if background {
-                bucket.capacity() * 0.5
-            } else {
-                0.0
-            };
-            if !bucket.try_take(now_ns, 1.0, reserve) {
-                drop(bucket);
+            if !bucket.lock().try_take(now_ns, 1.0) {
                 if inflight_claimed {
                     // Give the optimistic in-flight claim back.
                     let _ =
@@ -671,13 +622,8 @@ impl QueueBinding {
                                 Some(v.saturating_sub(1))
                             });
                 }
-                let category = if background {
-                    refusal_category::RATE_BACKGROUND
-                } else {
-                    refusal_category::RATE_URGENT
-                };
-                self.obs_refusal(category, key);
-                return Err(Refusal::Rate { background });
+                self.obs_refusal(refusal_category::RATE, key);
+                return Err(Refusal::Rate);
             }
         }
         if is_insert {
@@ -872,26 +818,6 @@ mod tests {
     }
 
     #[test]
-    fn session_quota_bounds_concurrent_bindings() {
-        let reg = QueueRegistry::default();
-        reg.create("q", mq(), QuotaSpec::unlimited().with_max_sessions(2))
-            .unwrap();
-        let b1 = reg.bind("q").unwrap();
-        let _b2 = reg.bind("q").unwrap();
-        assert_eq!(
-            reg.bind("q").map(drop),
-            Err(RegistryError::SessionLimit {
-                name: "q".to_string(),
-                limit: 2
-            }),
-            "third bind refused"
-        );
-        drop(b1);
-        // Releasing a binding frees its quota slot.
-        let _b3 = reg.bind("q").unwrap();
-    }
-
-    #[test]
     fn inflight_quota_refuses_then_recovers_on_removal() {
         let reg = QueueRegistry::default();
         reg.create("q", mq(), QuotaSpec::unlimited().with_max_inflight(2))
@@ -909,46 +835,6 @@ mod tests {
     }
 
     #[test]
-    fn rate_quota_sheds_background_before_urgent() {
-        let reg = QueueRegistry::default();
-        // 10 tokens of burst; keys >= 100 are background and must leave 5
-        // tokens of urgent reserve.
-        reg.create(
-            "q",
-            mq(),
-            QuotaSpec::unlimited()
-                .with_rate(1, 10)
-                .with_shed_key_bound(100),
-        )
-        .unwrap();
-        let b = reg.bind("q").unwrap();
-        // Background inserts are admitted down to the reserve...
-        let mut background_ok = 0;
-        loop {
-            match b.admit_insert(100) {
-                Ok(()) => background_ok += 1,
-                Err(Refusal::Rate { background: true }) => break,
-                other => panic!("unexpected {other:?}"),
-            }
-            assert!(background_ok <= 10, "reserve never kicked in");
-        }
-        assert_eq!(background_ok, 5, "half the burst is urgent reserve");
-        // ...while urgent inserts keep going through the reserve.
-        let mut urgent_ok = 0;
-        loop {
-            match b.admit_insert(1) {
-                Ok(()) => urgent_ok += 1,
-                Err(Refusal::Rate { background: false }) => break,
-                other => panic!("unexpected {other:?}"),
-            }
-            assert!(urgent_ok <= 10, "bucket never drained");
-        }
-        assert_eq!(urgent_ok, 5, "urgent traffic spends the reserve");
-        let snap = b.snapshot();
-        assert_eq!(snap.totals.refusals, 2);
-    }
-
-    #[test]
     fn rate_refusal_returns_the_inflight_claim() {
         let reg = QueueRegistry::default();
         reg.create(
@@ -960,7 +846,7 @@ mod tests {
         let b = reg.bind("q").unwrap();
         b.admit_insert(1).unwrap();
         b.admit_insert(1).unwrap();
-        assert!(matches!(b.admit_insert(1), Err(Refusal::Rate { .. })));
+        assert_eq!(b.admit_insert(1), Err(Refusal::Rate));
         // Two admitted inserts hold two in-flight slots; the refused one
         // holds none — 8 more removals' worth of budget remain.
         b.note_removed(2);
@@ -1137,10 +1023,12 @@ mod tests {
         let hub = ObsHub::new();
         let reg = QueueRegistry::default();
         reg.set_obs(Arc::clone(&hub));
+        // Two tokens at one per second: the test spends both well inside
+        // the first second.
         reg.create(
             "tenant/a",
             mq(),
-            QuotaSpec::unlimited().with_max_inflight(2),
+            QuotaSpec::unlimited().with_max_inflight(2).with_rate(1, 2),
         )
         .unwrap();
         let b = reg.bind("tenant/a").unwrap();
@@ -1149,6 +1037,7 @@ mod tests {
         assert_eq!(b.admit_insert(3), Err(Refusal::InFlight));
         b.note_external_refusal();
         b.note_removed(1);
+        assert_eq!(b.admit_insert(4), Err(Refusal::Rate));
         reg.drop_queue("tenant/a").unwrap();
         assert_eq!(b.admit_removal(), Err(Refusal::Dropped));
         reg.note_unbound_refusal();
@@ -1161,13 +1050,14 @@ mod tests {
             )
         };
         assert_eq!(refusal("inflight"), Some(1));
-        assert_eq!(refusal("external"), Some(1));
+        assert_eq!(refusal("rate"), Some(1));
+        assert_eq!(refusal("external"), Some(1), "the reserved-key refusal");
         assert_eq!(refusal("dropped"), Some(1));
-        assert_eq!(refusal("rate-urgent"), Some(0), "cell exists, untouched");
+        assert_eq!(refusal_category_name(4), "unknown", "four codes, 0..=3");
         assert_eq!(
             snap.gauge("registry_inflight", &[("queue", "tenant/a")]),
             Some(1),
-            "two admits minus one removal credit"
+            "two admits minus one removal credit; the rate refusal rolled back"
         );
         assert_eq!(
             snap.counter("registry_unbound_refusals_total", &[]),
@@ -1181,13 +1071,14 @@ mod tests {
             .into_iter()
             .filter(|e| e.kind == EventKind::QuotaRefusal)
             .collect();
-        assert_eq!(events.len(), 3);
+        assert_eq!(events.len(), 4);
         assert!(events.iter().all(|e| e.label == "tenant/a"));
         assert_eq!(events[0].fields[0], refusal_category::INFLIGHT);
         assert_eq!(events[0].fields[1], 3, "the refused key rides along");
         assert_eq!(events[0].fields[2], 2, "in-flight load at refusal time");
         assert_eq!(events[1].fields[0], refusal_category::EXTERNAL);
-        assert_eq!(events[2].fields[0], refusal_category::DROPPED);
+        assert_eq!(events[2].fields, [refusal_category::RATE, 4, 1]);
+        assert_eq!(events[3].fields[0], refusal_category::DROPPED);
     }
 
     #[test]

@@ -168,28 +168,18 @@ impl BackendSpec {
 }
 
 /// Resource budget of one named queue. `0` means *unlimited* for every
-/// field except [`shed_key_bound`](QuotaSpec::shed_key_bound), whose
-/// no-shedding value is `u64::MAX`.
+/// field.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct QuotaSpec {
     /// Maximum elements in flight (inserted, not yet removed) at once.
     /// Inserts beyond this are refused until removals free budget.
     pub max_inflight: u64,
-    /// Maximum concurrently bound sessions; further `UseQueue`/connection
-    /// binds are refused.
-    pub max_sessions: u64,
     /// Sustained queue-operation rate (inserts + removals per second)
     /// metered by a token bucket. `0` disables rate metering.
     pub ops_per_sec: u64,
     /// Token-bucket burst capacity. `0` defaults to one second of budget
     /// (`ops_per_sec`).
     pub burst: u64,
-    /// Class boundary for rate shedding: inserts with `key >=` this bound
-    /// are *background* class and are refused while the token bucket sits
-    /// below half its burst (the reserve kept for urgent traffic). With
-    /// earliest-deadline-first keys this sheds the latest-deadline work
-    /// first. `u64::MAX` (the default) makes every insert urgent.
-    pub shed_key_bound: u64,
 }
 
 impl QuotaSpec {
@@ -197,10 +187,8 @@ impl QuotaSpec {
     pub fn unlimited() -> Self {
         Self {
             max_inflight: 0,
-            max_sessions: 0,
             ops_per_sec: 0,
             burst: 0,
-            shed_key_bound: u64::MAX,
         }
     }
 
@@ -210,24 +198,11 @@ impl QuotaSpec {
         self
     }
 
-    /// Sets the concurrent-session ceiling (`0` = unlimited).
-    pub fn with_max_sessions(mut self, max_sessions: u64) -> Self {
-        self.max_sessions = max_sessions;
-        self
-    }
-
     /// Sets the sustained ops/sec rate and burst (`burst == 0` defaults to
     /// one second of budget).
     pub fn with_rate(mut self, ops_per_sec: u64, burst: u64) -> Self {
         self.ops_per_sec = ops_per_sec;
         self.burst = burst;
-        self
-    }
-
-    /// Sets the background-class key boundary (see
-    /// [`shed_key_bound`](QuotaSpec::shed_key_bound)).
-    pub fn with_shed_key_bound(mut self, bound: u64) -> Self {
-        self.shed_key_bound = bound;
         self
     }
 
@@ -350,14 +325,10 @@ mod tests {
     fn quota_builders_and_defaults() {
         let q = QuotaSpec::default();
         assert_eq!(q, QuotaSpec::unlimited());
-        assert_eq!(q.shed_key_bound, u64::MAX);
         let q = QuotaSpec::unlimited()
             .with_max_inflight(100)
-            .with_max_sessions(2)
-            .with_rate(500, 0)
-            .with_shed_key_bound(1_000);
+            .with_rate(500, 0);
         assert_eq!(q.max_inflight, 100);
-        assert_eq!(q.max_sessions, 2);
         assert_eq!(q.effective_burst(), 500, "burst defaults to one second");
         assert_eq!(
             QuotaSpec::unlimited().with_rate(500, 50).effective_burst(),

@@ -440,8 +440,8 @@ impl PqClient {
     /// trip). The old session's counters roll up into its queue; subsequent
     /// operations run against the new one. On a refusal the old binding is
     /// kept. Naming the queue the session is already bound to (and that was
-    /// not dropped since) keeps the current session, so it claims no second
-    /// session slot.
+    /// not dropped since) keeps the current session instead of opening a
+    /// second one.
     pub fn use_queue(&mut self, name: &str) -> Result<(), ClientError> {
         let request = Request::UseQueue {
             name: name.to_string(),

@@ -82,7 +82,6 @@ pub use server::{PqServer, ServerConfig};
 // wire users don't need a direct `choice-registry` dependency.
 pub use choice_registry::{BackendSpec, QueueRegistry, QuotaSpec, DEFAULT_QUEUE};
 
-// The telemetry hub type appears in the server API
-// (`PqServer::spawn_registry_with_obs`, `PqServer::obs`); re-exported for
-// the same reason.
+// The telemetry hub type appears in the server API (`PqServer::obs`);
+// re-exported for the same reason.
 pub use choice_obs::ObsHub;

@@ -3,7 +3,7 @@
 //! Every frame — in both directions — starts with the same 7-byte header:
 //!
 //! ```text
-//! [ length: u32 LE ][ version: u8 = 6 ][ opcode: u8 ][ trace flags: u8 ][ trace fields ][ payload ... ]
+//! [ length: u32 LE ][ version: u8 = 7 ][ opcode: u8 ][ trace flags: u8 ][ trace fields ][ payload ... ]
 //! ```
 //!
 //! `length` counts everything after the length field itself, so a reader
@@ -42,8 +42,8 @@ use choice_registry::{BackendSpec, QuotaSpec, MAX_NAME_LEN, MAX_QUEUES};
 
 /// The protocol version every frame carries, and the only one this build
 /// decodes. Fixed layouts are not self-describing, so any layout change is
-/// a version bump; versions 1–5 were earlier layouts.
-pub const WIRE_VERSION: u8 = 6;
+/// a version bump; versions 1–6 were earlier layouts.
+pub const WIRE_VERSION: u8 = 7;
 
 /// Hard ceiling on `length` (header bytes after the length prefix, trace
 /// fields and payload). Large enough for a [`MAX_BATCH`]-entry batch
@@ -731,10 +731,8 @@ impl Request {
                 put_u32(out, p1);
                 put_u32(out, p2);
                 put_u64(out, quota.max_inflight);
-                put_u64(out, quota.max_sessions);
                 put_u64(out, quota.ops_per_sec);
                 put_u64(out, quota.burst);
-                put_u64(out, quota.shed_key_bound);
             }
             Request::DropQueue { name } | Request::UseQueue { name } => put_name(out, name),
             Request::MetricsDump { include_events } => out.push(*include_events as u8),
@@ -781,7 +779,7 @@ impl Request {
             OP_STATS => layout(EMPTY).finish(Request::Stats)?,
             OP_SHUTDOWN => layout(EMPTY).finish(Request::Shutdown)?,
             OP_CREATE_QUEUE => {
-                let mut p = layout("name + backend code u8 + 2 u32 params + 5 u64 quota fields");
+                let mut p = layout("name + backend code u8 + 2 u32 params + 3 u64 quota fields");
                 let name = p.take_name()?;
                 let code = p.take_u8()?;
                 let p1 = p.take_u32()?;
@@ -789,10 +787,8 @@ impl Request {
                 let backend = BackendSpec::from_wire(code, p1, p2).ok_or_else(|| p.malformed())?;
                 let quota = QuotaSpec {
                     max_inflight: p.take_u64()?,
-                    max_sessions: p.take_u64()?,
                     ops_per_sec: p.take_u64()?,
                     burst: p.take_u64()?,
-                    shed_key_bound: p.take_u64()?,
                 };
                 p.finish(Request::CreateQueue {
                     name,
@@ -1194,10 +1190,8 @@ mod tests {
                 backend,
                 quota: QuotaSpec {
                     max_inflight: 1,
-                    max_sessions: 2,
-                    ops_per_sec: 3,
-                    burst: 4,
-                    shed_key_bound: 5,
+                    ops_per_sec: 2,
+                    burst: 3,
                 },
             });
         }
@@ -1376,6 +1370,10 @@ mod tests {
             quota: QuotaSpec::unlimited().with_rate(1000, 50),
         }
         .encode(&mut buf);
+        // Length prefix + header, the name field, the backend code, two u32
+        // params and three u64 quota words.
+        let expected_len = 4 + HEADER_LEN + (1 + 8) + 1 + 2 * 4 + 3 * 8;
+        assert_eq!(buf.len(), expected_len, "CreateQueue layout drifted");
         frames.push(std::mem::take(&mut buf));
         Request::DropQueue {
             name: "tenant/a".to_string(),
@@ -1515,7 +1513,7 @@ mod tests {
                 for _ in 0..2 {
                     put_u32(out, 0);
                 }
-                for _ in 0..5 {
+                for _ in 0..3 {
                     put_u64(out, 0);
                 }
             });
@@ -1609,7 +1607,7 @@ mod tests {
         Response::Empty.encode(&mut response);
         // Every other stamp is refused, in both directions, on an otherwise
         // well-formed frame.
-        for version in [0u8, 1, 2, 3, 4, 5, 7, 9, 0xFF] {
+        for version in [0u8, 1, 2, 3, 4, 5, 6, 9, 0xFF] {
             let mut stamped = request.clone();
             stamped[4] = version;
             assert_eq!(
@@ -1971,10 +1969,8 @@ mod tests {
                     .expect("assigned backend code"),
                     quota: QuotaSpec {
                         max_inflight: key,
-                        max_sessions: value,
                         ops_per_sec: key ^ value,
                         burst: key.wrapping_add(value),
-                        shed_key_bound: key.wrapping_mul(3),
                     },
                 },
                 7 => Request::DropQueue { name },

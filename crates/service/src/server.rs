@@ -17,8 +17,8 @@
 //! [`PqServer::spawn`] server always installs one, so a single-queue server
 //! needs no `UseQueue` at all) and may rebind with `UseQueue`. Every session
 //! operation passes the binding's admission gate first: in-flight quota,
-//! token-bucket rate with class-aware shedding, drop tombstones. Refusals
-//! are typed wire errors and first-class counters, never silent drops.
+//! token-bucket rate, drop tombstones. Refusals are typed wire errors and
+//! first-class counters, never silent drops.
 //!
 //! # Backpressure: the credit window
 //!
@@ -226,7 +226,7 @@ impl Shared {
 /// reads until the queue's last binding closes.
 fn refusal_error(refusal: Refusal) -> Response {
     let code = match refusal {
-        Refusal::Rate { .. } | Refusal::InFlight => ErrorCode::QuotaExceeded,
+        Refusal::Rate | Refusal::InFlight => ErrorCode::QuotaExceeded,
         Refusal::Dropped => ErrorCode::QueueDropped,
     };
     Response::Error {
@@ -242,7 +242,6 @@ fn registry_error(error: RegistryError) -> Response {
         RegistryError::Exists(_) => ErrorCode::QueueExists,
         RegistryError::NotFound(_) => ErrorCode::NoSuchQueue,
         RegistryError::Full { .. } => ErrorCode::RegistryFull,
-        RegistryError::SessionLimit { .. } => ErrorCode::QuotaExceeded,
     };
     Response::Error {
         code,
@@ -293,34 +292,23 @@ impl PqServer {
     /// Binds `addr` and starts serving every queue of `registry`.
     /// Connections start bound to the registry's [`DEFAULT_QUEUE`] if one
     /// exists; otherwise they start unbound and must `UseQueue` before
-    /// session operations.
+    /// session operations. The server reports into a fresh [`ObsHub`]
+    /// ([`obs`](PqServer::obs)), which it also offers to the registry via
+    /// [`set_obs`](QueueRegistry::set_obs); if the registry already carries
+    /// one, its bindings keep the hub they resolved first.
     pub fn spawn_registry(
         registry: Arc<QueueRegistry>,
         addr: impl ToSocketAddrs,
         config: ServerConfig,
     ) -> io::Result<PqServer> {
-        Self::spawn_registry_with_obs(registry, addr, config, ObsHub::new())
-    }
-
-    /// Like [`spawn_registry`](PqServer::spawn_registry), but reports into a
-    /// caller-supplied [`ObsHub`] (a shared hub across several servers, a
-    /// larger flight-recorder ring, or a deterministic clock in tests). The
-    /// hub is also offered to the registry via
-    /// [`set_obs`](QueueRegistry::set_obs); if the registry already carries
-    /// one, its bindings keep the hub they resolved first.
-    pub fn spawn_registry_with_obs(
-        registry: Arc<QueueRegistry>,
-        addr: impl ToSocketAddrs,
-        config: ServerConfig,
-        obs: Arc<ObsHub>,
-    ) -> io::Result<PqServer> {
         assert!(config.credit_window > 0, "credit window must be positive");
+        let obs = ObsHub::new();
         registry.set_obs(Arc::clone(&obs));
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         // `build_info` is the standard Prometheus idiom: a constant-1 gauge
-        // whose labels carry the identifying strings. The add-of-difference
-        // keeps it at 1 even when several servers share one hub.
+        // whose labels carry the identifying strings. The hub is this
+        // server's own, so one increment sets it.
         let build_info = obs.metrics().gauge(
             "build_info",
             &[
@@ -329,7 +317,7 @@ impl PqServer {
                 ("commit", option_env!("GIT_COMMIT").unwrap_or("unknown")),
             ],
         );
-        build_info.add(1 - build_info.value());
+        build_info.inc();
         let uptime = obs.metrics().gauge("uptime_seconds", &[]);
         let stage_ns = SpanStage::ALL.map(|stage| {
             obs.metrics()
@@ -745,9 +733,8 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) -> io::Result<()> {
                         }
                         Request::UseQueue { name } => Some(match binding.as_ref() {
                             // Already bound to this live queue: keep the
-                            // session. Binding afresh would claim a second
-                            // session slot before releasing this one, which
-                            // a session quota of 1 refuses.
+                            // session instead of opening a second one on
+                            // the same queue.
                             Some(b) if b.name() == name && !b.is_dropped() => Response::Using,
                             _ => match shared.registry.bind(name) {
                                 Ok(new_binding) => {
@@ -975,26 +962,26 @@ mod tests {
         assert_eq!(Response::decode(&frame).unwrap().0, Response::Len(0));
     }
 
-    /// A registry server whose default queue (an exact coarse heap) admits
-    /// one session at a time.
-    fn spawn_single_session_server() -> PqServer {
+    /// A registry server whose default queue is an exact, unlimited coarse
+    /// heap.
+    fn spawn_coarse_heap_server() -> PqServer {
         let registry = Arc::new(QueueRegistry::default());
         registry
             .create(
                 DEFAULT_QUEUE,
                 BackendSpec::CoarseHeap,
-                QuotaSpec::unlimited().with_max_sessions(1),
+                QuotaSpec::unlimited(),
             )
             .unwrap();
         PqServer::spawn_registry(registry, "127.0.0.1:0", ServerConfig::default()).unwrap()
     }
 
     /// `UseQueue` of the queue the session is already bound to keeps that
-    /// session. Binding afresh would need a second slot while the current
-    /// binding still holds the only one.
+    /// session: the queue counts one session, not a second one opened on
+    /// top of it.
     #[test]
-    fn use_queue_of_the_bound_queue_keeps_the_session_at_a_quota_of_one() {
-        let server = spawn_single_session_server();
+    fn use_queue_of_the_bound_queue_keeps_the_session() {
+        let server = spawn_coarse_heap_server();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         let use_default = Request::UseQueue {
             name: DEFAULT_QUEUE.to_string(),
@@ -1020,12 +1007,12 @@ mod tests {
 
     /// A peer that dies mid-frame with its responses unread: the frames it
     /// completed are applied, the torn tail is discarded, and its session
-    /// slot is released for the next peer.
+    /// is released.
     #[test]
     fn a_peer_dying_mid_frame_with_responses_unread_releases_its_session() {
-        let server = spawn_single_session_server();
+        let server = spawn_coarse_heap_server();
         let mut a = TcpStream::connect(server.local_addr()).unwrap();
-        // One round trip proves A holds the queue's only session slot.
+        // One round trip proves A holds a session on the queue.
         assert_eq!(request_reply(&mut a, &Request::ApproxLen), Response::Len(0));
         let mut wire = Vec::new();
         for key in 0..32u64 {
@@ -1046,7 +1033,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
 
-        // B starts bound to the freed slot; a UseQueue is not needed.
+        // B starts bound to the default queue; a UseQueue is not needed.
         let mut b = TcpStream::connect(server.local_addr()).unwrap();
         let mut keys = Vec::new();
         loop {

@@ -12,15 +12,6 @@
 //! machine — trivially unit-testable, reproducible in simulation, and free
 //! of hidden clock reads on the admission hot path (the server reads its
 //! monotonic clock once per request and threads the value through).
-//!
-//! # Class priority via reserves
-//!
-//! [`try_take`](TokenBucket::try_take) accepts a `reserve`: the number of
-//! tokens that must *remain* after the take. Admitting background-class
-//! operations with a positive reserve while urgent-class operations run with
-//! reserve `0` gives strict-priority shedding — when a tenant's budget runs
-//! low, its background traffic is refused first and the reserved headroom
-//! keeps serving urgent traffic — without maintaining separate buckets.
 
 /// A continuously-refilling token bucket with explicit time.
 ///
@@ -59,11 +50,6 @@ impl TokenBucket {
         }
     }
 
-    /// The burst ceiling the bucket was built with.
-    pub fn capacity(&self) -> f64 {
-        self.capacity
-    }
-
     /// Advances the refill clock to `now_ns`, crediting elapsed time.
     /// Time moving backwards (or standing still) credits nothing — the
     /// bucket never debits for clock skew.
@@ -75,12 +61,11 @@ impl TokenBucket {
         }
     }
 
-    /// Attempts to take `cost` tokens at time `now_ns`, refusing unless at
-    /// least `reserve` tokens would remain afterwards. Returns whether the
+    /// Attempts to take `cost` tokens at time `now_ns`. Returns whether the
     /// take was admitted; a refused take debits nothing.
-    pub fn try_take(&mut self, now_ns: u64, cost: f64, reserve: f64) -> bool {
+    pub fn try_take(&mut self, now_ns: u64, cost: f64) -> bool {
         self.refill(now_ns);
-        if self.tokens >= cost + reserve {
+        if self.tokens >= cost {
             self.tokens -= cost;
             true
         } else {
@@ -108,11 +93,10 @@ mod tests {
     #[test]
     fn starts_full_and_spends_down_to_refusal() {
         let mut b = TokenBucket::new(10.0, 4.0);
-        assert_eq!(b.capacity(), 4.0);
         for _ in 0..4 {
-            assert!(b.try_take(0, 1.0, 0.0));
+            assert!(b.try_take(0, 1.0));
         }
-        assert!(!b.try_take(0, 1.0, 0.0), "burst exhausted at t=0");
+        assert!(!b.try_take(0, 1.0), "burst exhausted at t=0");
         // A refused take debits nothing: the balance is still ~0, not < 0.
         assert!(b.available(0) < 1e-9);
     }
@@ -121,74 +105,55 @@ mod tests {
     fn refills_at_the_configured_rate_and_saturates_at_burst() {
         let mut b = TokenBucket::new(2.0, 4.0);
         for _ in 0..4 {
-            assert!(b.try_take(0, 1.0, 0.0));
+            assert!(b.try_take(0, 1.0));
         }
         // Half a second at 2 tokens/sec refills one token.
-        assert!(!b.try_take(SEC / 4, 1.0, 0.0));
-        assert!(b.try_take(SEC / 2, 1.0, 0.0));
+        assert!(!b.try_take(SEC / 4, 1.0));
+        assert!(b.try_take(SEC / 2, 1.0));
         // A long idle period cannot overfill past the burst ceiling.
         assert!((b.available(100 * SEC) - 4.0).abs() < 1e-9);
         b.refill(100 * SEC);
         for _ in 0..4 {
-            assert!(b.try_take(100 * SEC, 1.0, 0.0));
+            assert!(b.try_take(100 * SEC, 1.0));
         }
-        assert!(!b.try_take(100 * SEC, 1.0, 0.0));
+        assert!(!b.try_take(100 * SEC, 1.0));
     }
 
     #[test]
-    fn reserve_gives_urgent_traffic_strict_priority() {
+    fn exactly_exhausted_boundary() {
         let mut b = TokenBucket::new(1.0, 4.0);
-        // Background ops must leave 2 tokens behind; urgent ops none.
-        assert!(b.try_take(0, 1.0, 2.0)); // 4 → 3
-        assert!(b.try_take(0, 1.0, 2.0)); // 3 → 2
-        assert!(!b.try_take(0, 1.0, 2.0), "background shed at the reserve");
-        // The reserved headroom still serves urgent traffic.
-        assert!(b.try_take(0, 1.0, 0.0)); // 2 → 1
-        assert!(b.try_take(0, 1.0, 0.0)); // 1 → 0
-        assert!(!b.try_take(0, 1.0, 0.0), "then urgent is shed too");
-    }
-
-    #[test]
-    fn urgent_reserve_exactly_exhausted_boundary() {
-        let mut b = TokenBucket::new(1.0, 4.0);
-        // Background ops reserve 2. Spend down to exactly the reserve…
-        assert!(b.try_take(0, 1.0, 2.0)); // 4 → 3
-        assert!(b.try_take(0, 1.0, 2.0)); // 3 → 2: tokens == cost + reserve admits
-                                          // …the boundary: 2 tokens left, cost 1 + reserve 2 > 2 refuses, and
-                                          // a cost that would land exactly *on* the reserve is still admitted.
-        assert!(!b.try_take(0, 1.0, 2.0));
-        assert!(
-            b.try_take(0, 2.0, 0.0),
-            "urgent can spend the whole reserve"
-        ); // 2 → 0
-           // Reserve exactly exhausted: even a zero-reserve (urgent) take of the
-           // smallest cost is refused, but a zero-cost probe still "succeeds".
-        assert!(!b.try_take(0, 1.0, 0.0));
-        assert!(b.try_take(0, 0.0, 0.0), "zero cost against zero tokens");
+        assert!(b.try_take(0, 1.0)); // 4 → 3
+        assert!(!b.try_take(0, 3.5), "a take above the balance is refused");
+        // A take of exactly the balance is admitted: 3 → 0.
+        assert!(b.try_take(0, 3.0));
+        // Exactly exhausted: a one-token take is refused, but a zero-cost
+        // probe still "succeeds".
+        assert!(!b.try_take(0, 1.0));
+        assert!(b.try_take(0, 0.0), "zero cost against zero tokens");
         assert!(b.available(0) < 1e-9);
     }
 
     #[test]
     fn refill_across_a_zero_elapsed_tick_credits_nothing() {
         let mut b = TokenBucket::new(1000.0, 2.0);
-        assert!(b.try_take(5 * SEC, 2.0, 0.0), "drain at t");
+        assert!(b.try_take(5 * SEC, 2.0), "drain at t");
         // Same-timestamp refills (now == last) are zero-elapsed ticks: no
         // credit, no matter how many times the tick repeats.
         for _ in 0..3 {
             b.refill(5 * SEC);
             assert!(b.available(5 * SEC) < 1e-9);
         }
-        assert!(!b.try_take(5 * SEC, 1.0, 0.0), "still empty at the same t");
+        assert!(!b.try_take(5 * SEC, 1.0), "still empty at the same t");
         // The first *positive* elapsed tick credits exactly that sliver —
         // 1ms at 1000/s is one token, not one per zero-tick retried above.
-        assert!(b.try_take(5 * SEC + 1_000_000, 1.0, 0.0));
-        assert!(!b.try_take(5 * SEC + 1_000_000, 1.0, 0.0));
+        assert!(b.try_take(5 * SEC + 1_000_000, 1.0));
+        assert!(!b.try_take(5 * SEC + 1_000_000, 1.0));
     }
 
     #[test]
     fn monotonic_time_regression_never_debits_or_credits() {
         let mut b = TokenBucket::new(1.0, 4.0);
-        assert!(b.try_take(10 * SEC, 1.0, 0.0)); // 4 → 3 at t=10s
+        assert!(b.try_take(10 * SEC, 1.0)); // 4 → 3 at t=10s
         let balance = b.available(10 * SEC);
         // A sequence of strictly-regressing timestamps: every observation
         // at the original time must see the balance unchanged, and the
@@ -208,15 +173,12 @@ mod tests {
     #[test]
     fn clock_going_backwards_is_benign() {
         let mut b = TokenBucket::new(1.0, 2.0);
-        assert!(b.try_take(10 * SEC, 1.0, 0.0));
+        assert!(b.try_take(10 * SEC, 1.0));
         // An earlier timestamp neither credits nor debits.
         let before = b.available(10 * SEC);
         b.refill(5 * SEC);
         assert_eq!(b.available(10 * SEC), before);
-        assert!(
-            b.try_take(5 * SEC, 1.0, 0.0),
-            "remaining token still usable"
-        );
+        assert!(b.try_take(5 * SEC, 1.0), "remaining token still usable");
     }
 
     #[test]
@@ -224,11 +186,11 @@ mod tests {
         let mut b = TokenBucket::new(1000.0, 1.0);
         // 1 token burst, 0.25 cost: four takes drain it.
         for _ in 0..4 {
-            assert!(b.try_take(0, 0.25, 0.0));
+            assert!(b.try_take(0, 0.25));
         }
-        assert!(!b.try_take(0, 0.25, 0.0));
+        assert!(!b.try_take(0, 0.25));
         // 1 ms at 1000/sec refills one full token.
-        assert!(b.try_take(1_000_000, 1.0, 0.0));
+        assert!(b.try_take(1_000_000, 1.0));
     }
 
     #[test]

@@ -1,24 +1,19 @@
 //! Model-checks the registry's admission pair (DESIGN.md §8, `choice_registry`'s
 //! `admit`): a bounded in-flight window claimed by CAS, then a per-tenant
-//! [`rank_stats::TokenBucket`] take with a background-class reserve.
+//! [`rank_stats::TokenBucket`] take.
 //!
 //! The window half is mirrored (the counter discipline is the protocol); the
 //! rate half runs the **real** `TokenBucket` behind an explorer mutex with
-//! frozen explicit time, so the checked reserve arithmetic is the shipped
-//! arithmetic. Properties, under every explored interleaving:
-//!
-//! * **the window never goes negative and never exceeds its bound** — claims
-//!   are CAS-guarded (`v < max → v + 1`) and a refusal only returns a unit
-//!   that was actually claimed;
-//! * **the urgent reserve is never starved** — background takes leave
-//!   `capacity / 2` tokens behind, so an urgent take that fits in the
-//!   reserve is admitted no matter how the background class is scheduled.
+//! frozen explicit time, so the checked take arithmetic is the shipped
+//! arithmetic. The property, under every explored interleaving: **the window
+//! never goes negative and never exceeds its bound** — claims are CAS-guarded
+//! (`v < max → v + 1`) and a refusal only returns a unit that was actually
+//! claimed.
 //!
 //! Broken variants seeded deliberately, each failing with a replayable
 //! schedule: claiming by blind `fetch_add` with a check-after (the window
-//! overshoots between the add and the give-back), releasing on refusal even
-//! when nothing was claimed (the window underflows), and admitting
-//! background traffic with reserve zero (urgent starves).
+//! overshoots between the add and the give-back), and releasing on refusal
+//! even when nothing was claimed (the window underflows).
 
 use std::sync::Arc;
 
@@ -39,24 +34,17 @@ struct Variant {
     /// On a rate refusal, give back the in-flight unit only if this call
     /// claimed one (the real registry). `false` releases unconditionally.
     release_only_claimed: bool,
-    /// Background takes keep `capacity / 2` tokens in reserve (the real
-    /// registry's shed policy). `false` admits background with reserve 0.
-    background_reserve: bool,
 }
 
 const FAITHFUL: Variant = Variant {
     cas_claim: true,
     release_only_claimed: true,
-    background_reserve: true,
 };
 
 /// The admission seam: in-flight window + one tenant's token bucket.
 struct Gate {
     inflight: AtomicU64,
     max_inflight: u64,
-    /// The bucket's burst, duplicated outside the lock so computing the
-    /// reserve does not serialise with the take.
-    burst: f64,
     bucket: Mutex<TokenBucket>,
 }
 
@@ -65,7 +53,6 @@ impl Gate {
         Self {
             inflight: AtomicU64::new(0),
             max_inflight,
-            burst,
             // Rate is irrelevant at frozen time; any positive value works.
             bucket: Mutex::new(TokenBucket::new(1.0, burst)),
         }
@@ -81,7 +68,7 @@ impl Gate {
 /// One admission decision, mirroring `choice_registry`'s `admit`:
 /// claim the window (inserts only), then charge the bucket; a rate refusal
 /// rolls the claim back.
-fn admit(gate: &Gate, takes_slot: bool, background: bool, variant: Variant) -> bool {
+fn admit(gate: &Gate, takes_slot: bool, variant: Variant) -> bool {
     let mut claimed = false;
     if takes_slot {
         if variant.cas_claim {
@@ -109,16 +96,7 @@ fn admit(gate: &Gate, takes_slot: bool, background: bool, variant: Variant) -> b
         }
         claimed = true;
     }
-    let reserve = if background {
-        if variant.background_reserve {
-            gate.burst * 0.5
-        } else {
-            0.0
-        }
-    } else {
-        0.0
-    };
-    let admitted = gate.bucket.lock().try_take(NOW, 1.0, reserve);
+    let admitted = gate.bucket.lock().try_take(NOW, 1.0);
     if !admitted && (claimed || !variant.release_only_claimed) {
         gate.release();
     }
@@ -136,7 +114,7 @@ fn window_bound_model(variant: Variant) {
     let threads: Vec<_> = (0..2)
         .map(|_| {
             let g = Arc::clone(&g);
-            check::spawn(move || admit(&g, true, false, variant))
+            check::spawn(move || admit(&g, true, variant))
         })
         .collect();
     let gm = Arc::clone(&g);
@@ -207,15 +185,15 @@ fn refusal_rollback_model(variant: Variant) {
     // Drain the burst up front so every take below is refused.
     {
         let mut b = g.bucket.lock();
-        assert!(b.try_take(NOW, 2.0, 0.0));
+        assert!(b.try_take(NOW, 2.0));
     }
     let gi = Arc::clone(&g);
     let inserter = check::spawn(move || {
-        assert!(!admit(&gi, true, false, variant), "bucket is empty");
+        assert!(!admit(&gi, true, variant), "bucket is empty");
     });
     let gr = Arc::clone(&g);
     let remover = check::spawn(move || {
-        assert!(!admit(&gr, false, false, variant), "bucket is empty");
+        assert!(!admit(&gr, false, variant), "bucket is empty");
     });
     inserter.join();
     remover.join();
@@ -250,58 +228,6 @@ fn releasing_an_unclaimed_unit_underflows_the_window() {
         "unexpected failure: {failure}"
     );
     let replayed = check::replay(&failure.schedule, move || refusal_rollback_model(variant))
-        .expect_err("failing schedule must replay deterministically");
-    assert_eq!(replayed.message, failure.message);
-}
-
-// ---------------------------------------------------------------------------
-// Property 3: the urgent reserve is never starved by background traffic.
-// ---------------------------------------------------------------------------
-
-/// Background issues two takes against a burst of two while urgent issues
-/// one. With the `capacity / 2` reserve, at most one background take lands
-/// and the urgent take always finds a token — under *every* schedule.
-fn reserve_model(variant: Variant) {
-    let g = Arc::new(Gate::new(8, 2.0));
-    let gb = Arc::clone(&g);
-    let background =
-        check::spawn(move || (0..2).filter(|_| admit(&gb, true, true, variant)).count());
-    let gu = Arc::clone(&g);
-    let urgent = check::spawn(move || {
-        assert!(
-            admit(&gu, true, false, variant),
-            "urgent starved: the reserve headroom was spent on background"
-        );
-    });
-    let background_admitted = background.join();
-    urgent.join();
-    assert!(
-        background_admitted <= 1,
-        "reserve must shed the second background take"
-    );
-}
-
-#[test]
-fn urgent_reserve_survives_every_background_schedule() {
-    let report = check::explore(check::Config::dfs(100_000), || reserve_model(FAITHFUL))
-        .expect("capacity/2 reserve always leaves the urgent take a token");
-    assert!(report.exhausted, "model small enough to exhaust");
-}
-
-#[test]
-fn zero_reserve_lets_background_starve_urgent() {
-    let variant = Variant {
-        background_reserve: false,
-        ..FAITHFUL
-    };
-    let failure = check::explore(check::Config::dfs(100_000), move || reserve_model(variant))
-        .expect_err("without the reserve, background can drain the burst first");
-    assert!(
-        failure.message.contains("urgent starved")
-            || failure.message.contains("shed the second background take"),
-        "unexpected failure: {failure}"
-    );
-    let replayed = check::replay(&failure.schedule, move || reserve_model(variant))
         .expect_err("failing schedule must replay deterministically");
     assert_eq!(replayed.message, failure.message);
 }
