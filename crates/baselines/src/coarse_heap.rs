@@ -1,4 +1,4 @@
-//! A single binary heap behind one global lock.
+//! A single 4-ary heap (`seq_pq::BinaryHeap`) behind one global lock.
 //!
 //! The simplest *exact* concurrent priority queue. Every operation serialises
 //! on the one lock, so throughput is flat (or falls) as threads are added —

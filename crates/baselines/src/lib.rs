@@ -5,7 +5,7 @@
 //! implementation of each family behind the same handle-based session API
 //! ([`SharedPq`] / [`PqHandle`]):
 //!
-//! * [`CoarseHeap`] — a single binary heap behind one
+//! * [`CoarseHeap`] — a single 4-ary heap behind one
 //!   global lock: the textbook *exact* queue whose sequential bottleneck
 //!   motivates relaxation in the first place.
 //! * [`SkipListQueue`] — a centralized,

@@ -33,7 +33,7 @@ pub enum QueueSpec {
         /// Queues-per-thread factor.
         queues_per_thread: usize,
     },
-    /// The coarse-locked exact binary heap.
+    /// The coarse-locked exact heap.
     CoarseHeap,
     /// The centralized skiplist queue (Lindén–Jonsson-style).
     SkipList,

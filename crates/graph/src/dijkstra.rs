@@ -1,8 +1,9 @@
 //! Sequential shortest-path references.
 //!
 //! These are the two exact oracles the parallel relaxed-queue SSSP is
-//! validated against: classic Dijkstra with a binary heap, and Bellman–Ford
-//! as an independent, queue-free cross-check used by the property tests.
+//! validated against: classic Dijkstra with the `seq-pq` 4-ary heap, and
+//! Bellman–Ford as an independent, queue-free cross-check used by the
+//! property tests.
 
 use seq_pq::{BinaryHeap, SequentialPriorityQueue};
 
@@ -11,7 +12,7 @@ use crate::graph::{Graph, NodeId};
 /// Distance value meaning "unreachable".
 pub const UNREACHABLE: u64 = u64::MAX;
 
-/// Classic Dijkstra with a binary heap. Returns the distance from `source` to
+/// Classic Dijkstra with the `seq-pq` 4-ary heap. Returns the distance from `source` to
 /// every node (`UNREACHABLE` for nodes not reachable from `source`).
 ///
 /// # Panics

@@ -13,8 +13,8 @@
 //! * [`generators`] — synthetic road-network-like graphs (grid and random
 //!   geometric graphs) plus Erdős–Rényi graphs, substituting for the paper's
 //!   proprietary road data (see `DESIGN.md`);
-//! * [`dijkstra`](fn@dijkstra) — a sequential reference Dijkstra over a binary
-//!   heap, and a Bellman–Ford cross-check;
+//! * [`dijkstra`](fn@dijkstra) — a sequential reference Dijkstra over the
+//!   `seq-pq` 4-ary heap, and a Bellman–Ford cross-check;
 //! * [`parallel`] — parallel SSSP over any [`SharedPq`](choice_pq::SharedPq)
 //!   (each worker registers its own session handle), with re-relaxation on
 //!   stale pops, the algorithm benchmarked in Figure 3.

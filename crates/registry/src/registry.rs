@@ -551,11 +551,6 @@ impl QueueBinding {
         &self.entry.name
     }
 
-    /// The bound queue's quota record.
-    pub fn quota(&self) -> &QuotaSpec {
-        &self.entry.quota
-    }
-
     /// Whether the queue was dropped out from under this binding.
     pub fn is_dropped(&self) -> bool {
         self.entry.dropped.load(Ordering::SeqCst)

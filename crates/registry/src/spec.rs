@@ -33,7 +33,7 @@ pub enum BackendSpec {
         /// Lanes sampled per `delete_min`.
         d: u32,
     },
-    /// The coarse-locked exact binary heap.
+    /// The coarse-locked exact heap.
     CoarseHeap,
     /// The k-LSM-style deterministic relaxed queue.
     KLsm {

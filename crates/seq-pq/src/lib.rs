@@ -5,8 +5,11 @@
 //! d-ary heaps). This crate provides two interchangeable sequential
 //! implementations behind the [`SequentialPriorityQueue`] trait:
 //!
-//! * [`BinaryHeap`] — an array-backed binary min-heap;
-//!   the lane heap of the concurrent MultiQueue.
+//! * [`BinaryHeap`] — an array-backed 4-ary min-heap, like the artifact's;
+//!   the lane heap of the concurrent MultiQueue. It keeps the name it had
+//!   while it was binary, since the façade, the baselines and the benchmark
+//!   use it by that name and the pop order did not change (ties still pop
+//!   in insertion order).
 //! * [`SkipListPq`] — a randomized skiplist keeping all
 //!   elements in sorted order, mirroring the structure used by skiplist-based
 //!   concurrent priority queues such as Linden–Jonsson.

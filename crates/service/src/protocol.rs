@@ -1568,14 +1568,30 @@ mod tests {
     /// byte sequences that exercised decoder edge cases — hostile lengths,
     /// frames stamped with other versions, payload-layout violations,
     /// every-offset truncations of the widest frames. Each line is
-    /// `hex-bytes [# comment]`; both decoders must stay total over every
-    /// entry, and valid frames must consume exactly what they claim.
+    /// `hex-bytes # label`. Both decoders must stay total over every entry,
+    /// and the decoder of the direction the opcode byte names (a response
+    /// at `0x80` and above; a line too short to carry one reads as a
+    /// request) must give the labelled outcome: a label that starts with
+    /// `valid` means a frame that uses the whole line, and otherwise the
+    /// first of `UnknownVersion`, `BadLength`, `Truncated` and `malformed`
+    /// that the label names is the error.
     #[test]
     fn regression_corpus_keeps_the_decoders_total() {
+        fn outcome(decoded: Result<usize, WireError>) -> Result<usize, &'static str> {
+            decoded.map_err(|e| match e {
+                WireError::UnknownVersion(_) => "UnknownVersion",
+                WireError::BadLength(_) => "BadLength",
+                WireError::Truncated { .. } => "Truncated",
+                WireError::MalformedPayload { .. } => "malformed",
+                WireError::UnknownOpcode(_) => "UnknownOpcode",
+            })
+        }
         let corpus = include_str!("../proptest-regressions/protocol.txt");
         let mut cases = 0usize;
         for (lineno, line) in corpus.lines().enumerate() {
-            let data = line.split('#').next().unwrap_or("").trim();
+            let lineno = lineno + 1;
+            let (data, label) = line.split_once('#').unwrap_or((line, ""));
+            let (data, label) = (data.trim(), label.trim());
             if data.is_empty() {
                 continue;
             }
@@ -1583,17 +1599,32 @@ mod tests {
                 .split_whitespace()
                 .map(|h| {
                     u8::from_str_radix(h, 16)
-                        .unwrap_or_else(|_| panic!("bad hex {h:?} on corpus line {}", lineno + 1))
+                        .unwrap_or_else(|_| panic!("bad hex {h:?} on corpus line {lineno}"))
                 })
                 .collect();
             // Totality: a frame or an error, never a panic; on success the
             // consumed length stays within the buffer.
-            if let Ok((_, used)) = Request::decode(&bytes) {
-                assert!(used <= bytes.len(), "corpus line {}", lineno + 1);
+            let request = outcome(Request::decode(&bytes).map(|(_, used)| used));
+            let response = outcome(Response::decode(&bytes).map(|(_, used)| used));
+            for used in [request, response].into_iter().flatten() {
+                assert!(used <= bytes.len(), "corpus line {lineno}");
             }
-            if let Ok((_, used)) = Response::decode(&bytes) {
-                assert!(used <= bytes.len(), "corpus line {}", lineno + 1);
-            }
+            let decoded = match bytes.get(5) {
+                Some(&opcode) if opcode >= 0x80 => response,
+                _ => request,
+            };
+            let expected = if label.starts_with("valid") {
+                Ok(bytes.len())
+            } else {
+                let named = ["UnknownVersion", "BadLength", "Truncated", "malformed"]
+                    .into_iter()
+                    .filter_map(|name| label.find(name).map(|at| (at, name)))
+                    .min();
+                let (_, name) = named
+                    .unwrap_or_else(|| panic!("corpus line {lineno} labels no outcome: {label:?}"));
+                Err(name)
+            };
+            assert_eq!(decoded, expected, "corpus line {lineno}: {label}");
             cases += 1;
         }
         assert!(cases >= 20, "corpus unexpectedly small: {cases} entries");
