@@ -273,12 +273,25 @@ impl fmt::Display for Failure {
 impl std::error::Error for Failure {}
 
 /// The schedule budget for [`model`]-style entry points: the
-/// `CHECK_SCHEDULES` environment variable, or `default`.
+/// `CHECK_SCHEDULES` environment variable, or `default` when it is unset.
+///
+/// # Panics
+///
+/// Panics, naming the variable and its value, when it is set but is not a
+/// `u64`: `CHECK_SCHEDULES=400k` is a typo, not a request for the default
+/// budget.
 pub fn schedule_budget(default: u64) -> u64 {
-    std::env::var("CHECK_SCHEDULES")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
+    let value = std::env::var_os("CHECK_SCHEDULES").map(|v| v.to_string_lossy().into_owned());
+    parse_budget(value.as_deref(), default)
+}
+
+/// [`schedule_budget`] with the variable's value passed in.
+fn parse_budget(value: Option<&str>, default: u64) -> u64 {
+    value.map_or(default, |v| {
+        v.trim()
+            .parse()
+            .unwrap_or_else(|_| panic!("CHECK_SCHEDULES={v:?} is not a u64"))
+    })
 }
 
 /// Explores `f` under `config`, returning the failing execution if any
@@ -533,6 +546,21 @@ mod tests {
             h.join();
         }
         assert_eq!(n.load(Ordering::SeqCst), 2, "lost update");
+    }
+
+    #[test]
+    fn schedule_budget_reads_an_unset_or_a_valid_value() {
+        // Through the pure core: setting the variable would race the
+        // parallel tests that read it.
+        assert_eq!(parse_budget(None, 4096), 4096);
+        assert_eq!(parse_budget(Some("400000"), 4096), 400_000);
+        assert_eq!(parse_budget(Some(" 7 "), 4096), 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "CHECK_SCHEDULES=\"400k\" is not a u64")]
+    fn schedule_budget_refuses_a_malformed_value() {
+        parse_budget(Some("400k"), 4096);
     }
 
     #[test]

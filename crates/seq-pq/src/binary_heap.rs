@@ -23,6 +23,20 @@
 //! Entries are ordered by `(key, insertion sequence)`, a total order, so the
 //! pop sequence is the stable sort of the pushes, whatever the layout.
 //!
+//! # Capacity
+//!
+//! The backing `Vec` grows by doubling as usual, and a pop hands drained
+//! capacity back: when it leaves fewer than a quarter of the slots in use,
+//! the capacity halves (the table contraction of CLRS §17.4). A halving
+//! leaves the heap under half full, so at least a quarter of the new
+//! capacity in pushes or pops passes before the capacity changes again:
+//! both stay amortised O(1), and pushes and pops alternating at the
+//! boundary do not reallocate each time. The capacity never drops below one
+//! 4 KiB page of entries (170 entries of 24 bytes for a `u64` value) or
+//! below what [`BinaryHeap::with_capacity`] reserved, whichever is larger.
+//! So a lane drained after a burst frees its memory instead of keeping its
+//! peak until it is dropped; the check costs one compare per pop.
+//!
 //! The type keeps the name `BinaryHeap`, which it had while the layout was
 //! binary: it is the public name under which the façade prelude, the
 //! baselines and the benchmark's bare-heap layer use it, and renaming it
@@ -32,6 +46,9 @@ use crate::{Key, SequentialPriorityQueue};
 
 /// Children per node.
 const ARITY: usize = 4;
+
+/// The least capacity a pop shrinks to, in bytes of entries.
+const PAGE: usize = 4096;
 
 /// An array-backed 4-ary min-heap of `(Key, V)` entries (see the
 /// [module docs](crate::binary_heap) for the layout and the name).
@@ -43,6 +60,9 @@ pub struct BinaryHeap<V> {
     // Each slot stores (key, sequence, value); `sequence` implements stability.
     entries: Vec<(Key, u64, V)>,
     next_sequence: u64,
+    /// Capacity a pop never shrinks below: one page of entries, or the
+    /// `with_capacity` reservation if larger.
+    floor: usize,
 }
 
 impl<V> Default for BinaryHeap<V> {
@@ -54,16 +74,17 @@ impl<V> Default for BinaryHeap<V> {
 impl<V> BinaryHeap<V> {
     /// Creates an empty heap.
     pub fn new() -> Self {
-        Self {
-            entries: Vec::new(),
-            next_sequence: 0,
-        }
+        Self::with_capacity(0)
     }
 
-    /// Creates an empty heap with space reserved for `capacity` entries.
+    /// Creates an empty heap with space reserved for `capacity` entries,
+    /// which pops keep reserved (see the [module docs](crate::binary_heap)).
     pub fn with_capacity(capacity: usize) -> Self {
+        let entries = Vec::with_capacity(capacity);
+        let page = PAGE / std::mem::size_of::<(Key, u64, V)>();
         Self {
-            entries: Vec::with_capacity(capacity),
+            floor: page.max(entries.capacity()),
+            entries,
             next_sequence: 0,
         }
     }
@@ -148,6 +169,10 @@ impl<V> SequentialPriorityQueue<V> for BinaryHeap<V> {
         let (key, _, value) = self.entries.pop().expect("checked non-empty");
         if !self.entries.is_empty() {
             self.sift_down(0);
+        }
+        let capacity = self.entries.capacity();
+        if self.entries.len() < capacity / 4 && capacity > self.floor {
+            self.entries.shrink_to(self.floor.max(capacity / 2));
         }
         Some((key, value))
     }
@@ -272,6 +297,65 @@ mod tests {
         let mut keys: Vec<Key> = h.iter().map(|(k, _)| k).collect();
         keys.sort_unstable();
         assert_eq!(keys, (0..25).collect::<Vec<u64>>());
+    }
+
+    /// Entries of a `BinaryHeap<u64>` that fit in one page (170).
+    const PAGE_OF_U64_ENTRIES: usize = PAGE / std::mem::size_of::<(Key, u64, u64)>();
+
+    #[test]
+    fn a_drained_heap_shrinks_to_a_page() {
+        let mut h = BinaryHeap::new();
+        for k in 0..100_000u64 {
+            h.push(k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20, k);
+        }
+        assert!(h.capacity() >= 100_000);
+        let mut previous = None;
+        while let Some((k, _)) = h.pop() {
+            assert!(previous <= Some(k), "pop order broke while shrinking");
+            previous = Some(k);
+        }
+        assert!(
+            h.capacity() <= PAGE_OF_U64_ENTRIES,
+            "a drained heap keeps {} slots",
+            h.capacity()
+        );
+    }
+
+    #[test]
+    fn pushes_and_pops_at_the_boundary_do_not_reallocate_each_time() {
+        let mut h = BinaryHeap::new();
+        for k in 0..100_000u64 {
+            h.push(k, ());
+        }
+        let full = h.capacity();
+        while h.len() >= full / 4 {
+            h.pop();
+        }
+        let mut capacities = vec![h.capacity()];
+        for k in 0..10_000u64 {
+            h.push(k, ());
+            capacities.push(h.capacity());
+            h.pop();
+            capacities.push(h.capacity());
+        }
+        let changes = capacities.windows(2).filter(|w| w[0] != w[1]).count();
+        assert!(changes <= 2, "capacity changed {changes} times");
+        assert!(h.is_valid_heap());
+    }
+
+    #[test]
+    fn a_with_capacity_reservation_survives_a_drain() {
+        let mut h = BinaryHeap::with_capacity(10_000);
+        let reserved = h.capacity();
+        assert!(reserved >= 10_000);
+        // Fill the reservation exactly, then grow past it, draining each time.
+        for n in [reserved, 3 * reserved] {
+            for k in 0..n as u64 {
+                h.push(k, k);
+            }
+            while h.pop().is_some() {}
+            assert_eq!(h.capacity(), reserved, "after {n} pushes");
+        }
     }
 
     proptest! {

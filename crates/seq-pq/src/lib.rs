@@ -9,7 +9,9 @@
 //!   the lane heap of the concurrent MultiQueue. It keeps the name it had
 //!   while it was binary, since the façade, the baselines and the benchmark
 //!   use it by that name and the pop order did not change (ties still pop
-//!   in insertion order).
+//!   in insertion order). A pop that leaves it under a quarter full halves
+//!   its capacity, down to a page of entries or its `with_capacity`
+//!   reservation.
 //! * [`SkipListPq`] — a randomized skiplist keeping all
 //!   elements in sorted order, mirroring the structure used by skiplist-based
 //!   concurrent priority queues such as Linden–Jonsson.

@@ -10,7 +10,8 @@
 //! all the in-tree `BENCH_NOTES.md` methodology needs.
 //!
 //! Environment knobs: `BENCH_SAMPLES` (default 25) and `BENCH_WARMUP`
-//! (default 3) control the per-benchmark sample counts.
+//! (default 3) control the per-benchmark sample counts. A knob that is set
+//! but is not a positive integer panics, naming the knob and its value.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,17 +42,29 @@ pub struct Criterion {
 impl Default for Criterion {
     fn default() -> Self {
         let read = |name: &str, default: usize| {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or(default)
+            let value = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+            parse_count(name, value.as_deref(), default)
         };
         Self {
             samples: read("BENCH_SAMPLES", 25),
             warmup: read("BENCH_WARMUP", 3),
         }
     }
+}
+
+/// The count the knob `name` sets: `value` when set, `default` when unset.
+///
+/// # Panics
+///
+/// Panics, naming the knob and its value, when `value` is not a positive
+/// integer: `BENCH_SAMPLES=1O` is a typo, not a request for the default.
+fn parse_count(name: &str, value: Option<&str>, default: usize) -> usize {
+    value.map_or(default, |v| {
+        v.parse()
+            .ok()
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| panic!("{name}={v:?} is not a positive integer"))
+    })
 }
 
 impl Criterion {
@@ -185,6 +198,18 @@ mod tests {
         assert!(calls >= 5, "warmup + samples must run the routine");
         std::env::remove_var("BENCH_SAMPLES");
         std::env::remove_var("BENCH_WARMUP");
+    }
+
+    #[test]
+    fn knobs_read_an_unset_or_a_valid_value() {
+        assert_eq!(parse_count("BENCH_SAMPLES", None, 25), 25);
+        assert_eq!(parse_count("BENCH_SAMPLES", Some("2"), 25), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "BENCH_WARMUP=\"0\" is not a positive integer")]
+    fn a_malformed_knob_panics_with_its_value() {
+        parse_count("BENCH_WARMUP", Some("0"), 3);
     }
 
     #[test]

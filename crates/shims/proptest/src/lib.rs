@@ -19,7 +19,11 @@
 //!
 //! Like real proptest, the `PROPTEST_CASES` environment variable overrides
 //! the per-block case count (the CI stress job runs the suites with
-//! `PROPTEST_CASES=256`).
+//! `PROPTEST_CASES=256`). Unlike real proptest, which warns and falls back
+//! to the default, a `PROPTEST_CASES` that is not a positive integer or a
+//! `PROPTEST_SEED` that is not a seed panics, naming the variable and its
+//! value: the test harness hides what a passing test prints, so a warning
+//! would go unseen while the run silently did something else.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,22 +53,28 @@ impl ProptestConfig {
     }
 
     /// The case count actually run: the `PROPTEST_CASES` environment
-    /// variable when set to a positive integer (matching real proptest's
-    /// override, used by the CI stress job), this configuration's `cases`
-    /// otherwise.
+    /// variable when set (matching real proptest's override, used by the CI
+    /// stress job), this configuration's `cases` otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the variable and its value, when it is set but is not
+    /// a positive `u32`.
     pub fn effective_cases(&self) -> u32 {
-        self.cases_with_override(std::env::var("PROPTEST_CASES").ok().as_deref())
+        self.cases_with_override(env_value("PROPTEST_CASES").as_deref())
     }
 
     /// [`effective_cases`](ProptestConfig::effective_cases) with the
     /// override value passed explicitly — the pure core, testable without
     /// mutating process-global environment (setenv racing getenv across
     /// parallel test threads is undefined behaviour on glibc).
-    fn cases_with_override(&self, env_value: Option<&str>) -> u32 {
-        env_value
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(self.cases)
+    fn cases_with_override(&self, value: Option<&str>) -> u32 {
+        value.map_or(self.cases, |v| {
+            v.parse()
+                .ok()
+                .filter(|&n| n > 0)
+                .unwrap_or_else(|| panic!("PROPTEST_CASES={v:?} is not a positive u32"))
+        })
     }
 }
 
@@ -114,24 +124,43 @@ pub fn case_seed(name: &str, case: u32) -> u64 {
     name_seed(name) ^ (u64::from(case).wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
-/// Parses a `PROPTEST_SEED` value: hex with an optional `0x` prefix (the
-/// form failures print) or plain decimal.
+/// An environment variable's value, if set; a value that is not UTF-8
+/// comes back lossily converted, so it fails to parse like any other typo.
+fn env_value(name: &str) -> Option<String> {
+    std::env::var_os(name).map(|v| v.to_string_lossy().into_owned())
+}
+
+/// Parses a `PROPTEST_SEED` value: hex with a `0x` prefix (the form
+/// failures print) or plain decimal.
+///
+/// # Panics
+///
+/// Panics, naming the variable and its value, when it is set but is
+/// neither.
 fn parse_seed(value: Option<&str>) -> Option<u64> {
-    let v = value?.trim();
-    if v.is_empty() {
-        return None;
-    }
-    match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
+    let v = value?;
+    let trimmed = v.trim();
+    let seed = match trimmed
+        .strip_prefix("0x")
+        .or_else(|| trimmed.strip_prefix("0X"))
+    {
         Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => v.parse().ok(),
-    }
+        None => trimmed.parse().ok(),
+    };
+    Some(seed.unwrap_or_else(|| {
+        panic!("PROPTEST_SEED={v:?} is not a u64 (hex with a 0x prefix, or decimal)")
+    }))
 }
 
 /// The seed pinned by the `PROPTEST_SEED` environment variable, if any.
 /// When set, every `proptest!` test in the process runs exactly one case
 /// with this seed — the replay mode a failure's message points at.
+///
+/// # Panics
+///
+/// Panics when the variable is set but is not a seed.
 pub fn seed_override() -> Option<u64> {
-    parse_seed(std::env::var("PROPTEST_SEED").ok().as_deref())
+    parse_seed(env_value("PROPTEST_SEED").as_deref())
 }
 
 impl TestRng {
@@ -393,21 +422,32 @@ mod tests {
     use super::prelude::*;
 
     #[test]
-    fn proptest_cases_override_parses_like_real_proptest() {
+    fn proptest_cases_override_replaces_the_configured_count() {
         // Exercised through the pure core — no env mutation, which would
         // race the parallel proptest blocks in this same binary reading
         // `PROPTEST_CASES` through `effective_cases`.
         let config = ProptestConfig::with_cases(3);
         assert_eq!(config.cases_with_override(Some("7")), 7);
-        assert_eq!(
-            config.cases_with_override(Some("0")),
-            3,
-            "zero is not a valid override"
-        );
-        assert_eq!(config.cases_with_override(Some("not-a-number")), 3);
-        assert_eq!(config.cases_with_override(Some("")), 3);
+        assert_eq!(config.cases_with_override(Some("256")), 256);
         assert_eq!(config.cases_with_override(None), 3);
         assert_eq!(ProptestConfig::with_cases(64).cases, 64);
+    }
+
+    #[test]
+    fn a_malformed_proptest_cases_panics_with_its_value() {
+        // Real proptest warns and falls back to the default here; the shim
+        // refuses, because the harness hides a passing test's warning.
+        let config = ProptestConfig::with_cases(3);
+        for bad in ["not-a-number", "0", "", "-1", "256k"] {
+            let message = std::panic::catch_unwind(|| config.cases_with_override(Some(bad)))
+                .expect_err(bad)
+                .downcast::<String>()
+                .expect("a formatted panic message");
+            assert_eq!(
+                *message,
+                format!("PROPTEST_CASES={bad:?} is not a positive u32")
+            );
+        }
     }
 
     #[test]
@@ -447,9 +487,13 @@ mod tests {
         assert_eq!(crate::parse_seed(Some("0XFF")), Some(255));
         assert_eq!(crate::parse_seed(Some("123")), Some(123));
         assert_eq!(crate::parse_seed(Some(" 0x10 ")), Some(16));
-        assert_eq!(crate::parse_seed(Some("nope")), None);
-        assert_eq!(crate::parse_seed(Some("")), None);
         assert_eq!(crate::parse_seed(None), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "PROPTEST_SEED=\"0xnope\" is not a u64")]
+    fn a_malformed_seed_panics_instead_of_running_every_case() {
+        crate::parse_seed(Some("0xnope"));
     }
 
     #[test]

@@ -10,6 +10,18 @@
 //! [`InversionCounter`] implements exactly that post-processing step. For a
 //! log of `R` removals it runs in `O(R log R)` using a Fenwick tree over the
 //! key ranks.
+//!
+//! # Memory
+//!
+//! The analysis sorts the log in place (16 bytes per removal) and numbers
+//! the keys through a `u32` argsort instead of a sorted `u64` copy. One
+//! `u32` buffer holds each removal's key number and then, after the Fenwick
+//! sweep, its rank; the ranks are widened to `u64` only once the tree is
+//! dropped. So the peak is 28 bytes per removal, the log included: the log,
+//! the `u32` buffer, and one of the argsort (4 bytes), the tree (8 bytes
+//! per distinct key) or the widened ranks (8 bytes). That matters on the
+//! benchmark's `mq_pairs` workload, whose rank phase analyses 2 M removals
+//! and sets the run's memory peak (DESIGN.md §10).
 
 use crate::fenwick::FenwickTree;
 
@@ -85,53 +97,87 @@ impl InversionCounter {
     /// (and preferable) at the time of this removal, so this is a lower bound
     /// on the true instantaneous rank, and equals it when every inserted key
     /// is eventually removed (the benchmark drains the queue).
-    pub fn per_removal_ranks(&self) -> Vec<u64> {
-        let mut log = self.log.clone();
-        log.sort_unstable();
-        let n = log.len();
-        if n == 0 {
-            return Vec::new();
+    ///
+    /// The log is sorted in place and stays recorded, so the counter can
+    /// take more removals and be analysed again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the log holds more than `u32::MAX` removals.
+    pub fn per_removal_ranks(&mut self) -> Vec<u64> {
+        self.ranks().into_iter().map(u64::from).collect()
+    }
+
+    /// Computes the aggregate summary of the recorded log (sorting it in
+    /// place, as [`per_removal_ranks`](Self::per_removal_ranks) does).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the log holds more than `u32::MAX` removals.
+    pub fn summarize(&mut self) -> InversionSummary {
+        let ranks = self.ranks();
+        if ranks.is_empty() {
+            return InversionSummary::default();
         }
-        // Coordinate-compress keys so the Fenwick tree is dense.
-        let mut keys: Vec<u64> = log.iter().map(|r| r.key).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        let key_index = |k: u64| keys.partition_point(|&x| x < k);
+        let removals = ranks.len() as u64;
+        // A rank is at most the number of removals from it on, so the sum
+        // is at most n(n + 1)/2 < 2^63 for n <= u32::MAX.
+        let (total, max_rank) = ranks.iter().fold((0u64, 0u32), |(total, max), &r| {
+            (total + u64::from(r), max.max(r))
+        });
+        InversionSummary {
+            removals,
+            mean_rank: total as f64 / removals as f64,
+            max_rank: u64::from(max_rank),
+            total_inversions: total - removals,
+        }
+    }
+
+    /// The ranks in timestamp order, in one `u32` buffer that first holds
+    /// each removal's dense key number: the log, this buffer and either the
+    /// key argsort or the Fenwick tree are all that is live at once.
+    fn ranks(&mut self) -> Vec<u32> {
+        let n = self.log.len();
+        assert!(
+            u32::try_from(n).is_ok(),
+            "the log holds {n} removals; an analysis numbers at most u32::MAX"
+        );
+        self.log.sort_unstable();
+        let log = &self.log;
+
+        // Number the keys densely in key order, equal keys alike, so the
+        // Fenwick tree has one slot per distinct key.
+        let mut by_key: Vec<u32> = (0..n as u32).collect();
+        by_key.sort_unstable_by_key(|&i| log[i as usize].key);
+        let mut ranks = vec![0u32; n];
+        let mut distinct = 0u32;
+        let mut previous = None;
+        for &i in &by_key {
+            let key = log[i as usize].key;
+            if previous != Some(key) {
+                previous = Some(key);
+                distinct += 1;
+            }
+            ranks[i as usize] = distinct - 1;
+        }
+        drop(by_key);
 
         // Sweep from the latest removal backwards, maintaining the multiset of
-        // keys removed after the current one.
-        let mut later = FenwickTree::new(keys.len());
-        let mut ranks = vec![0u64; n];
-        for i in (0..n).rev() {
-            let idx = key_index(log[i].key);
+        // keys removed after the current one; each rank overwrites its
+        // removal's key number.
+        let mut later = FenwickTree::new(distinct as usize);
+        for slot in ranks.iter_mut().rev() {
+            let idx = *slot as usize;
             // Keys removed later that are strictly smaller than this key.
             let smaller_later = if idx == 0 {
                 0
             } else {
                 later.prefix_sum(idx - 1)
             };
-            ranks[i] = smaller_later + 1;
             later.add(idx, 1);
+            *slot = smaller_later as u32 + 1;
         }
         ranks
-    }
-
-    /// Computes the aggregate summary of the recorded log.
-    pub fn summarize(&self) -> InversionSummary {
-        let ranks = self.per_removal_ranks();
-        if ranks.is_empty() {
-            return InversionSummary::default();
-        }
-        let removals = ranks.len() as u64;
-        let total: u128 = ranks.iter().map(|&r| r as u128).sum();
-        let max_rank = ranks.iter().copied().max().unwrap_or(0);
-        let total_inversions: u64 = ranks.iter().map(|&r| r - 1).sum();
-        InversionSummary {
-            removals,
-            mean_rank: total as f64 / removals as f64,
-            max_rank,
-            total_inversions,
-        }
     }
 }
 
@@ -184,7 +230,7 @@ mod tests {
 
     #[test]
     fn empty_log_summary_is_default() {
-        let c = InversionCounter::new();
+        let mut c = InversionCounter::new();
         assert!(c.is_empty());
         assert_eq!(c.summarize(), InversionSummary::default());
         assert!(c.per_removal_ranks().is_empty());
@@ -238,6 +284,64 @@ mod tests {
                 log.push(TimestampedRemoval::new(t, key));
             }
             assert_eq!(c.per_removal_ranks(), brute_force_ranks(&log));
+        }
+    }
+
+    /// The ranks' fold, as `summarize` should report it.
+    fn summary_of(ranks: &[u64]) -> InversionSummary {
+        if ranks.is_empty() {
+            return InversionSummary::default();
+        }
+        let total: u64 = ranks.iter().sum();
+        InversionSummary {
+            removals: ranks.len() as u64,
+            mean_rank: total as f64 / ranks.len() as f64,
+            max_rank: ranks.iter().copied().max().unwrap_or(0),
+            total_inversions: total - ranks.len() as u64,
+        }
+    }
+
+    #[test]
+    fn shuffled_logs_analysed_twice_match_brute_force() {
+        let mut rng = Xoshiro256::seeded(2_025);
+        for round in 0..60 {
+            let n = 1 + rng.next_index(300);
+            // Even rounds tie almost every key; odd ones draw from all of u64.
+            let narrow = round % 2 == 0;
+            let mut timestamps: Vec<u64> = (0..n as u64).collect();
+            rng.shuffle(&mut timestamps);
+            let log: Vec<TimestampedRemoval> = timestamps
+                .into_iter()
+                .map(|t| {
+                    let key = if narrow {
+                        rng.next_below(8)
+                    } else {
+                        rng.next_u64()
+                    };
+                    TimestampedRemoval::new(t, key)
+                })
+                .collect();
+            // Two analyses: after the first part of the log, then after the
+            // rest, whose timestamps interleave with the first part's. Each
+            // part goes in through a mix of `record` and `record_all` calls.
+            let split = rng.next_index(n + 1);
+            let mut c = InversionCounter::new();
+            for recorded in [&log[..split], &log[..]] {
+                let mut rest = &log[c.len()..recorded.len()];
+                while !rest.is_empty() {
+                    let (chunk, tail) = rest.split_at(1 + rng.next_index(rest.len()));
+                    if let [one] = chunk {
+                        c.record(one.timestamp, one.key);
+                    } else {
+                        c.record_all(chunk.iter().copied());
+                    }
+                    rest = tail;
+                }
+                let expected = brute_force_ranks(recorded);
+                assert_eq!(c.per_removal_ranks(), expected, "round {round}");
+                assert_eq!(c.summarize(), summary_of(&expected), "round {round}");
+                assert_eq!(c.len(), recorded.len());
+            }
         }
     }
 
