@@ -3,11 +3,15 @@
 //!
 //! The paper sizes the MultiQueue statically at `c·p` lanes. More lanes
 //! mean fewer lost try-locks but a looser rank bound (it scales with the
-//! lane count `n`); insert shards keep `n` and narrow where each worker's
-//! inserts land, so the EDF stream a worker drains is locally more ordered.
-//! This sweep crosses c ∈ {1, 2, 4} with s ∈ {1, 2}: at an equal lane
-//! count, the s = 2 rows show what sharding buys in deadline inversions and
-//! what it costs in throughput.
+//! lane count `n`); insert shards keep `n` and narrow where each session's
+//! inserts land. This sweep crosses c ∈ {1, 2, 4} with s ∈ {1, 2}.
+//!
+//! The shards' rank bounds hold only when inserting sessions are spread
+//! evenly over shards (DESIGN.md §7.1). Here every arrival goes through
+//! one injector, so at s = 2 half the lanes never receive an insert: the
+//! queue runs the biased process with `π_i = 0` on those lanes, whose
+//! one-session cost ROADMAP item 5's table measured (mean rank 5.7 → 9.0–9.3
+//! at n = 8). The s = 2 rows show that configuration, not balanced shards.
 //!
 //! Every row runs the identical open-loop traffic scenario (same seed ⇒ same
 //! deterministic arrival schedule) through the `choice-sched` worker pool.
@@ -98,9 +102,10 @@ fn main() {
 
     println!();
     println!(
-        "Expected shape: at an equal lane count the s=2 rows record fewer deadline \
-         inversions than the s=1 rows; bursty is arrival-bound, so every row runs at \
-         about the same rate there."
+        "Expected shape: one injector fills only its own shard, so the s=2 rows run \
+         with half their lanes empty of inserts, outside the even-spread hypothesis \
+         their rank bounds need; bursty is arrival-bound, so every row runs at about \
+         the same rate there."
     );
 }
 

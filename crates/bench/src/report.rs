@@ -182,6 +182,20 @@ pub fn median(mut samples: Vec<f64>) -> f64 {
     }
 }
 
+/// First quartile, median and third quartile of a non-empty, finite sample
+/// set, interpolating linearly between order statistics.
+pub fn quartiles(samples: &[f64]) -> (f64, f64, f64) {
+    assert!(!samples.is_empty(), "quartiles of no samples");
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
+    let at = |q: f64| {
+        let pos = q * (sorted.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+    };
+    (at(0.25), at(0.5), at(0.75))
+}
+
 /// Relative dispersion of the samples behind a reported median: half the
 /// sample span over the median. A zero median with spread degrades to 1.0
 /// (fully noisy) rather than dividing by zero.
@@ -235,6 +249,13 @@ mod tests {
         assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(vec![4.0, 1.0, 3.0, 2.0]), 2.5);
         assert_eq!(median(vec![7.0]), 7.0);
+    }
+
+    #[test]
+    fn quartiles_interpolate_between_order_statistics() {
+        assert_eq!(quartiles(&[5.0, 1.0, 3.0, 2.0, 4.0]), (2.0, 3.0, 4.0));
+        assert_eq!(quartiles(&[4.0, 1.0, 3.0, 2.0]), (1.75, 2.5, 3.25));
+        assert_eq!(quartiles(&[7.0]), (7.0, 7.0, 7.0));
     }
 
     #[test]

@@ -23,7 +23,7 @@ use rank_stats::inversion::TimestampedRemoval;
 use rank_stats::rng::Xoshiro256;
 
 use crate::obs::QueueObs;
-use crate::queue::MultiQueue;
+use crate::queue::{DrainOutcome, MultiQueue};
 use crate::traits::{HandleStats, Key, PqHandle};
 
 /// Per-session behaviour of an [`MqHandle`].
@@ -67,17 +67,44 @@ pub struct MqHandle<'q, V> {
     /// Timestamped removals when `policy.instrument` is set.
     log: Vec<TimestampedRemoval>,
     stats: HandleStats,
-    /// Sampled latency profiling, present iff the queue has telemetry
-    /// attached (see [`MultiQueue::attach_obs`]).
+    /// The part of `stats.contended_retries` where every sampled top looked
+    /// empty (`mq_sparse_retries_total`).
+    sparse_retries: u64,
+    /// Sampled latency profiling and the counter fold, present iff the
+    /// queue has telemetry attached (see [`MultiQueue::attach_obs`]).
     obs: Option<HandleObs>,
 }
 
-/// The handle's share of the queue's telemetry: the per-queue bundle plus a
-/// private 1-in-N sampler (deterministic, no RNG state).
+/// The handle's share of the queue's telemetry: the per-queue bundle, a
+/// private 1-in-N sampler (deterministic, no RNG state), and how much of
+/// the handle's counts the queue's counters already hold.
 #[derive(Debug)]
 struct HandleObs {
     queue_obs: Arc<QueueObs>,
     sampler: LatencySampler,
+    /// Operations, lock retries and sparse retries as of the last fold.
+    folded: [u64; 3],
+}
+
+impl HandleObs {
+    /// Adds what the handle counted since the last fold to
+    /// `mq_ops_total`, `mq_lock_retries_total` and
+    /// `mq_sparse_retries_total`. It runs at the end of every sampled
+    /// operation and when the handle drops, so a live handle's counts lag
+    /// by fewer than `sample_every` calls and a dropped one's not at all.
+    fn fold(&mut self, stats: &HandleStats, sparse_retries: u64) {
+        let o = &self.queue_obs;
+        let now = [
+            stats.operations(),
+            stats.contended_retries - sparse_retries,
+            sparse_retries,
+        ];
+        let counters = [&o.ops_total, &o.lock_retries_total, &o.sparse_retries_total];
+        for ((counter, now), folded) in counters.into_iter().zip(now).zip(&mut self.folded) {
+            counter.add(now - *folded);
+            *folded = now;
+        }
+    }
 }
 
 impl<'q, V> MqHandle<'q, V> {
@@ -98,9 +125,11 @@ impl<'q, V> MqHandle<'q, V> {
             drawn: Vec::new(),
             log: Vec::new(),
             stats: HandleStats::default(),
+            sparse_retries: 0,
             obs: queue.obs().map(|o| HandleObs {
                 queue_obs: Arc::clone(o),
                 sampler: LatencySampler::new(o.sample_every()),
+                folded: [0; 3],
             }),
         }
     }
@@ -113,6 +142,20 @@ impl<'q, V> MqHandle<'q, V> {
         match &mut self.obs {
             Some(obs) => obs.sampler.tick().then(Instant::now),
             None => None,
+        }
+    }
+
+    /// Counts one removal attempt's outcome into the handle's stats.
+    fn count_removal(&mut self, outcome: &DrainOutcome) {
+        self.stats.contended_retries += outcome.contended_retries;
+        self.sparse_retries += outcome.sparse_retries;
+        if outcome.drained > 0 {
+            self.stats.removals += outcome.drained as u64;
+        } else {
+            self.stats.failed_removals += 1;
+            if outcome.observed_empty {
+                self.stats.empty_polls += 1;
+            }
         }
     }
 
@@ -188,10 +231,11 @@ impl<V: Send> PqHandle<V> for MqHandle<'_, V> {
         self.stats.contended_retries +=
             self.queue
                 .insert_with(&mut self.rng, self.shard, key, value);
-        if let (Some(t0), Some(obs)) = (start, &self.obs) {
+        if let (Some(t0), Some(obs)) = (start, &mut self.obs) {
             obs.queue_obs
                 .insert_ns
                 .record(t0.elapsed().as_nanos() as u64);
+            obs.fold(&self.stats, self.sparse_retries);
         }
     }
 
@@ -220,10 +264,11 @@ impl<V: Send> PqHandle<V> for MqHandle<'_, V> {
         self.stats.contended_retries +=
             self.queue
                 .insert_drawn(&mut self.rng, self.shard, &mut self.drawn);
-        if let (Some(t0), Some(obs)) = (start, &self.obs) {
+        if let (Some(t0), Some(obs)) = (start, &mut self.obs) {
             obs.queue_obs
                 .insert_ns
                 .record(t0.elapsed().as_nanos() as u64 / count);
+            obs.fold(&self.stats, self.sparse_retries);
         }
     }
 
@@ -237,20 +282,12 @@ impl<V: Send> PqHandle<V> for MqHandle<'_, V> {
             &mut self.pops,
             self.policy.instrument.then_some(&mut self.log),
         );
-        self.stats.contended_retries += outcome.contended_retries;
+        self.count_removal(&outcome);
         let result = self.pops.pop();
-        match &result {
-            Some(_) => self.stats.removals += 1,
-            None => {
-                self.stats.failed_removals += 1;
-                if outcome.observed_empty {
-                    self.stats.empty_polls += 1;
-                }
-            }
-        }
-        if let (Some(t0), Some(obs)) = (start, &self.obs) {
-            let elapsed = t0.elapsed().as_nanos() as u64;
-            obs.queue_obs.delete_min_ns.record(elapsed);
+        if let (Some(t0), Some(obs)) = (start, &mut self.obs) {
+            obs.queue_obs
+                .delete_min_ns
+                .record(t0.elapsed().as_nanos() as u64);
             // The shadow rank probe rides the same sampled tick: the clock
             // reads are already paid, the probe adds one relaxed top load
             // per lane (see `MultiQueue::lane_rank_bound`).
@@ -259,14 +296,7 @@ impl<V: Send> PqHandle<V> for MqHandle<'_, V> {
                     .rank_error
                     .record(self.queue.lane_rank_bound(*key));
             }
-            if let Some(ring) = obs.queue_obs.span_ring() {
-                // In-process traced mode: only the queue-op stage carries
-                // time. The trace id folds the handle id over the removal
-                // count so concurrent sessions stay distinguishable.
-                let trace_id = (self.id << 40) | (self.stats.removals & 0xFF_FFFF_FFFF);
-                let now_ns = obs.queue_obs.recorder().now_ns();
-                ring.record(trace_id, 0, now_ns, [0, 0, 0, elapsed, 0]);
-            }
+            obs.fold(&self.stats, self.sparse_retries);
         }
         result
     }
@@ -284,10 +314,11 @@ impl<V: Send> PqHandle<V> for MqHandle<'_, V> {
             out,
             self.policy.instrument.then_some(&mut self.log),
         );
-        self.stats.contended_retries += outcome.contended_retries;
-        if let (Some(t0), Some(obs)) = (start, &self.obs) {
-            let elapsed = t0.elapsed().as_nanos() as u64;
-            obs.queue_obs.delete_min_batch_ns.record(elapsed);
+        self.count_removal(&outcome);
+        if let (Some(t0), Some(obs)) = (start, &mut self.obs) {
+            obs.queue_obs
+                .delete_min_batch_ns
+                .record(t0.elapsed().as_nanos() as u64);
             // Probe the batch's first (smallest) key: the rest of the batch
             // came from the same lane under the same lock, so its head is
             // the removal the rank bound speaks about.
@@ -296,20 +327,8 @@ impl<V: Send> PqHandle<V> for MqHandle<'_, V> {
                     .rank_error
                     .record(self.queue.lane_rank_bound(*key));
             }
-            if let Some(ring) = obs.queue_obs.span_ring() {
-                let trace_id = (self.id << 40) | (self.stats.removals & 0xFF_FFFF_FFFF);
-                let now_ns = obs.queue_obs.recorder().now_ns();
-                ring.record(trace_id, 0, now_ns, [0, 0, 0, elapsed, 0]);
-            }
+            obs.fold(&self.stats, self.sparse_retries);
         }
-        if outcome.drained == 0 {
-            self.stats.failed_removals += 1;
-            if outcome.observed_empty {
-                self.stats.empty_polls += 1;
-            }
-            return 0;
-        }
-        self.stats.removals += outcome.drained as u64;
         outcome.drained
     }
 
@@ -319,6 +338,16 @@ impl<V: Send> PqHandle<V> for MqHandle<'_, V> {
 
     fn take_log(&mut self) -> Vec<TimestampedRemoval> {
         std::mem::take(&mut self.log)
+    }
+}
+
+impl<V> Drop for MqHandle<'_, V> {
+    /// Folds the counts gathered since the last sampled operation, so the
+    /// queue's counters are exact once every handle has dropped.
+    fn drop(&mut self) {
+        if let Some(obs) = &mut self.obs {
+            obs.fold(&self.stats, self.sparse_retries);
+        }
     }
 }
 

@@ -3,10 +3,13 @@
 //!
 //! The bundle is attached *before* the queue is shared
 //! ([`MultiQueue::attach_obs`]) so the hot path pays exactly one branch when
-//! telemetry is disabled and one sharded, uncontended `fetch_add` per
-//! operation when enabled. Latency profiling is sampled 1-in-N at the handle
-//! layer (see [`LatencySampler`]); contended publishes are rare by
-//! construction and go to the flight recorder as `LaneContention` events.
+//! telemetry is disabled and one sampler tick per operation when enabled.
+//! Every 1-in-N operation (see [`LatencySampler`]) records its latency, and
+//! the handle folds the operation and retry counts its
+//! [`HandleStats`](crate::HandleStats) gathered since its previous fold into
+//! the queue's counters; a dropped handle folds the rest. Contended
+//! publishes are rare by construction and go to the flight recorder as
+//! `LaneContention` events.
 //!
 //! [`MultiQueue`]: crate::MultiQueue
 //! [`MultiQueue::attach_obs`]: crate::MultiQueue::attach_obs
@@ -14,7 +17,7 @@
 
 use std::sync::Arc;
 
-use choice_obs::{Counter, EventKind, FlightRecorder, Histogram, ObsHub, SpanRing};
+use choice_obs::{Counter, EventKind, FlightRecorder, Histogram, ObsHub};
 
 /// Default 1-in-N stride for handle-level latency sampling: two clock reads
 /// every 64 operations keeps the profiling cost far below the ~3% telemetry
@@ -29,8 +32,8 @@ pub const DEFAULT_SAMPLE_EVERY: u32 = 64;
 pub struct QueueObs {
     recorder: Arc<FlightRecorder>,
     label: String,
-    /// Operations counted by [`on_ops`](Self::on_ops) (inserts, batch
-    /// elements, removal attempts).
+    /// Operations the queue's handles counted (inserts, removed elements,
+    /// failed removals: [`HandleStats::operations`](crate::HandleStats::operations)).
     pub(crate) ops_total: Arc<Counter>,
     /// Retry-loop iterations lost to lock contention.
     pub(crate) lock_retries_total: Arc<Counter>,
@@ -45,10 +48,6 @@ pub struct QueueObs {
     /// Live rank-error bound from the sampled lane-top shadow probe (see
     /// [`MultiQueue::lane_rank_bound`](crate::MultiQueue::lane_rank_bound)).
     pub(crate) rank_error: Arc<Histogram>,
-    /// When tracing is enabled, sampled operations also record a span into
-    /// the hub's ring — the same write a traced wire request costs the
-    /// server, so `t13_obs` can price the traced mode in-process.
-    span_ring: Option<Arc<SpanRing>>,
     sample_every: u32,
 }
 
@@ -66,23 +65,6 @@ impl QueueObs {
     ///
     /// Panics if `sample_every == 0`.
     pub fn with_sample_every(hub: &ObsHub, queue: &str, sample_every: u32) -> Arc<Self> {
-        Self::build(hub, queue, sample_every, false)
-    }
-
-    /// Builds the bundle with per-sampled-op span tracing: every sampled
-    /// operation also records a [`SpanRecord`](choice_obs::SpanRecord) into
-    /// the hub's span ring (only the queue-op stage carries time — there is
-    /// no wire pipeline in-process). This is the "attached + traced" mode
-    /// `t13_obs` prices against the overhead budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sample_every == 0`.
-    pub fn with_trace(hub: &ObsHub, queue: &str, sample_every: u32) -> Arc<Self> {
-        Self::build(hub, queue, sample_every, true)
-    }
-
-    fn build(hub: &ObsHub, queue: &str, sample_every: u32, traced: bool) -> Arc<Self> {
         assert!(sample_every > 0, "sampling stride must be positive");
         let m = hub.metrics();
         let labels: &[(&str, &str)] = &[("queue", queue)];
@@ -97,7 +79,6 @@ impl QueueObs {
             delete_min_batch_ns: m
                 .histogram("mq_op_ns", &[("queue", queue), ("op", "delete_min_batch")]),
             rank_error: m.histogram("mq_rank_error", labels),
-            span_ring: traced.then(|| Arc::clone(hub.spans())),
             sample_every,
         })
     }
@@ -110,17 +91,6 @@ impl QueueObs {
     /// The handle-level latency sampling stride.
     pub fn sample_every(&self) -> u32 {
         self.sample_every
-    }
-
-    /// The flight recorder events flow into.
-    pub fn recorder(&self) -> &Arc<FlightRecorder> {
-        &self.recorder
-    }
-
-    /// The span ring sampled operations trace into, when built with
-    /// [`with_trace`](Self::with_trace).
-    pub fn span_ring(&self) -> Option<&Arc<SpanRing>> {
-        self.span_ring.as_ref()
     }
 
     /// The live rank-error histogram (`mq_rank_error{queue=...}`).
@@ -141,19 +111,6 @@ impl QueueObs {
             &self.label,
             [lane as u64, retries, 0],
         );
-    }
-
-    /// The per-operation counter fold: one sharded `fetch_add` per call on
-    /// the hot path, plus conditional adds for the (rare) retry counters.
-    #[inline]
-    pub(crate) fn on_ops(&self, ops: u64, lock_retries: u64, sparse_retries: u64) {
-        self.ops_total.add(ops);
-        if lock_retries > 0 {
-            self.lock_retries_total.add(lock_retries);
-        }
-        if sparse_retries > 0 {
-            self.sparse_retries_total.add(sparse_retries);
-        }
     }
 }
 

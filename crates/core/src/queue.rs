@@ -31,8 +31,8 @@ use std::sync::Arc;
 
 /// What one [`MultiQueue::drain_best_with`] call did, beyond the drained
 /// elements themselves: the retry accounting the handle layer turns into
-/// [`HandleStats`](crate::HandleStats) counters and the attached
-/// [`QueueObs`] into its retry counters.
+/// [`HandleStats`](crate::HandleStats) counters (and, through them, into
+/// the attached [`QueueObs`]'s retry counters).
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct DrainOutcome {
     /// Number of elements appended to the caller's buffer.
@@ -48,20 +48,8 @@ pub(crate) struct DrainOutcome {
     /// Whether a zero-element result came from a quiescent-empty observation
     /// (the summed lane lengths read as zero — after every sampled top
     /// looked empty, or after an exhaustive steal scan found every lane
-    /// empty) rather than from `max == 0`.
+    /// empty) rather than from lost races.
     pub observed_empty: bool,
-}
-
-impl DrainOutcome {
-    /// The `max == 0` no-op outcome.
-    fn nothing() -> Self {
-        Self {
-            drained: 0,
-            contended_retries: 0,
-            sparse_retries: 0,
-            observed_empty: false,
-        }
-    }
 }
 
 /// The relaxed concurrent priority queue of the paper.
@@ -258,14 +246,6 @@ impl<V> MultiQueue<V> {
         shard + shards * rng.next_index(in_shard)
     }
 
-    /// Folds one operation's retry accounting into the attached telemetry
-    /// (a no-op without it).
-    fn count_ops(&self, ops: u64, lock_retries: u64, sparse_retries: u64) {
-        if let Some(obs) = &self.obs {
-            obs.on_ops(ops, lock_retries, sparse_retries);
-        }
-    }
-
     /// Try-lock failures one operation tolerates before it falls back to a
     /// blocking lock (insert) or the steal scan (removal), so a heavily
     /// oversubscribed machine cannot livelock.
@@ -323,7 +303,6 @@ impl<V> MultiQueue<V> {
             (q, true)
         };
         self.note_contention(lane, lock_retries, fell_back);
-        self.count_ops(1, lock_retries, 0);
         lock_retries
     }
 
@@ -341,26 +320,21 @@ impl<V> MultiQueue<V> {
         drawn: &mut Vec<(usize, Key, V)>,
     ) -> u64 {
         drawn.sort_by_key(|&(lane, _, _)| lane);
-        let (mut published, mut lost) = (0u64, 0u64);
         let mut retries = 0u64;
         let mut entries = drawn.drain(..).peekable();
         while let Some((lane, key, value)) = entries.next() {
             if let Some(mut guard) = self.lanes[lane].try_lock() {
                 guard.push(key, value);
-                published += 1;
                 while let Some((_, key, value)) = entries.next_if(|e| e.0 == lane) {
                     guard.push(key, value);
-                    published += 1;
                 }
                 continue;
             }
-            lost += 1;
             retries += 1 + self.insert_with(rng, shard, key, value);
             while let Some((_, key, value)) = entries.next_if(|e| e.0 == lane) {
                 retries += self.insert_with(rng, shard, key, value);
             }
         }
-        self.count_ops(published, lost, 0);
         retries
     }
 
@@ -412,30 +386,12 @@ impl<V> MultiQueue<V> {
         scratch: &mut Vec<usize>,
         max: usize,
         out: &mut Vec<(Key, V)>,
-        log: Option<&mut Vec<TimestampedRemoval>>,
-    ) -> DrainOutcome {
-        let outcome = self.drain_best_inner(rng, scratch, max, out, log);
-        self.count_ops(
-            (outcome.drained as u64).max(1),
-            outcome.contended_retries - outcome.sparse_retries,
-            outcome.sparse_retries,
-        );
-        outcome
-    }
-
-    /// [`drain_best_with`](MultiQueue::drain_best_with) minus the telemetry
-    /// fold.
-    fn drain_best_inner(
-        &self,
-        rng: &mut Xoshiro256,
-        scratch: &mut Vec<usize>,
-        max: usize,
-        out: &mut Vec<(Key, V)>,
         mut log: Option<&mut Vec<TimestampedRemoval>>,
     ) -> DrainOutcome {
-        if max == 0 {
-            return DrainOutcome::nothing();
-        }
+        debug_assert!(
+            max > 0,
+            "the handle layer answers a zero-sized batch itself"
+        );
         let mut contended_retries = 0u64;
         let mut sparse_retries = 0u64;
         for _ in 0..Self::MAX_RETRIES {

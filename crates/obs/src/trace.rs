@@ -72,8 +72,7 @@ pub struct SpanRecord {
     pub seq: u64,
     /// The trace id the client stamped on the request frame.
     pub trace_id: u64,
-    /// The request opcode (wire `OP_*` code; `0` for spans recorded outside
-    /// the service layer, e.g. the in-process traced bench mode).
+    /// The request opcode (wire `OP_*` code).
     pub opcode: u8,
     /// Completion timestamp in nanoseconds on the owning hub's clock.
     pub ts_ns: u64,

@@ -472,3 +472,124 @@ fn four_thread_estimated_p99_stays_within_the_inversion_envelope() {
          (ground truth p99 {truth_p99}, log-bucket slack 2x)"
     );
 }
+
+/// The handles' counts are the queue's counts. Three sessions run mixed
+/// `insert`, `insert_all`, `delete_min` and `delete_min_batch` calls at the
+/// default stride while another thread holds a lane, so retries happen;
+/// once every handle has dropped, `mq_ops_total` is exactly the sum of the
+/// handles' `operations()`, and the lock and sparse retry counters add up
+/// to their `contended_retries`. A live handle's counts reach the queue's
+/// counters at its sampled calls, so they lag by fewer than 64 calls.
+#[test]
+fn handle_counts_fold_exactly_into_the_queue_counters() {
+    const WORKERS: u64 = 3;
+    const CALLS: u64 = 4_000;
+    let hub = ObsHub::new();
+    let mut queue = MultiQueue::<u64>::new(MultiQueueConfig::with_queues(8).with_seed(5));
+    queue.attach_obs(QueueObs::new(&hub, "fold"));
+    let labels = [("queue", "fold")];
+    let counter = |name| hub.metrics().counter(name, &labels).value();
+    let held = std::sync::Barrier::new(WORKERS as usize + 1);
+    let contended = AtomicBool::new(false);
+
+    let mut sessions: Vec<HandleStats> = std::thread::scope(|scope| {
+        let (queue, held, contended) = (&queue, &held, &contended);
+        // Holds lane 0 until some call has lost a `try_lock` to it.
+        scope.spawn(move || {
+            queue.with_lane_locked(0, || {
+                held.wait();
+                let start = std::time::Instant::now();
+                while !contended.load(Ordering::Relaxed) && start.elapsed().as_secs() < 5 {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+            })
+        });
+        let workers: Vec<_> = (0..WORKERS)
+            .map(|w| {
+                scope.spawn(move || {
+                    let mut h = queue.register();
+                    held.wait();
+                    let mut batch = Vec::new();
+                    for i in 0..CALLS {
+                        let key = (w << 32) | (i << 2);
+                        match i % 4 {
+                            0 => h.insert(key, key),
+                            1 => h.insert_all(&mut vec![(key, 0), (key | 1, 1), (key | 2, 2)]),
+                            2 => drop(h.delete_min()),
+                            _ => drop(h.delete_min_batch_into(3, &mut batch)),
+                        }
+                        if h.stats().contended_retries > 0 {
+                            contended.store(true, Ordering::Relaxed);
+                        }
+                    }
+                    h.stats()
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    assert!(
+        contended.load(Ordering::Relaxed),
+        "no call met the held lane"
+    );
+
+    // A live handle: after each call, the folded total is what the handle
+    // had counted after one of its last 64 calls.
+    let base = counter("mq_ops_total");
+    let mut h = queue.register();
+    let mut counted = vec![0u64];
+    let mut batch = Vec::new();
+    for i in 0..1_000u64 {
+        match i % 3 {
+            0 => h.insert(i, i),
+            1 => h.insert_all(&mut vec![(i, i), (i + 1, i)]),
+            _ => drop(h.delete_min_batch_into(2, &mut batch)),
+        }
+        counted.push(h.stats().operations());
+        let folded = counter("mq_ops_total") - base;
+        let recent = &counted[counted.len().saturating_sub(64)..];
+        assert!(
+            recent.contains(&folded),
+            "call {i}: {folded} folded, last 64 counts {recent:?}"
+        );
+    }
+    sessions.push(h.stats());
+    drop(h);
+
+    let sum = |f: fn(&HandleStats) -> u64| sessions.iter().map(f).sum::<u64>();
+    assert_eq!(counter("mq_ops_total"), sum(HandleStats::operations));
+    assert_eq!(
+        counter("mq_lock_retries_total") + counter("mq_sparse_retries_total"),
+        sum(|s| s.contended_retries)
+    );
+}
+
+/// A sparse retry is a removal whose samples all missed the occupied lanes.
+/// One key on 4096 lanes with d = 1 makes nearly every sample miss, and a
+/// single session contends with nobody: every retry is sparse, and the
+/// sparse counter holds them all.
+#[test]
+fn sparse_retries_reach_their_own_counter() {
+    let hub = ObsHub::new();
+    let labels = [("queue", "sparse")];
+    let mut retries = 0;
+    for seed in 0..10u64 {
+        let mut queue = MultiQueue::<u64>::new(
+            MultiQueueConfig::with_queues(4096)
+                .with_d(1)
+                .with_seed(seed),
+        );
+        queue.attach_obs(QueueObs::new(&hub, "sparse"));
+        let mut h = queue.register();
+        h.insert(5, 50);
+        assert_eq!(h.delete_min_batch(4).count(), 1);
+        retries += h.stats().contended_retries;
+    }
+    let snap = hub.metrics().snapshot();
+    assert!(retries > 0, "no removal missed the lone key");
+    assert_eq!(
+        snap.counter("mq_sparse_retries_total", &labels),
+        Some(retries)
+    );
+    assert_eq!(snap.counter("mq_lock_retries_total", &labels), Some(0));
+}
