@@ -1,7 +1,6 @@
 //! Core balls-into-bins allocation process with pluggable choice rules.
 
 use rank_stats::rng::{RandomSource, Xoshiro256};
-use rank_stats::summary::StreamingSummary;
 
 pub use rank_stats::choice::ChoiceRule;
 
@@ -18,8 +17,6 @@ pub struct LoadStats {
     pub gap_above_mean: f64,
     /// Mean minus the minimum load.
     pub gap_below_mean: f64,
-    /// Population standard deviation of the loads.
-    pub std_dev: f64,
 }
 
 /// A (possibly biased) balls-into-bins insertion process.
@@ -162,11 +159,7 @@ pub fn load_stats(loads: &[u64]) -> LoadStats {
     if loads.is_empty() {
         return LoadStats::default();
     }
-    let mut summary = StreamingSummary::new();
-    for &l in loads {
-        summary.record_u64(l);
-    }
-    let mean = summary.mean();
+    let mean = loads.iter().map(|&l| u128::from(l)).sum::<u128>() as f64 / loads.len() as f64;
     let max = loads.iter().copied().max().unwrap_or(0);
     let min = loads.iter().copied().min().unwrap_or(0);
     LoadStats {
@@ -175,7 +168,6 @@ pub fn load_stats(loads: &[u64]) -> LoadStats {
         min,
         gap_above_mean: max as f64 - mean,
         gap_below_mean: mean - min as f64,
-        std_dev: summary.std_dev(),
     }
 }
 
@@ -293,7 +285,6 @@ mod tests {
         assert_eq!(stats.min, 2);
         assert_eq!(stats.gap_above_mean, 2.0);
         assert_eq!(stats.gap_below_mean, 2.0);
-        assert!((stats.std_dev - (8.0f64 / 3.0).sqrt()).abs() < 1e-12);
         assert_eq!(load_stats(&[]), LoadStats::default());
     }
 

@@ -12,9 +12,8 @@
 
 use std::sync::Arc;
 
-use choice_bench::report::{mops, print_header, print_row, print_section};
+use choice_bench::report::{median, mops, print_header, print_row, print_section, rel_dispersion};
 use choice_bench::{build_queue, throughput_workload, QueueSpec};
-use rank_stats::timing::ThroughputReport;
 
 fn main() {
     let threads_sweep = [1usize, 2, 4, 8];
@@ -28,29 +27,31 @@ fn main() {
     );
     println!(
         "prefill = {prefill}, ops/thread = {ops_per_thread}, trials = {trials} \
-         (paper: 10 s runs, 10M prefill, 10 trials)"
+         (paper: 10 s runs, 10M prefill, 10 trials); disp % is half the trials' span \
+         over their median"
     );
-    print_header(&["queue", "threads", "Mops/s", "stddev"]);
+    print_header(&["queue", "threads", "median Mops/s", "disp %"]);
 
     for spec in QueueSpec::figure_lineup() {
         for &threads in &threads_sweep {
-            let mut report = ThroughputReport::new(spec.label());
-            for trial in 0..trials {
-                let queue = build_queue::<u64>(spec, threads, 1000 + trial);
-                let result = throughput_workload(
-                    Arc::clone(&queue),
-                    threads,
-                    prefill,
-                    ops_per_thread,
-                    2000 + trial,
-                );
-                report.record_trial(result.ops_per_second);
-            }
+            let samples: Vec<f64> = (0..trials)
+                .map(|trial| {
+                    let queue = build_queue::<u64>(spec, threads, 1000 + trial);
+                    throughput_workload(
+                        Arc::clone(&queue),
+                        threads,
+                        prefill,
+                        ops_per_thread,
+                        2000 + trial,
+                    )
+                    .ops_per_second
+                })
+                .collect();
             print_row(&[
                 spec.label(),
                 threads.to_string(),
-                mops(report.mean_throughput()),
-                mops(report.std_dev()),
+                mops(median(samples.clone())),
+                format!("{:.1}", rel_dispersion(&samples) * 100.0),
             ]);
         }
     }

@@ -7,11 +7,10 @@
 //! inserts land. This sweep crosses c ∈ {1, 2, 4} with s ∈ {1, 2}.
 //!
 //! The shards' rank bounds hold only when inserting sessions are spread
-//! evenly over shards (DESIGN.md §7.1). Here every arrival goes through
-//! one injector, so at s = 2 half the lanes never receive an insert: the
-//! queue runs the biased process with `π_i = 0` on those lanes, whose
-//! one-session cost ROADMAP item 5's table measured (mean rank 5.7 → 9.0–9.3
-//! at n = 8). The s = 2 rows show that configuration, not balanced shards.
+//! evenly over shards (DESIGN.md §7.1). `run_scenario` opens one injector
+//! per shard and deals the arrivals round-robin over them, so every shard
+//! receives an even share of the inserts and the s = 2 rows measure
+//! balanced shards.
 //!
 //! Every row runs the identical open-loop traffic scenario (same seed ⇒ same
 //! deterministic arrival schedule) through the `choice-sched` worker pool.
@@ -26,9 +25,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use choice_bench::report::{emit_json_row, print_header, print_row, print_section, JsonValue};
-use choice_bench::{build_queue, env_u64, scheduler_workload, QueueSpec};
+use choice_bench::{build_queue, env_u64, QueueSpec};
 use choice_sched::traffic::TrafficTask;
-use choice_sched::{ArrivalPattern, ScenarioReport, TrafficClass, TrafficSpec};
+use choice_sched::{
+    run_scenario, ArrivalPattern, ScenarioReport, SchedulerConfig, TrafficClass, TrafficSpec,
+};
 
 fn main() {
     let workers = env_u64("T10_WORKERS", 4) as usize;
@@ -90,7 +91,8 @@ fn main() {
             let queue: Arc<dyn choice_pq::DynSharedPq<TrafficTask>> =
                 build_queue(*queue_spec, workers, seed);
             let shards = queue.topology_dyn().shards;
-            let report = scheduler_workload(queue, workers, delete_batch, &spec);
+            let sched = SchedulerConfig::new(workers).with_delete_batch(delete_batch);
+            let report = run_scenario(&*queue, sched, &spec);
             assert_eq!(
                 report.sched.executed, tasks,
                 "{}: every injected task must execute",
@@ -102,10 +104,10 @@ fn main() {
 
     println!();
     println!(
-        "Expected shape: one injector fills only its own shard, so the s=2 rows run \
-         with half their lanes empty of inserts, outside the even-spread hypothesis \
-         their rank bounds need; bursty is arrival-bound, so every row runs at about \
-         the same rate there."
+        "Expected shape: one injector per shard spreads the inserts evenly, so s=2 \
+         runs at about the rate of s=1 and records no fewer inversions (only the \
+         injector thread inserts, so a shard buys the workers no locality); bursty is \
+         arrival-bound, so every row runs at about the same rate there."
     );
 }
 

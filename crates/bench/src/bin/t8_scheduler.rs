@@ -30,9 +30,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use choice_bench::report::{emit_json_row, print_header, print_row, print_section, JsonValue};
-use choice_bench::{build_queue, env_u64, scheduler_workload, QueueSpec};
+use choice_bench::{build_queue, env_u64, QueueSpec};
 use choice_sched::traffic::TrafficTask;
-use choice_sched::{ArrivalPattern, ScenarioReport, TrafficClass, TrafficSpec};
+use choice_sched::{
+    run_scenario, ArrivalPattern, ScenarioReport, SchedulerConfig, TrafficClass, TrafficSpec,
+};
 
 /// One benched configuration: how to build the queue and how the scheduler
 /// drains it.
@@ -133,7 +135,8 @@ fn main() {
         for config in &configs {
             let queue: Arc<dyn choice_pq::DynSharedPq<TrafficTask>> =
                 build_queue(config.spec, workers, seed);
-            let report = scheduler_workload(queue, workers, config.delete_batch, &spec);
+            let sched = SchedulerConfig::new(workers).with_delete_batch(config.delete_batch);
+            let report = run_scenario(&*queue, sched, &spec);
             print_scenario_row(
                 &config.spec.label(),
                 &pattern.label(),

@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 
 use choice_bench::report::{emit_json_row, print_header, print_row, print_section, JsonValue};
 use choice_bench::{build_queue, env_u64, QueueSpec};
-use choice_obs::{Histogram, HistogramSnapshot, MetricsRegistry};
+use choice_obs::{Histogram, LogHistogram, MetricsRegistry};
 use choice_sched::{ArrivalPattern, TrafficClass, TrafficSpec};
 use choice_wire::{PqClient, PqServer, Request, Response, ServerConfig};
 
@@ -101,7 +101,7 @@ fn run_scenario(
     clients: usize,
     ops_per_client: u64,
     seed: u64,
-) -> (u64, f64, HistogramSnapshot) {
+) -> (u64, f64, LogHistogram) {
     let queue = build_queue::<u64>(queue_spec, clients, seed);
     let server = PqServer::spawn(
         Arc::clone(&queue),
@@ -210,7 +210,7 @@ fn main() {
                 format!("{:.1}", ops_per_second / 1e3),
                 format!("{:.1}", quantile_us(0.50)),
                 format!("{:.1}", quantile_us(0.99)),
-                format!("{:.1}", rtt_ns.max as f64 / 1_000.0),
+                format!("{:.1}", rtt_ns.max() as f64 / 1_000.0),
             ]);
             emit_json_row(
                 "t9",
@@ -224,7 +224,7 @@ fn main() {
                     ("kops_per_s", JsonValue::from(ops_per_second / 1e3)),
                     ("p50_rtt_us", JsonValue::from(quantile_us(0.50))),
                     ("p99_rtt_us", JsonValue::from(quantile_us(0.99))),
-                    ("max_rtt_us", JsonValue::from(rtt_ns.max as f64 / 1_000.0)),
+                    ("max_rtt_us", JsonValue::from(rtt_ns.max() as f64 / 1_000.0)),
                 ],
             );
         }

@@ -41,8 +41,8 @@ pub fn env_u64(name: &str, default: u64) -> u64 {
     }
 }
 pub use workloads::{
-    d_sweep_workload, rank_quality_workload, scheduler_workload, sssp_workload,
-    throughput_workload, DSweepResult, RankQualityResult, ThroughputResult,
+    d_sweep_workload, rank_quality_workload, sssp_workload, throughput_workload, DSweepResult,
+    ThroughputResult,
 };
 
 #[cfg(test)]

@@ -198,6 +198,37 @@ mod tests {
     }
 
     #[test]
+    fn erased_queues_execute_every_injected_scenario_task() {
+        use choice_sched::traffic::TrafficTask;
+        use choice_sched::{
+            run_scenario, ArrivalPattern, SchedulerConfig, TrafficClass, TrafficSpec,
+        };
+        use std::time::Duration;
+        let spec = TrafficSpec {
+            pattern: ArrivalPattern::Steady { rate: 500_000.0 },
+            classes: vec![
+                TrafficClass::new("interactive", 3.0, Duration::from_micros(500), 16),
+                TrafficClass::new("batch", 1.0, Duration::from_millis(20), 64),
+            ],
+            tasks: 2_000,
+            seed: 5,
+        };
+        let sharded = QueueSpec::MultiQueueSharded {
+            d: 2,
+            shards: 2,
+            queues_per_thread: 2,
+        };
+        for queue_spec in [QueueSpec::multiqueue_d(2), sharded, QueueSpec::CoarseHeap] {
+            let q = build_queue::<TrafficTask>(queue_spec, 2, 7);
+            let config = SchedulerConfig::new(2).with_delete_batch(4);
+            let report = run_scenario(&*q, config, &spec);
+            assert_eq!(report.sched.executed, 2_000, "{}", report.label);
+            assert_eq!(report.lateness.executed(), 2_000);
+            assert!(report.sched.tasks_per_second > 0.0);
+        }
+    }
+
+    #[test]
     fn d_choice_spec_builds_and_labels() {
         let spec = QueueSpec::multiqueue_d(4);
         assert_eq!(spec.label(), "multiqueue(d=4, c=2)");

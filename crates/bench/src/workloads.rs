@@ -1,13 +1,10 @@
-//! The concurrent workloads of the paper's evaluation section, plus the
-//! scheduler-level workload of the `choice-sched` subsystem.
+//! The concurrent workloads of the paper's evaluation section.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use choice_pq::{DynSharedPq, HandlePolicy, MultiQueue, MultiQueueConfig, PqHandle, SharedPq};
-use choice_sched::traffic::TrafficTask;
-use choice_sched::{run_scenario, ScenarioReport, SchedulerConfig, TrafficSpec};
-use rank_stats::inversion::InversionCounter;
+use rank_stats::inversion::{InversionCounter, InversionSummary};
 use rank_stats::rng::{RandomSource, Xoshiro256};
 use rank_stats::timing::OpsTimer;
 use sssp_graph::{parallel_sssp, Graph};
@@ -77,17 +74,6 @@ pub fn throughput_workload(
     }
 }
 
-/// Result of one rank-quality trial (Figure 2 methodology).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RankQualityResult {
-    /// Number of removals analysed.
-    pub removals: u64,
-    /// Mean rank of the removed elements.
-    pub mean_rank: f64,
-    /// Maximum rank observed.
-    pub max_rank: u64,
-}
-
 /// The Figure 2 workload: a MultiQueue with `queues` lanes and the given β is
 /// prefilled with `prefill` consecutive keys; `threads` workers then perform
 /// alternating insert/deleteMin pairs (inserting fresh increasing keys)
@@ -102,7 +88,7 @@ pub fn rank_quality_workload(
     prefill: u64,
     ops_per_thread: u64,
     seed: u64,
-) -> RankQualityResult {
+) -> InversionSummary {
     let config = MultiQueueConfig::with_queues(queues)
         .with_beta(beta)
         .with_seed(seed);
@@ -120,7 +106,7 @@ fn instrumented_rank_run(
     prefill: u64,
     ops_per_thread: u64,
     batch: usize,
-) -> RankQualityResult {
+) -> InversionSummary {
     assert!(threads > 0, "need at least one thread");
     assert!(batch > 0, "need a positive delete batch");
     let queue = MultiQueue::<u64>::new(config);
@@ -158,12 +144,7 @@ fn instrumented_rank_run(
     for log in logs {
         counter.record_all(log);
     }
-    let summary = counter.summarize();
-    RankQualityResult {
-        removals: summary.removals,
-        mean_rank: summary.mean_rank,
-        max_rank: summary.max_rank,
-    }
+    counter.summarize()
 }
 
 /// Result of one `d_sweep` trial: throughput and rank quality of a
@@ -174,7 +155,7 @@ pub struct DSweepResult {
     pub throughput: ThroughputResult,
     /// Rank quality of the instrumented phase (same configuration, fresh
     /// queue).
-    pub rank: RankQualityResult,
+    pub rank: InversionSummary,
 }
 
 /// The `d_sweep` workload axis behind `t5_choice_sweep`: a d-choice
@@ -252,30 +233,6 @@ pub fn d_sweep_workload(
         throughput,
         rank: instrumented_rank_run(config, threads, prefill, ops_per_thread, batch),
     }
-}
-
-/// The scheduler workload behind `t8_scheduler`: one open-loop traffic
-/// scenario executed by a [`choice_sched::Scheduler`] worker pool over the
-/// given (type-erased) queue.
-///
-/// `workers` worker threads drain the queue with per-poll batches of
-/// `delete_batch` while the traffic engine injects `spec.tasks` tasks
-/// following the spec's arrival process, concurrently and open-loop (the
-/// injector never waits for the scheduler). The report carries end-to-end
-/// throughput (tasks/second over the whole run), per-class lateness
-/// distributions, deadline-inversion statistics, and the per-worker queue
-/// counters (`empty_polls` / `contended_retries`).
-///
-/// This is the first workload where queue quality surfaces as an
-/// *application* metric — lateness — rather than rank.
-pub fn scheduler_workload(
-    queue: Arc<dyn DynSharedPq<TrafficTask>>,
-    workers: usize,
-    delete_batch: usize,
-    spec: &TrafficSpec,
-) -> ScenarioReport {
-    let config = SchedulerConfig::new(workers).with_delete_batch(delete_batch);
-    run_scenario(&*queue, config, spec)
 }
 
 /// The Figure 3 workload: parallel SSSP from node 0 over the given queue.
@@ -360,28 +317,6 @@ mod tests {
             wide.rank.mean_rank,
             narrow.rank.mean_rank
         );
-    }
-
-    #[test]
-    fn scheduler_workload_executes_every_injected_task() {
-        use choice_sched::{ArrivalPattern, TrafficClass};
-        use std::time::Duration;
-        let spec = TrafficSpec {
-            pattern: ArrivalPattern::Steady { rate: 500_000.0 },
-            classes: vec![
-                TrafficClass::new("interactive", 3.0, Duration::from_micros(500), 16),
-                TrafficClass::new("batch", 1.0, Duration::from_millis(20), 64),
-            ],
-            tasks: 2_000,
-            seed: 5,
-        };
-        for queue_spec in [QueueSpec::multiqueue_d(2), QueueSpec::CoarseHeap] {
-            let q = build_queue::<TrafficTask>(queue_spec, 2, 7);
-            let report = scheduler_workload(q, 2, 4, &spec);
-            assert_eq!(report.sched.executed, 2_000, "{}", report.label);
-            assert_eq!(report.lateness.executed(), 2_000);
-            assert!(report.sched.tasks_per_second > 0.0);
-        }
     }
 
     #[test]

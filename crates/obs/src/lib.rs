@@ -48,7 +48,7 @@ pub mod trace;
 pub mod window;
 
 pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricRow, MetricsRegistry, MetricsSnapshot,
+    Counter, Gauge, Histogram, LogHistogram, MetricRow, MetricsRegistry, MetricsSnapshot,
 };
 pub use recorder::{
     install_panic_hook, refusal_category, refusal_category_name, take_last_panic_dump, EventKind,

@@ -129,8 +129,8 @@ impl Gauge {
     }
 }
 
-/// Number of power-of-two buckets (matches `rank_stats::LogHistogram`:
-/// bucket 0 holds the value 0, bucket `i >= 1` covers `[2^(i-1), 2^i)`).
+/// Number of power-of-two buckets: bucket 0 holds the value 0, bucket
+/// `i >= 1` covers `[2^(i-1), 2^i)`.
 pub const HISTOGRAM_BUCKETS: usize = 65;
 
 #[derive(Debug)]
@@ -140,10 +140,9 @@ struct HistogramShard {
     max: AtomicU64,
 }
 
-/// A sharded log-bucketed histogram (power-of-two buckets, like
-/// `rank_stats::LogHistogram` but concurrent). The sample count is always
-/// derived from the bucket sums, so a snapshot's count and its bucket totals
-/// cannot disagree.
+/// A sharded log-bucketed histogram: the concurrent form of
+/// [`LogHistogram`], which [`snapshot`](Histogram::snapshot) merges it
+/// into.
 #[derive(Debug)]
 pub struct Histogram {
     shards: [CachePadded<HistogramShard>; SHARD_COUNT],
@@ -155,6 +154,17 @@ fn bucket_index(value: u64) -> usize {
         0
     } else {
         64 - value.leading_zeros() as usize
+    }
+}
+
+/// The reported upper bound of bucket `i`: 0 for bucket 0, `2^i` above it,
+/// saturating to `u64::MAX` in the top bucket (`[2^63, 2^64)`) instead of
+/// overflowing `1 << 64`.
+fn bucket_upper_bound(i: usize) -> u64 {
+    if i == 0 {
+        0
+    } else {
+        1u64.checked_shl(i as u32).unwrap_or(u64::MAX)
     }
 }
 
@@ -181,38 +191,80 @@ impl Histogram {
         shard.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    /// Merges the shards into an owned snapshot.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut buckets = [0u64; HISTOGRAM_BUCKETS];
-        let mut sum = 0u64;
-        let mut max = 0u64;
+    /// Merges the shards into an owned histogram. Each shard's sum is a
+    /// wrapping `u64`, which sums of nanoseconds over one run stay far
+    /// below.
+    pub fn snapshot(&self) -> LogHistogram {
+        let mut merged = LogHistogram::new();
         for shard in &self.shards {
-            for (acc, b) in buckets.iter_mut().zip(shard.buckets.iter()) {
+            for (acc, b) in merged.buckets.iter_mut().zip(shard.buckets.iter()) {
                 *acc = acc.saturating_add(b.load(Ordering::Acquire));
             }
-            sum = sum.wrapping_add(shard.sum.load(Ordering::Acquire));
-            max = max.max(shard.max.load(Ordering::Acquire));
+            merged.sum += u128::from(shard.sum.load(Ordering::Acquire));
+            merged.max = merged.max.max(shard.max.load(Ordering::Acquire));
         }
-        HistogramSnapshot { buckets, sum, max }
+        merged
     }
 }
 
-/// An owned, merged view of a [`Histogram`] at one instant.
+/// A log-bucketed histogram with power-of-two buckets (bucket 0 holds the
+/// value 0, bucket `i >= 1` covers `[2^(i-1), 2^i)`): the workspace's one
+/// histogram type, for rank and latency distributions where only the order
+/// of magnitude matters. A single writer records into it directly; a
+/// [`Histogram`] snapshots into it. The sample count is derived from the
+/// bucket totals, so count and buckets cannot disagree.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    /// Per-bucket sample counts (bucket 0 = value 0, bucket `i` covers
-    /// `[2^(i-1), 2^i)`).
-    pub buckets: [u64; HISTOGRAM_BUCKETS],
-    /// Wrapping sum of all recorded values.
-    pub sum: u64,
-    /// Largest recorded value.
-    pub max: u64,
+pub struct LogHistogram {
+    pub(crate) buckets: [u64; HISTOGRAM_BUCKETS],
+    pub(crate) sum: u128,
+    pub(crate) max: u64,
 }
 
-impl HistogramSnapshot {
+impl Default for LogHistogram {
+    fn default() -> Self {
+        Self {
+            buckets: [0; HISTOGRAM_BUCKETS],
+            sum: 0,
+            max: 0,
+        }
+    }
+}
+
+impl LogHistogram {
+    /// Creates an empty histogram.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records one observation.
+    pub fn record(&mut self, value: u64) {
+        self.buckets[bucket_index(value)] += 1;
+        self.sum += u128::from(value);
+        self.max = self.max.max(value);
+    }
+
+    /// Merges another histogram into this one.
+    pub fn merge(&mut self, other: &LogHistogram) {
+        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+            *a = a.saturating_add(*b);
+        }
+        self.sum += other.sum;
+        self.max = self.max.max(other.max);
+    }
+
     /// Total recorded samples — by construction the sum of the buckets.
     pub fn count(&self) -> u64 {
         self.buckets.iter().fold(0u64, |a, &b| a.saturating_add(b))
+    }
+
+    /// Sum of the recorded values.
+    pub fn sum(&self) -> u128 {
+        self.sum
+    }
+
+    /// Largest recorded value (`0` when empty).
+    pub fn max(&self) -> u64 {
+        self.max
     }
 
     /// Mean of the recorded values (`0.0` when empty).
@@ -227,7 +279,7 @@ impl HistogramSnapshot {
 
     /// Approximate `q`-quantile: the upper bound of the bucket where the
     /// quantile falls (a factor-of-two overestimate at worst), `None` when
-    /// empty. Same contract as `rank_stats::LogHistogram::quantile_upper_bound`.
+    /// empty.
     pub fn quantile_upper_bound(&self, q: f64) -> Option<u64> {
         let count = self.count();
         if count == 0 {
@@ -239,17 +291,20 @@ impl HistogramSnapshot {
         for (i, &c) in self.buckets.iter().enumerate() {
             acc += c;
             if acc >= target {
-                // The top bucket (i == 64) covers [2^63, 2^64): its upper
-                // bound saturates to u64::MAX instead of overflowing the
-                // shift, matching render_prometheus's `le` for that bucket.
-                return Some(if i == 0 {
-                    0
-                } else {
-                    1u64.checked_shl(i as u32).unwrap_or(u64::MAX)
-                });
+                return Some(bucket_upper_bound(i));
             }
         }
         Some(u64::MAX)
+    }
+
+    /// Iterates over `(bucket upper bound, count)` pairs with non-zero
+    /// counts, in bucket order.
+    pub fn iter_nonzero(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, &c)| c > 0)
+            .map(|(i, &c)| (bucket_upper_bound(i), c))
     }
 }
 
@@ -385,7 +440,7 @@ pub struct MetricsSnapshot {
     /// Gauges, sorted by name then labels.
     pub gauges: Vec<MetricRow<i64>>,
     /// Histograms, sorted by name then labels.
-    pub histograms: Vec<MetricRow<HistogramSnapshot>>,
+    pub histograms: Vec<MetricRow<LogHistogram>>,
 }
 
 fn row_matches<T>(row: &MetricRow<T>, name: &str, labels: &[(&str, &str)]) -> bool {
@@ -414,7 +469,7 @@ impl MetricsSnapshot {
     }
 
     /// The snapshot of histogram `name{labels}`, if registered.
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<&HistogramSnapshot> {
+    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<&LogHistogram> {
         self.histograms
             .iter()
             .find(|r| row_matches(r, name, labels))
@@ -531,7 +586,7 @@ fn render_sample(
     name: &str,
     labels: &[(String, String)],
     extra: Option<(&str, &str)>,
-    value: u64,
+    value: impl std::fmt::Display,
 ) {
     out.push_str(name);
     render_labels(out, labels, extra);
@@ -601,20 +656,90 @@ mod tests {
         let snap = h.snapshot();
         assert_eq!(snap.count(), 6);
         assert_eq!(snap.buckets.iter().sum::<u64>(), snap.count());
-        assert_eq!(snap.max, 5_000_000);
-        assert_eq!(snap.sum, 5_000_205);
-        // Same bucket discipline as rank_stats::LogHistogram.
-        let mut reference = rank_stats_reference();
-        for v in [0u64, 1, 1, 3, 200, 5_000_000] {
-            reference[super::bucket_index(v)] += 1;
-        }
-        assert_eq!(snap.buckets.to_vec(), reference);
+        assert_eq!(snap.max(), 5_000_000);
+        assert_eq!(snap.sum(), 5_000_205);
         assert_eq!(snap.quantile_upper_bound(0.0), Some(0));
         assert!(snap.quantile_upper_bound(1.0).unwrap() >= 5_000_000);
     }
 
-    fn rank_stats_reference() -> Vec<u64> {
-        vec![0u64; HISTOGRAM_BUCKETS]
+    #[test]
+    fn log_histogram_bucket_boundaries() {
+        assert_eq!(bucket_index(0), 0);
+        assert_eq!(bucket_index(1), 1);
+        assert_eq!(bucket_index(2), 2);
+        assert_eq!(bucket_index(3), 2);
+        assert_eq!(bucket_index(4), 3);
+        assert_eq!(bucket_index(u64::MAX), 64);
+    }
+
+    #[test]
+    fn log_histogram_stats_and_quantile() {
+        let mut h = LogHistogram::new();
+        for v in [0u64, 1, 3, 7, 100] {
+            h.record(v);
+        }
+        assert_eq!(h.count(), 5);
+        assert_eq!(h.max(), 100);
+        assert!((h.mean() - 22.2).abs() < 1e-9);
+        assert_eq!(h.quantile_upper_bound(0.0), Some(0));
+        // 100 lives in bucket [64,128) whose upper bound is 128.
+        assert_eq!(h.quantile_upper_bound(1.0), Some(128));
+    }
+
+    #[test]
+    fn log_histogram_merge() {
+        let mut a = LogHistogram::new();
+        let mut b = LogHistogram::new();
+        a.record(5);
+        b.record(9);
+        b.record(0);
+        a.merge(&b);
+        assert_eq!(a.count(), 3);
+        assert_eq!(a.max(), 9);
+        let total: u64 = a.iter_nonzero().map(|(_, c)| c).sum();
+        assert_eq!(total, 3);
+    }
+
+    /// Regression: values in the top bucket (`[2^63, u64::MAX]`) report a
+    /// saturated `u64::MAX` bound rather than overflowing `1 << 64`.
+    #[test]
+    fn log_histogram_top_bucket_saturates() {
+        let mut h = LogHistogram::new();
+        h.record(1);
+        h.record(u64::MAX);
+        assert_eq!(h.max(), u64::MAX);
+        assert_eq!(h.quantile_upper_bound(0.5), Some(2));
+        assert_eq!(h.quantile_upper_bound(1.0), Some(u64::MAX));
+        let pairs: Vec<_> = h.iter_nonzero().collect();
+        assert_eq!(pairs, vec![(2, 1), (u64::MAX, 1)]);
+    }
+
+    #[test]
+    fn log_histogram_empty() {
+        let h = LogHistogram::new();
+        assert_eq!(h.quantile_upper_bound(0.9), None);
+        assert_eq!(h.mean(), 0.0);
+        assert_eq!(h.count(), 0);
+    }
+
+    /// The sharded cell and the plain histogram are one type's two faces:
+    /// values written from four threads snapshot to exactly the buckets,
+    /// sum and max that one `LogHistogram` fed the same values holds.
+    #[test]
+    fn sharded_snapshot_equals_one_plain_histogram() {
+        let sharded = Histogram::new();
+        let values =
+            |t: u64| (0..5_000u64).map(move |i| (i * 7_919 + t * 104_729) % (1 << (i % 40)));
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let sharded = &sharded;
+                s.spawn(move || values(t).for_each(|v| sharded.record(v)));
+            }
+        });
+        let mut plain = LogHistogram::new();
+        (0..4).flat_map(values).for_each(|v| plain.record(v));
+        assert_eq!(plain.count(), 20_000);
+        assert_eq!(sharded.snapshot(), plain);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::collections::VecDeque;
 
 use parking_lot::Mutex;
 
-use crate::metrics::{HistogramSnapshot, MetricRow, MetricsSnapshot};
+use crate::metrics::{LogHistogram, MetricRow, MetricsSnapshot};
 
 /// Default number of snapshots a [`RateWindow`] retains. At the 1 Hz-ish
 /// push cadence of a scraped server this spans roughly the "last 10s".
@@ -196,8 +196,8 @@ fn lookup_counter(snapshot: &MetricsSnapshot, like: &MetricRow<u64>) -> Option<u
 
 fn lookup_histogram<'a>(
     snapshot: &'a MetricsSnapshot,
-    like: &MetricRow<HistogramSnapshot>,
-) -> Option<&'a HistogramSnapshot> {
+    like: &MetricRow<LogHistogram>,
+) -> Option<&'a LogHistogram> {
     snapshot
         .histograms
         .iter()
@@ -209,16 +209,13 @@ fn lookup_histogram<'a>(
 /// inside the window. Counts saturate (a reset metric degrades to "whole
 /// newest" rather than underflowing); `max` keeps the lifetime max — the
 /// log buckets carry the quantile information.
-fn histogram_delta(oldest: &HistogramSnapshot, newest: &HistogramSnapshot) -> HistogramSnapshot {
-    let mut buckets = newest.buckets;
-    for (b, old) in buckets.iter_mut().zip(oldest.buckets.iter()) {
+fn histogram_delta(oldest: &LogHistogram, newest: &LogHistogram) -> LogHistogram {
+    let mut delta = newest.clone();
+    for (b, old) in delta.buckets.iter_mut().zip(oldest.buckets.iter()) {
         *b = b.saturating_sub(*old);
     }
-    HistogramSnapshot {
-        buckets,
-        sum: newest.sum.wrapping_sub(oldest.sum),
-        max: newest.max,
-    }
+    delta.sum = newest.sum.saturating_sub(oldest.sum);
+    delta
 }
 
 #[cfg(test)]

@@ -1,8 +1,5 @@
 //! Rank-cost summaries of a process run.
 
-use rank_stats::histogram::LogHistogram;
-use rank_stats::summary::StreamingSummary;
-
 /// Aggregate rank-cost statistics of a batch of removals.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RankCostSummary {
@@ -12,19 +9,13 @@ pub struct RankCostSummary {
     pub mean_rank: f64,
     /// Maximum rank over all removals in the batch.
     pub max_rank: u64,
-    /// Standard deviation of the per-removal rank.
-    pub std_dev: f64,
-    /// Upper bound of the log-bucket containing the 50th percentile.
-    pub p50_upper: u64,
-    /// Upper bound of the log-bucket containing the 99th percentile.
-    pub p99_upper: u64,
 }
 
 /// Accumulator used while a process runs; converts into a [`RankCostSummary`].
 #[derive(Clone, Debug, Default)]
 pub struct RankCostAccumulator {
-    summary: StreamingSummary,
-    histogram: LogHistogram,
+    count: u64,
+    sum: u128,
     max: u64,
 }
 
@@ -36,19 +27,23 @@ impl RankCostAccumulator {
 
     /// Records the rank of one removal.
     pub fn record(&mut self, rank: u64) {
-        self.summary.record_u64(rank);
-        self.histogram.record(rank);
+        self.count += 1;
+        self.sum += u128::from(rank);
         self.max = self.max.max(rank);
     }
 
     /// Number of removals recorded so far.
     pub fn removals(&self) -> u64 {
-        self.summary.count()
+        self.count
     }
 
-    /// Running mean rank.
+    /// Running mean rank (0 when nothing was recorded).
     pub fn mean_rank(&self) -> f64 {
-        self.summary.mean()
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.count as f64
+        }
     }
 
     /// Running maximum rank.
@@ -58,20 +53,17 @@ impl RankCostAccumulator {
 
     /// Merges another accumulator into this one.
     pub fn merge(&mut self, other: &RankCostAccumulator) {
-        self.summary.merge(&other.summary);
-        self.histogram.merge(&other.histogram);
+        self.count += other.count;
+        self.sum += other.sum;
         self.max = self.max.max(other.max);
     }
 
     /// Produces the final summary.
     pub fn finish(&self) -> RankCostSummary {
         RankCostSummary {
-            removals: self.summary.count(),
-            mean_rank: self.summary.mean(),
+            removals: self.count,
+            mean_rank: self.mean_rank(),
             max_rank: self.max,
-            std_dev: self.summary.std_dev(),
-            p50_upper: self.histogram.quantile_upper_bound(0.5).unwrap_or(0),
-            p99_upper: self.histogram.quantile_upper_bound(0.99).unwrap_or(0),
         }
     }
 }
@@ -103,16 +95,6 @@ impl RankTimeSeries {
     /// Appends a sample.
     pub fn push(&mut self, removals: u64, mean_rank: f64, max_rank: u64) {
         self.points.push((removals, mean_rank, max_rank));
-    }
-
-    /// The last sampled mean rank, if any.
-    pub fn final_mean(&self) -> Option<f64> {
-        self.points.last().map(|&(_, m, _)| m)
-    }
-
-    /// The largest sampled interval-max rank, if any.
-    pub fn overall_max(&self) -> Option<u64> {
-        self.points.iter().map(|&(_, _, m)| m).max()
     }
 
     /// Fits `mean_rank ≈ a·sqrt(removals)` by least squares through the
@@ -150,8 +132,6 @@ mod tests {
         assert_eq!(s.removals, 5);
         assert_eq!(s.max_rank, 100);
         assert!((s.mean_rank - 21.6).abs() < 1e-9);
-        assert!(s.p50_upper <= 4);
-        assert!(s.p99_upper >= 64);
     }
 
     #[test]
@@ -160,7 +140,6 @@ mod tests {
         assert_eq!(s.removals, 0);
         assert_eq!(s.mean_rank, 0.0);
         assert_eq!(s.max_rank, 0);
-        assert_eq!(s.p50_upper, 0);
     }
 
     #[test]
@@ -184,7 +163,6 @@ mod tests {
         assert_eq!(sa.removals, sw.removals);
         assert!((sa.mean_rank - sw.mean_rank).abs() < 1e-9);
         assert_eq!(sa.max_rank, sw.max_rank);
-        assert_eq!(sa.p99_upper, sw.p99_upper);
     }
 
     #[test]
@@ -193,8 +171,7 @@ mod tests {
         ts.push(100, 5.0, 20);
         ts.push(200, 6.0, 18);
         ts.push(300, 5.5, 40);
-        assert_eq!(ts.final_mean(), Some(5.5));
-        assert_eq!(ts.overall_max(), Some(40));
+        assert_eq!(ts.points.len(), 3);
         assert!(ts.sqrt_growth_coefficient() > 0.0);
     }
 
@@ -211,8 +188,7 @@ mod tests {
     #[test]
     fn empty_time_series() {
         let ts = RankTimeSeries::new(10);
-        assert_eq!(ts.final_mean(), None);
-        assert_eq!(ts.overall_max(), None);
+        assert!(ts.points.is_empty());
         assert_eq!(ts.sqrt_growth_coefficient(), 0.0);
     }
 

@@ -3,8 +3,8 @@
 //! The paper's quality metric for a relaxed queue is the *rank* of a removed
 //! element. At the scheduler layer the metric users actually feel is
 //! **lateness**: how far past its deadline a task started executing. This
-//! module turns the workspace's histogram substrate
-//! ([`rank_stats::histogram::LogHistogram`]) into a per-priority-class
+//! module turns the workspace's log histogram
+//! ([`choice_obs::LogHistogram`]) into a per-priority-class
 //! lateness tracker; the traffic engine records into one tracker per worker
 //! and merges them afterwards (same pattern as the per-handle rank logs).
 //!
@@ -24,8 +24,7 @@
 
 use std::sync::Arc;
 
-use choice_obs::{Counter, Histogram, ObsHub};
-use rank_stats::histogram::LogHistogram;
+use choice_obs::{Counter, Histogram, LogHistogram, ObsHub};
 
 /// Lateness distribution of one priority class.
 #[derive(Clone, Debug, Default)]
@@ -113,9 +112,9 @@ impl LatenessTracker {
 
     /// Creates a tracker that additionally mirrors every sample into `hub`'s
     /// metrics registry: histogram `sched_lateness_ns{class=...}` and counter
-    /// `sched_refusals_total{class=...}`. Both histograms use the same
-    /// log-bucket discipline, so quantiles read from a metrics snapshot agree
-    /// with the local tracker's. Several trackers (e.g. one per worker) may
+    /// `sched_refusals_total{class=...}`. A metrics snapshot of the mirror
+    /// is a [`LogHistogram`] like the local tracker's, so their quantiles
+    /// agree. Several trackers (e.g. one per worker) may
     /// mirror into the same hub — the cells are shared and sharded.
     pub fn with_obs(classes: usize, hub: &ObsHub) -> Self {
         let mut tracker = Self::new(classes);
@@ -291,7 +290,7 @@ mod tests {
             .histogram("sched_lateness_ns", &[("class", "0")])
             .expect("class 0 mirrored");
         assert_eq!(c0.count(), 3, "both trackers share the class-0 cells");
-        // Quantiles agree with the local tracker (same bucket discipline).
+        // Quantiles agree with the local tracker (the same histogram type).
         assert_eq!(
             c0.quantile_upper_bound(1.0),
             a.classes()[0].lateness_ns.quantile_upper_bound(1.0)

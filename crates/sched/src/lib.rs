@@ -25,7 +25,7 @@
 //!   [`Injector`], and measuring per-class **lateness** distributions with
 //!   the [`lateness`] trackers.
 //! * [`lateness`] — per-class lateness histograms
-//!   ([`rank_stats::histogram::LogHistogram`] underneath), turning the
+//!   ([`choice_obs::LogHistogram`] underneath), turning the
 //!   paper's *rank* quality metric into the end-to-end application metric
 //!   (how late past its deadline did each task actually run).
 //!

@@ -59,9 +59,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use choice_obs::{EventKind, ObsHub};
+use choice_obs::{EventKind, LogHistogram, ObsHub};
 use choice_pq::{check_key, HandleStats, Key, PqHandle, SharedPq};
-use rank_stats::histogram::LogHistogram;
 use rank_stats::timing::OpsTimer;
 
 /// Consecutive empty polls that only `yield_now` before an idle worker

@@ -251,6 +251,13 @@ pub fn burn(units: u32) -> u64 {
 /// each executed task burns its class's work units and records its lateness
 /// against its absolute deadline.
 ///
+/// The thread opens one [`Injector`](crate::Injector) per insert shard of the queue
+/// ([`SharedPq::topology`]) and deals arrival `i` to injector `i mod s`.
+/// The injectors register back to back, so their consecutive handle ids
+/// cover every shard and each shard receives an even share of the inserts,
+/// the spread the shards' rank bounds assume (`DESIGN.md` §7.1). An
+/// unsharded queue gets one injector.
+///
 /// Works with any backend — concrete or `dyn DynSharedPq<TrafficTask>` — so
 /// every queue the paper compares runs the identical scenario.
 pub fn run_scenario<Q>(queue: &Q, config: SchedulerConfig, spec: &TrafficSpec) -> ScenarioReport
@@ -262,18 +269,21 @@ where
     let sched = Scheduler::new(queue, config);
     let epoch = Instant::now();
     let (report, trackers) = std::thread::scope(|scope| {
-        let mut injector = sched.injector();
+        let mut injectors: Vec<_> = (0..queue.topology().shards)
+            .map(|_| sched.injector())
+            .collect();
         let spec_classes = &spec.classes;
         let schedule = &schedule;
         scope.spawn(move || {
-            for arrival in schedule {
+            let sources = injectors.len();
+            for (i, arrival) in schedule.iter().enumerate() {
                 let now = epoch.elapsed();
                 if arrival.at > now {
                     std::thread::sleep(arrival.at - now);
                 }
                 let deadline_ns =
                     (arrival.at + spec_classes[arrival.class].deadline).as_nanos() as u64;
-                injector.inject(
+                injectors[i % sources].inject(
                     deadline_ns,
                     TrafficTask {
                         class: arrival.class,
@@ -282,8 +292,8 @@ where
                     },
                 );
             }
-            // Dropping the injector here closes the source; only now can the
-            // workers' termination condition become true.
+            // Dropping the injectors here closes the sources; only now can
+            // the workers' termination condition become true.
         });
         sched.run(
             |_worker| LatenessTracker::new(classes),
@@ -324,7 +334,10 @@ pub struct TrafficTask {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use choice_pq::{MultiQueue, MultiQueueConfig};
+    use choice_pq::{
+        HandleStats, Key, MqHandle, MultiQueue, MultiQueueConfig, PqHandle, QueueTopology,
+    };
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn spec(pattern: ArrivalPattern, tasks: u64) -> TrafficSpec {
         TrafficSpec {
@@ -446,6 +459,81 @@ mod tests {
         assert!(report.label.contains("multiqueue"));
         // Both classes saw traffic.
         assert!(report.lateness.classes().iter().all(|c| c.executed > 0));
+    }
+
+    /// A 2-shard MultiQueue that tallies inserts by the inserting
+    /// session's shard.
+    struct ShardTally {
+        queue: MultiQueue<TrafficTask>,
+        inserts: [AtomicU64; 2],
+    }
+
+    struct TallyHandle<'q> {
+        inner: MqHandle<'q, TrafficTask>,
+        inserts: &'q AtomicU64,
+    }
+
+    impl SharedPq<TrafficTask> for ShardTally {
+        type Handle<'q> = TallyHandle<'q>;
+        fn register(&self) -> TallyHandle<'_> {
+            let inner = self.queue.register();
+            let inserts = &self.inserts[inner.shard()];
+            TallyHandle { inner, inserts }
+        }
+        fn approx_len(&self) -> usize {
+            self.queue.approx_len()
+        }
+        fn topology(&self) -> QueueTopology {
+            self.queue.topology()
+        }
+        fn name(&self) -> String {
+            self.queue.name()
+        }
+    }
+
+    impl PqHandle<TrafficTask> for TallyHandle<'_> {
+        fn insert(&mut self, key: Key, value: TrafficTask) {
+            self.inserts.fetch_add(1, Ordering::Relaxed);
+            self.inner.insert(key, value);
+        }
+        fn insert_all(&mut self, items: &mut Vec<(Key, TrafficTask)>) {
+            self.inserts
+                .fetch_add(items.len() as u64, Ordering::Relaxed);
+            self.inner.insert_all(items);
+        }
+        fn delete_min(&mut self) -> Option<(Key, TrafficTask)> {
+            self.inner.delete_min()
+        }
+        fn delete_min_batch_into(
+            &mut self,
+            max: usize,
+            out: &mut Vec<(Key, TrafficTask)>,
+        ) -> usize {
+            self.inner.delete_min_batch_into(max, out)
+        }
+        fn stats(&self) -> HandleStats {
+            self.inner.stats()
+        }
+    }
+
+    #[test]
+    fn each_insert_shard_receives_an_even_share_of_the_arrivals() {
+        let tasks = 2_001u64;
+        let queue = ShardTally {
+            queue: MultiQueue::new(MultiQueueConfig::with_queues(8).with_shards(2).with_seed(3)),
+            inserts: Default::default(),
+        };
+        let s = spec(ArrivalPattern::Steady { rate: 500_000.0 }, tasks);
+        let report = run_scenario(&queue, SchedulerConfig::new(2).with_delete_batch(4), &s);
+        assert_eq!(report.sched.executed, tasks);
+        let per_shard = queue.inserts.each_ref().map(|c| c.load(Ordering::Relaxed));
+        assert_eq!(per_shard.iter().sum::<u64>(), tasks);
+        for inserts in per_shard {
+            assert!(
+                inserts.abs_diff(tasks / 2) <= 1,
+                "each shard must receive tasks/2 ± 1 inserts, got {per_shard:?}"
+            );
+        }
     }
 
     #[test]

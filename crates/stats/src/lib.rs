@@ -16,13 +16,10 @@
 //! * [`order`] — an order-statistics multiset built on the Fenwick tree, with
 //!   `rank`, `select` and removal, the workhorse of the sequential-process cost
 //!   accounting.
-//! * [`histogram`] — the log-bucketed histogram used to summarise rank
-//!   distributions.
-//! * [`summary`] — streaming mean/min/max/variance summaries.
 //! * [`inversion`] — the timestamp-based rank-inversion counter replicating the
 //!   measurement methodology of Section 5 of the paper.
-//! * [`timing`] — throughput measurement helpers (operations per second over a
-//!   wall-clock window).
+//! * [`timing`] — [`OpsTimer`], operations per second over a wall-clock
+//!   window.
 //! * [`tokens`] — a deterministic, explicit-time token bucket used by the
 //!   service layer for per-tenant rate admission.
 //!
@@ -46,20 +43,16 @@
 
 pub mod choice;
 pub mod fenwick;
-pub mod histogram;
 pub mod inversion;
 pub mod order;
 pub mod rng;
-pub mod summary;
 pub mod timing;
 pub mod tokens;
 
 pub use choice::ChoiceRule;
 pub use fenwick::FenwickTree;
-pub use histogram::LogHistogram;
 pub use inversion::{InversionCounter, TimestampedRemoval};
 pub use order::OrderStatisticsSet;
 pub use rng::{RandomSource, SplitMix64, Xoshiro256};
-pub use summary::StreamingSummary;
-pub use timing::{OpsTimer, ThroughputReport};
+pub use timing::OpsTimer;
 pub use tokens::TokenBucket;

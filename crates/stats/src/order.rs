@@ -100,15 +100,6 @@ impl OrderStatisticsSet {
         self.tree.prefix_sum(idx)
     }
 
-    /// The number of stored elements strictly smaller than `key`.
-    pub fn rank_strict(&self, key: u64) -> u64 {
-        if key == 0 || self.tree.is_empty() {
-            return 0;
-        }
-        let idx = ((key - 1) as usize).min(self.tree.len() - 1);
-        self.tree.prefix_sum(idx)
-    }
-
     /// Returns the `k`-th smallest stored key (0-based), or `None` if `k >= len()`.
     pub fn select(&self, k: u64) -> Option<u64> {
         if k >= self.len {
@@ -193,7 +184,6 @@ mod tests {
         assert_eq!(s.rank(5), 3);
         assert_eq!(s.rank(9), 5);
         assert_eq!(s.rank(6), 3); // 1,3,5 are <= 6
-        assert_eq!(s.rank_strict(5), 2);
         assert_eq!(s.select(0), Some(1));
         assert_eq!(s.select(2), Some(5));
         assert_eq!(s.select(4), Some(9));

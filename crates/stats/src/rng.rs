@@ -171,54 +171,6 @@ impl Xoshiro256 {
         let s = [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()];
         Self { s }
     }
-
-    /// Creates a generator from an explicit 256-bit state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state is all zeros (the only invalid xoshiro state).
-    pub fn from_state(state: [u64; 4]) -> Self {
-        assert!(
-            state.iter().any(|&w| w != 0),
-            "xoshiro256 state must not be all zeros"
-        );
-        Self { s: state }
-    }
-
-    /// Equivalent to 2^128 calls to `next_u64`; used to give threads
-    /// non-overlapping subsequences of a single logical stream.
-    pub fn jump(&mut self) {
-        const JUMP: [u64; 4] = [
-            0x180e_c6d3_3cfd_0aba,
-            0xd5a6_1266_f0c9_392c,
-            0xa958_2618_e03f_c9aa,
-            0x39ab_dc45_29b1_661c,
-        ];
-        let mut s0 = 0u64;
-        let mut s1 = 0u64;
-        let mut s2 = 0u64;
-        let mut s3 = 0u64;
-        for jump in JUMP {
-            for b in 0..64 {
-                if (jump & (1u64 << b)) != 0 {
-                    s0 ^= self.s[0];
-                    s1 ^= self.s[1];
-                    s2 ^= self.s[2];
-                    s3 ^= self.s[3];
-                }
-                self.next_u64();
-            }
-        }
-        self.s = [s0, s1, s2, s3];
-    }
-
-    /// Returns a clone of this generator advanced by one jump, leaving `self`
-    /// also advanced. Convenient for handing out per-thread streams.
-    pub fn split_stream(&mut self) -> Self {
-        let child = self.clone();
-        self.jump();
-        child
-    }
 }
 
 impl Default for Xoshiro256 {
@@ -406,21 +358,5 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn jump_produces_disjoint_looking_streams() {
-        let mut base = Xoshiro256::seeded(2024);
-        let mut a = base.split_stream();
-        let mut b = base.split_stream();
-        let xs: Vec<u64> = (0..64).map(|_| a.next_u64()).collect();
-        let ys: Vec<u64> = (0..64).map(|_| b.next_u64()).collect();
-        assert_ne!(xs, ys);
-    }
-
-    #[test]
-    #[should_panic(expected = "must not be all zeros")]
-    fn zero_state_rejected() {
-        let _ = Xoshiro256::from_state([0, 0, 0, 0]);
     }
 }

@@ -1,13 +1,10 @@
-//! Throughput measurement helpers.
+//! Throughput measurement.
 //!
 //! The paper's Figure 1 reports operations per second over a fixed wall-clock
 //! window with alternating insert/deleteMin operations. [`OpsTimer`] measures
-//! a counted batch of operations, and [`ThroughputReport`] aggregates per-run
-//! results (the paper averages 10 trials).
+//! a counted batch of operations.
 
 use std::time::{Duration, Instant};
-
-use crate::summary::StreamingSummary;
 
 /// Measures how long a counted batch of operations takes and converts it to
 /// a throughput figure.
@@ -45,72 +42,6 @@ impl OpsTimer {
             ops as f64 / secs
         }
     }
-
-    /// Returns mean nanoseconds per operation for `ops` operations.
-    pub fn nanos_per_op(&self, ops: u64) -> f64 {
-        if ops == 0 {
-            return 0.0;
-        }
-        self.elapsed().as_nanos() as f64 / ops as f64
-    }
-}
-
-/// Aggregates the throughput of repeated trials of the same configuration.
-#[derive(Clone, Debug, Default)]
-pub struct ThroughputReport {
-    label: String,
-    trials: StreamingSummary,
-}
-
-impl ThroughputReport {
-    /// Creates an empty report with a human-readable configuration label.
-    pub fn new(label: impl Into<String>) -> Self {
-        Self {
-            label: label.into(),
-            trials: StreamingSummary::new(),
-        }
-    }
-
-    /// Records the throughput (operations/second) of one trial.
-    pub fn record_trial(&mut self, ops_per_second: f64) {
-        self.trials.record(ops_per_second);
-    }
-
-    /// Configuration label.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// Number of recorded trials.
-    pub fn trials(&self) -> u64 {
-        self.trials.count()
-    }
-
-    /// Mean throughput over all trials (ops/second).
-    pub fn mean_throughput(&self) -> f64 {
-        self.trials.mean()
-    }
-
-    /// Standard deviation of the per-trial throughput.
-    pub fn std_dev(&self) -> f64 {
-        self.trials.std_dev()
-    }
-
-    /// Best (maximum) per-trial throughput.
-    pub fn best(&self) -> f64 {
-        self.trials.max().unwrap_or(0.0)
-    }
-
-    /// Formats a one-line report: label, mean Mops/s, stddev, trial count.
-    pub fn to_row(&self) -> String {
-        format!(
-            "{:<32} {:>10.3} Mops/s  (+/- {:>7.3}, {} trials)",
-            self.label,
-            self.mean_throughput() / 1e6,
-            self.std_dev() / 1e6,
-            self.trials()
-        )
-    }
 }
 
 #[cfg(test)]
@@ -127,34 +58,5 @@ mod tests {
         assert!(tput > 0.0);
         // 1000 ops over >= 5 ms is at most 200k ops/s.
         assert!(tput <= 300_000.0, "throughput {tput} is implausibly high");
-        assert!(timer.nanos_per_op(1_000) >= 5_000.0 * 0.9);
-    }
-
-    #[test]
-    fn nanos_per_op_zero_ops() {
-        let timer = OpsTimer::start();
-        assert_eq!(timer.nanos_per_op(0), 0.0);
-    }
-
-    #[test]
-    fn throughput_report_aggregates_trials() {
-        let mut report = ThroughputReport::new("multiqueue beta=0.5 t=4");
-        report.record_trial(1.0e6);
-        report.record_trial(3.0e6);
-        assert_eq!(report.trials(), 2);
-        assert!((report.mean_throughput() - 2.0e6).abs() < 1.0);
-        assert_eq!(report.best(), 3.0e6);
-        assert_eq!(report.label(), "multiqueue beta=0.5 t=4");
-        let row = report.to_row();
-        assert!(row.contains("multiqueue"));
-        assert!(row.contains("2 trials"));
-    }
-
-    #[test]
-    fn empty_report_is_zeroed() {
-        let report = ThroughputReport::new("empty");
-        assert_eq!(report.trials(), 0);
-        assert_eq!(report.mean_throughput(), 0.0);
-        assert_eq!(report.best(), 0.0);
     }
 }

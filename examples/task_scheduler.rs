@@ -8,7 +8,7 @@
 //!    tasks; the subsystem's termination detector proves quiescence and the
 //!    run shows every task (seeded + spawned) executed exactly once, with
 //!    the observed deadline-inversion *distribution* (a
-//!    `rank_stats` log histogram, not a saturating sum) quantifying how
+//!    `choice_obs::LogHistogram`, not a saturating sum) quantifying how
 //!    much reordering the relaxation actually introduced.
 //! 2. **Open-loop traffic** — the traffic engine injects a bursty,
 //!    multi-class workload concurrently with execution and reports

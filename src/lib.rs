@@ -38,8 +38,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Statistics utilities: PRNGs, Fenwick trees, histograms, rank-inversion
-/// accounting, timing.
+/// Statistics utilities: PRNGs, Fenwick trees, order statistics,
+/// rank-inversion accounting, timing.
 pub use rank_stats as stats;
 
 /// Sequential priority queue substrates (MultiQueue lanes).

@@ -168,3 +168,69 @@ fn potential_bound_tracks_rank_behaviour() {
         "single-choice potential {gamma_one} should exceed two-choice {gamma_two}"
     );
 }
+
+/// Appendix C's pathology, injected: one session runs a hold loop (100 k
+/// prefill, 50 k insert/`delete_min` pairs, d = 2, increasing keys); a
+/// second session then runs `m` pairs while lane 0's lock is held, or, as
+/// the control, while it is not; the first session then runs 50 k more
+/// pairs. Returns the max rank over all removals (`InversionCounter`).
+fn stalled_max_rank(lanes: usize, seed: u64, m: u64, hold: bool) -> u64 {
+    let queue = MultiQueue::<u64>::new(
+        MultiQueueConfig::with_queues(lanes)
+            .with_d(2)
+            .with_seed(seed),
+    );
+    let mut first = queue.register_with(HandlePolicy::instrumented());
+    for k in 0..100_000u64 {
+        first.insert(k, k);
+    }
+    let mut next_key = 100_000u64;
+    let mut pairs = |session: &mut dyn PqHandle<u64>, count: u64| {
+        for _ in 0..count {
+            session.insert(next_key, next_key);
+            next_key += 1;
+            session.delete_min();
+        }
+    };
+    pairs(&mut first, 50_000);
+    let mut second = queue.register_with(HandlePolicy::instrumented());
+    if hold {
+        queue.with_lane_locked(0, || pairs(&mut second, m));
+    } else {
+        pairs(&mut second, m);
+    }
+    pairs(&mut first, 50_000);
+    let mut counter = InversionCounter::new();
+    counter.record_all(first.take_log());
+    counter.record_all(second.take_log());
+    counter.summarize().max_rank
+}
+
+/// A lane held for `m` removals pushes the max rank to about `m/n`: the
+/// other session's removals skip the held lane's keys, and about `m/n` of
+/// them fall in the key range those removals sweep. Over seeds 1–12 the
+/// held max read 0.98–1.02 × m/n at n = 8 and 0.99–1.02 × at n = 16, and
+/// the unheld control at most 0.005 × and 0.021 ×; the band leaves room
+/// for other seeds. The live estimator cannot see this: it counts lanes,
+/// so it stays at most n (DESIGN.md §12.3).
+#[test]
+fn a_stalled_lane_holder_pushes_the_max_rank_to_about_m_over_n() {
+    let m = 100_000u64;
+    std::thread::scope(|s| {
+        for lanes in [8usize, 16] {
+            s.spawn(move || {
+                let m_over_n = m as f64 / lanes as f64;
+                let held = stalled_max_rank(lanes, 1, m, true) as f64;
+                assert!(
+                    (0.95..=1.05).contains(&(held / m_over_n)),
+                    "n = {lanes}: held max rank {held} is not within 5 % of m/n = {m_over_n}"
+                );
+                let free = stalled_max_rank(lanes, 1, m, false) as f64;
+                assert!(
+                    free < 0.05 * m_over_n,
+                    "n = {lanes}: unheld max rank {free} is not far below m/n = {m_over_n}"
+                );
+            });
+        }
+    });
+}

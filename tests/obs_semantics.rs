@@ -72,7 +72,7 @@ fn counter_sums_are_conserved_across_shard_merges_under_churn() {
                     .expect("the histogram cell exists from registration");
                 assert_eq!(
                     h.count(),
-                    h.buckets.iter().sum::<u64>(),
+                    h.iter_nonzero().map(|(_, c)| c).sum::<u64>(),
                     "a histogram snapshot's count is its bucket total"
                 );
                 assert!(h.count() <= total);
@@ -96,11 +96,11 @@ fn counter_sums_are_conserved_across_shard_merges_under_churn() {
         .expect("histogram cell");
     assert_eq!(h.count(), total, "every recorded sample survives the merge");
     assert_eq!(
-        h.sum,
-        WRITERS as u64 * (PER_WRITER * (PER_WRITER - 1) / 2),
+        h.sum(),
+        u128::from(WRITERS as u64 * (PER_WRITER * (PER_WRITER - 1) / 2)),
         "the merged sum is the exact arithmetic total of all samples"
     );
-    assert_eq!(h.max, PER_WRITER - 1);
+    assert_eq!(h.max(), PER_WRITER - 1);
 }
 
 /// `Stats` and `MetricsDump` polled flat-out while other connections churn
@@ -316,7 +316,7 @@ fn fast_path_contention_reaches_the_flight_recorder() {
 /// sampled shadow-probe value against the exact rank from a sorted mirror.
 /// Returns `None` when the seed's random placement doubled up a lane (the
 /// caller skips those layouts), else `(removals, summed rank error)`.
-fn drain_with_exact_ranks(seed: u64) -> Option<(u64, u64)> {
+fn drain_with_exact_ranks(seed: u64) -> Option<(u64, u128)> {
     const KEYS: [u64; 8] = [11, 23, 37, 41, 53, 67, 79, 97];
     let hub = ObsHub::new();
     let mut queue = MultiQueue::<u64>::new(MultiQueueConfig::with_queues(32).with_seed(seed));
@@ -330,7 +330,7 @@ fn drain_with_exact_ranks(seed: u64) -> Option<(u64, u64)> {
     }
 
     let mut mirror: BTreeSet<u64> = KEYS.into_iter().collect();
-    let mut last = (0u64, 0u64); // (count, sum) of mq_rank_error so far
+    let mut last = (0u64, 0u128); // (count, sum) of mq_rank_error so far
     while let Some((key, _)) = session.delete_min() {
         assert!(mirror.remove(&key), "removed a key that was never inserted");
         // With every element sitting alone in its lane, each remaining
@@ -343,11 +343,11 @@ fn drain_with_exact_ranks(seed: u64) -> Option<(u64, u64)> {
             .expect("stride-1 sampling records the probe on every removal");
         assert_eq!(h.count(), last.0 + 1, "exactly one probe per removal");
         assert_eq!(
-            h.sum,
-            last.1 + exact,
+            h.sum(),
+            last.1 + u128::from(exact),
             "sampled rank-error for key {key} must equal the exact rank {exact}"
         );
-        last = (h.count(), h.sum);
+        last = (h.count(), h.sum());
     }
     assert!(mirror.is_empty(), "the drain returned every element");
     assert_eq!(last.0, KEYS.len() as u64);
@@ -366,7 +366,7 @@ fn single_threaded_shadow_probe_equals_the_exact_rank() {
     for seed in 0..200 {
         if let Some((count, sum)) = drain_with_exact_ranks(seed) {
             layouts += 1;
-            if sum > count {
+            if sum > u128::from(count) {
                 imperfect += 1;
             }
         }
@@ -453,7 +453,7 @@ fn four_thread_estimated_p99_stays_within_the_inversion_envelope() {
         truth.len() as u64,
         "estimator and ground truth must describe the same removals"
     );
-    let est_mean = est.sum as f64 / est.count() as f64;
+    let est_mean = est.mean();
     assert!(
         est_mean <= truth_mean + 1e-9,
         "the shadow probe is a per-removal lower bound, so its mean \
