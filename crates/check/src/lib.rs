@@ -1,10 +1,10 @@
 //! choice-check: a deterministic-interleaving explorer (loom-lite).
 //!
 //! Concurrency arguments in this workspace — count-based quiescence
-//! termination, mirrored credit windows, the flight recorder's seqlock
-//! slots — were hand-argued prose. This crate mechanically checks such protocols:
-//! a *model* (a closure using [`spawn`], [`sync::Mutex`], and the
-//! [`sync`] atomics) is executed under **every** interleaving of its
+//! termination, mirrored credit windows, the MultiQueue's lane locks and
+//! cached tops — were hand-argued prose. This crate mechanically checks
+//! such protocols: a *model* (a closure using [`spawn`], [`sync::Mutex`],
+//! and the [`sync`] atomics) is executed under **every** interleaving of its
 //! schedule points (bounded DFS), or under a seeded sample of random
 //! interleavings, with at most one virtual thread running at a time. A
 //! failing exploration reports a comma-separated **schedule string** (and
@@ -579,6 +579,25 @@ mod tests {
                 .expect_err("replaying the failing schedule must fail again");
             assert_eq!(replayed.message, failure.message);
         }
+    }
+
+    /// The first failing DFS schedule of [`lost_update_model`], written out
+    /// so a regression in the explorer or in `replay` reproduces from this
+    /// file alone; regenerate it by printing `failure.schedule` if the model
+    /// legitimately changes.
+    const PINNED_LOST_UPDATE: &str = "0,0,0,1,1,2,2,1,0,2,0,0";
+
+    #[test]
+    fn pinned_schedule_replays_the_lost_update() {
+        let failure =
+            explore(Config::dfs(10_000), lost_update_model).expect_err("DFS finds the bug");
+        assert_eq!(
+            failure.schedule, PINNED_LOST_UPDATE,
+            "DFS is deterministic: its first failing schedule is stable"
+        );
+        let replayed = replay(PINNED_LOST_UPDATE, lost_update_model)
+            .expect_err("the pinned schedule still loses the update");
+        assert_eq!(replayed.message, failure.message);
     }
 
     #[test]

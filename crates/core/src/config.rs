@@ -30,8 +30,9 @@ pub struct MultiQueueConfig {
     /// Number of insert shards the lanes are partitioned into (strided:
     /// shard `s` owns lanes `s, s + shards, …`). The session handle with
     /// id `i` publishes its inserts into shard `i % shards`, while
-    /// `delete_min` keeps sampling across *all* lanes, so the paper's rank
-    /// argument is untouched. `1` (the default) disables sharding.
+    /// `delete_min` keeps sampling across *all* lanes. The paper's rank
+    /// bounds hold only if the inserting sessions are spread evenly over
+    /// the shards (`DESIGN.md` §7.1). `1` (the default) disables sharding.
     pub shards: usize,
     /// The lane-sampling rule used by `delete_min`. The default is the
     /// classic two-choice rule ([`ChoiceRule::TwoChoice`], `d = 2`); the

@@ -10,9 +10,11 @@
 //! lanes, so every shard owns at least one lane.
 //!
 //! The handle with id `i` publishes its inserts into shard `i % shards`
-//! while `delete_min` samples across **all** lanes, so the paper's rank
-//! argument is unchanged — sharding only narrows where a given session's
-//! inserts land. See `DESIGN.md` §7.
+//! while `delete_min` samples across **all** lanes. Where inserts land is
+//! part of the paper's rank argument, so its bounds hold on a sharded
+//! queue only when the inserting sessions are spread evenly over the
+//! shards; one inserting session fills one shard and leaves the other
+//! shards' lanes empty. See `DESIGN.md` §7.1.
 
 use crate::sync::{AtomicU64, Ordering};
 

@@ -7,13 +7,12 @@
 //!   log-bucketed histograms. Cells are sharded per thread so an increment
 //!   is one uncontended `fetch_add`; [`MetricsRegistry::snapshot`] merges
 //!   the shards consistently and renders Prometheus exposition text.
-//! * [`recorder`] — a [`FlightRecorder`]: a fixed-size lock-free ring of
-//!   structured events (lane contention, quota refusals, session
-//!   lifecycle, quiescence, panics) with deterministic-clock support and
-//!   panic-hook dumps for post-mortem traces.
-//! * [`trace`] — a [`SpanRing`]: the same lock-free ring carrying
-//!   per-request stage timings (recv → decode → admit → queue-op → flush)
-//!   for traced wire requests.
+//! * [`recorder`] — a [`FlightRecorder`]: a fixed-size ring of structured
+//!   events (lane contention, quota refusals, session lifecycle,
+//!   quiescence, panics) with deterministic-clock support.
+//! * [`trace`] — a [`SpanRing`]: the same ring carrying per-request stage
+//!   timings (recv → decode → admit → queue-op → flush) for traced wire
+//!   requests.
 //! * [`window`] — a [`RateWindow`] of periodic [`MetricsSnapshot`] deltas,
 //!   turning cumulative counters into ops/s and lifetime histograms into
 //!   last-window p99s.
@@ -21,7 +20,8 @@
 //!
 //! The [`ObsHub`] bundles one of each ring/registry; every layer (core
 //! queue, scheduler, registry, service) accepts an `Arc<ObsHub>` and both
-//! writes and dumps flow through it.
+//! writes and dumps flow through it. [`ObsHub::panic_scope`] dumps both
+//! rings of a hub when a thread inside the scope panics.
 //!
 //! # Example
 //!
@@ -51,14 +51,16 @@ pub use metrics::{
     Counter, Gauge, Histogram, LogHistogram, MetricRow, MetricsRegistry, MetricsSnapshot,
 };
 pub use recorder::{
-    install_panic_hook, refusal_category, refusal_category_name, take_last_panic_dump, EventKind,
-    EventRecord, FlightRecorder, ManualClock, PanicScope,
+    refusal_category, refusal_category_name, EventKind, EventRecord, FlightRecorder, ManualClock,
 };
 pub use sample::LatencySampler;
-pub use trace::{SpanPanicScope, SpanRecord, SpanRing, SpanStage, SPAN_STAGES};
+pub use trace::{SpanRecord, SpanRing, SpanStage, SPAN_STAGES};
 pub use window::{RateWindow, WindowRates, DEFAULT_WINDOW_SLOTS};
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::sync::{Arc, Once, Weak};
+
+use parking_lot::Mutex;
 
 /// Default flight-recorder capacity (events retained) for hubs built with
 /// [`ObsHub::new`].
@@ -160,11 +162,87 @@ impl ObsHub {
         }
         out
     }
+
+    /// Enters a panic scope on the current thread (installing the global
+    /// panic hook on first use; the hook chains to the previously installed
+    /// one, so default backtraces still print).
+    pub fn panic_scope(self: &Arc<Self>) -> PanicScope {
+        install_panic_hook();
+        PANIC_HUBS.with(|hubs| hubs.borrow_mut().push(Arc::downgrade(self)));
+        PanicScope {
+            _not_send: std::marker::PhantomData,
+        }
+    }
+}
+
+thread_local! {
+    /// The hubs whose [`PanicScope`]s are active on this thread, innermost
+    /// last.
+    static PANIC_HUBS: RefCell<Vec<Weak<ObsHub>>> = const { RefCell::new(Vec::new()) };
+}
+
+static HOOK_ONCE: Once = Once::new();
+static LAST_PANIC_DUMP: Mutex<Option<String>> = Mutex::new(None);
+
+/// While alive, a panic on this thread records a
+/// [`Panic`](EventKind::Panic) event into the scoped hub's flight recorder
+/// and captures a text dump of its events, then its spans (readable via
+/// [`take_last_panic_dump`]), before the previous panic hook runs.
+#[derive(Debug)]
+pub struct PanicScope {
+    _not_send: std::marker::PhantomData<*const ()>,
+}
+
+impl Drop for PanicScope {
+    fn drop(&mut self) {
+        let _ = PANIC_HUBS.try_with(|hubs| hubs.borrow_mut().pop());
+    }
+}
+
+/// Installs (once, process-wide) a panic hook that dumps the panicking
+/// thread's scoped hub. Called automatically by [`ObsHub::panic_scope`].
+pub fn install_panic_hook() {
+    HOOK_ONCE.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let hub = PANIC_HUBS
+                .try_with(|hubs| hubs.borrow().last().and_then(Weak::upgrade))
+                .ok()
+                .flatten();
+            if let Some(hub) = hub {
+                let message = if let Some(s) = info.payload().downcast_ref::<&str>() {
+                    (*s).to_string()
+                } else if let Some(s) = info.payload().downcast_ref::<String>() {
+                    s.clone()
+                } else {
+                    "panic".to_string()
+                };
+                hub.recorder.record(EventKind::Panic, &message, [0, 0, 0]);
+                // The spans leading up to the panic are what a post-mortem
+                // wants next.
+                let mut dump = hub.recorder.dump_text();
+                dump.push_str(&hub.spans.dump_text());
+                eprintln!("[choice-obs] flight-recorder dump after panic:\n{dump}");
+                *LAST_PANIC_DUMP.lock() = Some(dump);
+            }
+            previous(info);
+        }));
+    });
+}
+
+/// Takes (and clears) the most recent panic-hook dump, if any panic happened
+/// inside a [`PanicScope`] since the last take.
+pub fn take_last_panic_dump() -> Option<String> {
+    LAST_PANIC_DUMP.lock().take()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Serializes the tests that exercise the process-global panic-dump
+    /// slot; without it parallel panic tests stomp each other's dumps.
+    static PANIC_TEST_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn hub_bundles_metrics_and_recorder() {
@@ -233,17 +311,50 @@ mod tests {
         assert!(!without.contains("request spans"));
     }
 
+    /// One test covers both panic-hook behaviours (in order, because the
+    /// last-dump slot is process-global): a panic outside any scope leaves
+    /// no dump, a panic inside a scope leaves one.
+    #[test]
+    fn panic_scope_captures_a_dump_and_unscoped_panics_do_not() {
+        let _guard = PANIC_TEST_LOCK.lock();
+        let _ = take_last_panic_dump();
+        install_panic_hook();
+        let result = std::thread::spawn(|| panic!("unscoped")).join();
+        assert!(result.is_err());
+        assert!(take_last_panic_dump().is_none(), "no scope, no dump");
+
+        let hub = ObsHub::with_capacity(8);
+        hub.recorder().record(EventKind::SessionOpen, "", [7, 0, 0]);
+        let hub2 = Arc::clone(&hub);
+        let result = std::thread::spawn(move || {
+            let _scope = hub2.panic_scope();
+            panic!("deliberate test panic");
+        })
+        .join();
+        assert!(result.is_err());
+        let dump = take_last_panic_dump().expect("panic inside a scope leaves a dump");
+        assert!(dump.contains("panic"));
+        assert!(dump.contains("deliberate test panic"));
+        assert!(dump.contains("session-open"));
+        assert!(take_last_panic_dump().is_none(), "take clears");
+        // The recorder itself holds the panic event too.
+        assert!(hub
+            .recorder()
+            .events()
+            .iter()
+            .any(|e| e.kind == EventKind::Panic));
+    }
+
     #[test]
     fn panic_inside_a_span_scope_dumps_the_spans_too() {
-        let _guard = recorder::PANIC_TEST_LOCK.lock();
+        let _guard = PANIC_TEST_LOCK.lock();
         let _ = take_last_panic_dump();
         let hub = ObsHub::with_capacity(8);
         hub.recorder().record(EventKind::SessionOpen, "", [1, 0, 0]);
         hub.spans().record(0x51AB, 2, 5, [9, 9, 9, 9, 9]);
         let hub2 = Arc::clone(&hub);
         let result = std::thread::spawn(move || {
-            let _rec_scope = hub2.recorder().panic_scope();
-            let _span_scope = hub2.spans().panic_scope();
+            let _scope = hub2.panic_scope();
             panic!("deliberate span panic");
         })
         .join();

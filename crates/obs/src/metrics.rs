@@ -278,8 +278,9 @@ impl LogHistogram {
     }
 
     /// Approximate `q`-quantile: the upper bound of the bucket where the
-    /// quantile falls (a factor-of-two overestimate at worst), `None` when
-    /// empty.
+    /// quantile falls, capped at [`max`](Self::max) (a factor-of-two
+    /// overestimate at worst, and never above the largest value recorded),
+    /// `None` when empty.
     pub fn quantile_upper_bound(&self, q: f64) -> Option<u64> {
         let count = self.count();
         if count == 0 {
@@ -291,10 +292,10 @@ impl LogHistogram {
         for (i, &c) in self.buckets.iter().enumerate() {
             acc += c;
             if acc >= target {
-                return Some(bucket_upper_bound(i));
+                return Some(bucket_upper_bound(i).min(self.max));
             }
         }
-        Some(u64::MAX)
+        Some(self.max)
     }
 
     /// Iterates over `(bucket upper bound, count)` pairs with non-zero
@@ -682,8 +683,21 @@ mod tests {
         assert_eq!(h.max(), 100);
         assert!((h.mean() - 22.2).abs() < 1e-9);
         assert_eq!(h.quantile_upper_bound(0.0), Some(0));
-        // 100 lives in bucket [64,128) whose upper bound is 128.
-        assert_eq!(h.quantile_upper_bound(1.0), Some(128));
+        // 100 lives in bucket [64,128), whose upper bound 128 is capped at
+        // the max.
+        assert_eq!(h.quantile_upper_bound(1.0), Some(100));
+    }
+
+    /// Regression: a quantile never reads above the largest recorded value.
+    /// 1 500 lives in bucket [1024, 2048), whose upper bound alone would
+    /// report 2 048.
+    #[test]
+    fn quantiles_are_capped_at_the_max() {
+        let mut h = LogHistogram::new();
+        h.record(0);
+        h.record(1_500);
+        assert_eq!(h.quantile_upper_bound(1.0), Some(1_500));
+        assert_eq!(h.quantile_upper_bound(0.5), Some(0));
     }
 
     #[test]
@@ -808,7 +822,7 @@ mod tests {
         let snap = h.snapshot();
         assert_eq!(snap.quantile_upper_bound(0.5), Some(128));
         assert_eq!(snap.quantile_upper_bound(0.99), Some(128));
-        assert_eq!(snap.quantile_upper_bound(1.0), Some(131_072));
+        assert_eq!(snap.quantile_upper_bound(1.0), Some(100_000));
     }
 
     /// Regression: a sample in the top bucket [2^63, 2^64) must saturate

@@ -1,18 +1,16 @@
-//! The flight recorder: a fixed-size lock-free ring of structured events
-//! with a deterministic-clock option and panic-hook dumps.
+//! The flight recorder: a fixed-size ring of structured events with a
+//! deterministic-clock option; [`ObsHub::panic_scope`](crate::ObsHub::panic_scope)
+//! dumps it when a thread panics.
 //!
 //! # Ring discipline
 //!
-//! Events live in the crate's one seqlock ring (`SeqRing`, shared with the
-//! [`SpanRing`](crate::SpanRing)); the recorder only encodes an event into
-//! eight payload words and decodes it back. A writer claims a ticket with
-//! one `fetch_add` and a slot with one CAS, so recording is lock-free and
-//! never blocks the hot path. When writers wrap the ring faster than a
-//! lagging writer finishes, the event is **dropped, counted** in
-//! [`dropped`](FlightRecorder::dropped). Readers
-//! ([`events`](FlightRecorder::events)) skip slots that change mid-read, so
-//! a dump contains only complete, untorn events (the most recent
-//! `capacity` of them, in record order).
+//! Events live in the crate's one ring (`Ring`, shared with the
+//! [`SpanRing`](crate::SpanRing)): a mutex around the last `capacity`
+//! events, each stored as a `Copy` value with its label inline. A writer
+//! holds the lock for one slot store and [`events`](FlightRecorder::events)
+//! for one slot copy, so a dump holds only whole events (the most recent
+//! `capacity` of them, in record order) and no event is ever dropped;
+//! labels are decoded and dumps formatted after the lock is released.
 //!
 //! # Time
 //!
@@ -23,14 +21,11 @@
 //! [`record_at`](FlightRecorder::record_at) accepts a caller-supplied
 //! `now_ns` directly.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Once, Weak};
+use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::Mutex;
-
-use crate::ring::SeqRing;
+use crate::ring::Ring;
 
 /// Maximum label bytes stored inline per event; longer labels are truncated
 /// at a UTF-8 boundary.
@@ -38,41 +33,28 @@ pub const MAX_LABEL_BYTES: usize = 24;
 
 /// The structured event kinds the system records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
 pub enum EventKind {
     /// An insert fell back to a blocking lane lock after exhausting its
     /// lock attempts, or lost at least the queue's contention threshold of
     /// them. Fields: `lane`, `retries`, unused; label: queue name.
-    LaneContention = 3,
+    LaneContention,
     /// An admission gate refused an operation. Fields: `category` (see
     /// [`refusal_category_name`]), `key`, `inflight`; label: tenant/queue
     /// name.
-    QuotaRefusal = 4,
+    QuotaRefusal,
     /// A service session opened. Fields: `session_id`, unused, unused.
-    SessionOpen = 5,
+    SessionOpen,
     /// A service session closed. Fields: `session_id`, unused, unused.
-    SessionClose = 6,
+    SessionClose,
     /// A scheduler worker observed quiescence and terminated. Fields:
     /// `worker`, `executed`, unused.
-    Quiescence = 7,
-    /// A thread panicked inside a [`PanicScope`]; label: the panic message
-    /// (truncated).
-    Panic = 8,
+    Quiescence,
+    /// A thread panicked inside a [`PanicScope`](crate::PanicScope); label:
+    /// the panic message (truncated).
+    Panic,
 }
 
 impl EventKind {
-    fn from_code(code: u64) -> Option<Self> {
-        Some(match code {
-            3 => EventKind::LaneContention,
-            4 => EventKind::QuotaRefusal,
-            5 => EventKind::SessionOpen,
-            6 => EventKind::SessionClose,
-            7 => EventKind::Quiescence,
-            8 => EventKind::Panic,
-            _ => return None,
-        })
-    }
-
     /// A short lowercase name for dumps.
     pub fn name(self) -> &'static str {
         match self {
@@ -124,7 +106,7 @@ pub fn refusal_category_name(code: u64) -> &'static str {
 /// A decoded event, as returned by [`FlightRecorder::events`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EventRecord {
-    /// Global record order (0-based ticket; gaps mean dropped events).
+    /// Global record order (0-based ticket).
     pub seq: u64,
     /// Timestamp in nanoseconds on the recorder's clock.
     pub ts_ns: u64,
@@ -169,15 +151,20 @@ enum ClockSource {
     Manual(Arc<AtomicU64>),
 }
 
-/// Payload words per slot: kind+label-length, timestamp, three fields,
-/// three label words.
-const SLOT_WORDS: usize = 8;
+/// One event as the ring stores it: `Copy`, with its label inline.
+#[derive(Clone, Copy, Debug)]
+struct Event {
+    ts_ns: u64,
+    kind: EventKind,
+    fields: [u64; 3],
+    label_len: u8,
+    label: [u8; MAX_LABEL_BYTES],
+}
 
-/// The fixed-size lock-free event ring. See the module docs for the slot
-/// protocol and overwrite semantics.
+/// The fixed-size event ring. See the module docs for its discipline.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    ring: SeqRing<SLOT_WORDS>,
+    ring: Ring<Event>,
     clock: ClockSource,
 }
 
@@ -198,7 +185,7 @@ impl FlightRecorder {
 
     fn build(capacity: usize, clock: ClockSource) -> Self {
         Self {
-            ring: SeqRing::new(capacity),
+            ring: Ring::new(capacity),
             clock,
         }
     }
@@ -208,13 +195,7 @@ impl FlightRecorder {
         self.ring.capacity()
     }
 
-    /// Events dropped because a lapped slot was still being written.
-    pub fn dropped(&self) -> u64 {
-        self.ring.dropped()
-    }
-
-    /// Total events recorded (dropped ones excluded; never negative under
-    /// concurrent drops).
+    /// Total events recorded, retained or overwritten.
     pub fn recorded(&self) -> u64 {
         self.ring.recorded()
     }
@@ -235,59 +216,47 @@ impl FlightRecorder {
     /// Records an event with an explicit timestamp (callers that already
     /// read a clock thread it through, like the token bucket).
     pub fn record_at(&self, now_ns: u64, kind: EventKind, label: &str, fields: [u64; 3]) {
-        let mut label_bytes = [0u8; MAX_LABEL_BYTES];
         let mut len = label.len().min(MAX_LABEL_BYTES);
         while len > 0 && !label.is_char_boundary(len) {
             len -= 1;
         }
-        label_bytes[..len].copy_from_slice(&label.as_bytes()[..len]);
-        let mut words = [0u64; SLOT_WORDS];
-        words[0] = kind as u64 | ((len as u64) << 8);
-        words[1] = now_ns;
-        words[2..5].copy_from_slice(&fields);
-        for (word, chunk) in words[5..].iter_mut().zip(label_bytes.chunks_exact(8)) {
-            *word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunks"));
-        }
-        self.ring.write(words);
+        let mut event = Event {
+            ts_ns: now_ns,
+            kind,
+            fields,
+            label_len: len as u8,
+            label: [0; MAX_LABEL_BYTES],
+        };
+        event.label[..len].copy_from_slice(&label.as_bytes()[..len]);
+        self.ring.write(event);
     }
 
-    /// Decodes every complete, untorn event currently in the ring, in
-    /// record order (ascending `seq`).
+    /// Every event currently in the ring, in record order (ascending
+    /// `seq`).
     pub fn events(&self) -> Vec<EventRecord> {
         self.ring
             .read()
             .into_iter()
-            .filter_map(|(ticket, words)| {
-                let kind = EventKind::from_code(words[0] & 0xFF)?;
-                let len = ((words[0] >> 8) & 0xFF) as usize;
-                let mut label_bytes = [0u8; MAX_LABEL_BYTES];
-                for (chunk, word) in label_bytes.chunks_exact_mut(8).zip(&words[5..]) {
-                    chunk.copy_from_slice(&word.to_le_bytes());
-                }
-                let label =
-                    String::from_utf8_lossy(&label_bytes[..len.min(MAX_LABEL_BYTES)]).into_owned();
-                Some(EventRecord {
-                    seq: ticket,
-                    ts_ns: words[1],
-                    kind,
-                    fields: [words[2], words[3], words[4]],
-                    label,
-                })
+            .map(|(seq, e)| EventRecord {
+                seq,
+                ts_ns: e.ts_ns,
+                kind: e.kind,
+                fields: e.fields,
+                label: String::from_utf8_lossy(&e.label[..usize::from(e.label_len)]).into_owned(),
             })
             .collect()
     }
 
-    /// A human-readable dump: one line per event plus a drop summary.
+    /// A human-readable dump: one line per event after a count line.
     pub fn dump_text(&self) -> String {
         use std::fmt::Write as _;
         let events = self.events();
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "flight recorder: {} event(s) retained, {} recorded, {} dropped",
+            "flight recorder: {} event(s) retained, {} recorded",
             events.len(),
-            self.recorded(),
-            self.dropped()
+            self.recorded()
         );
         for e in &events {
             let names = e.kind.field_names();
@@ -316,12 +285,7 @@ impl FlightRecorder {
         use std::fmt::Write as _;
         let events = self.events();
         let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"recorded\":{},\"dropped\":{},\"events\":[",
-            self.recorded(),
-            self.dropped()
-        );
+        let _ = write!(out, "{{\"recorded\":{},\"events\":[", self.recorded());
         for (i, e) in events.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -346,89 +310,6 @@ impl FlightRecorder {
         out.push_str("]}");
         out
     }
-}
-
-thread_local! {
-    /// The recorders whose [`PanicScope`]s are active on this thread,
-    /// innermost last.
-    static PANIC_RECORDERS: RefCell<Vec<Weak<FlightRecorder>>> = const { RefCell::new(Vec::new()) };
-}
-
-static HOOK_ONCE: Once = Once::new();
-static LAST_PANIC_DUMP: Mutex<Option<String>> = Mutex::new(None);
-
-/// Serializes tests that exercise the process-global panic-dump slot
-/// (here and in `lib.rs`); without it parallel panic tests stomp each
-/// other's dumps.
-#[cfg(test)]
-pub(crate) static PANIC_TEST_LOCK: Mutex<()> = Mutex::new(());
-
-/// While alive, panics on this thread are recorded into the scoped
-/// [`FlightRecorder`] and a text dump is captured (readable via
-/// [`take_last_panic_dump`]) before the previous panic hook runs.
-#[derive(Debug)]
-pub struct PanicScope {
-    _not_send: std::marker::PhantomData<*const ()>,
-}
-
-impl FlightRecorder {
-    /// Enters a panic scope on the current thread (installing the global
-    /// panic hook on first use; the hook chains to the previously installed
-    /// one, so default backtraces still print).
-    pub fn panic_scope(self: &Arc<Self>) -> PanicScope {
-        install_panic_hook();
-        PANIC_RECORDERS.with(|r| r.borrow_mut().push(Arc::downgrade(self)));
-        PanicScope {
-            _not_send: std::marker::PhantomData,
-        }
-    }
-}
-
-impl Drop for PanicScope {
-    fn drop(&mut self) {
-        let _ = PANIC_RECORDERS.try_with(|r| r.borrow_mut().pop());
-    }
-}
-
-/// Installs (once, process-wide) a panic hook that dumps the panicking
-/// thread's scoped flight recorder. Called automatically by
-/// [`FlightRecorder::panic_scope`].
-pub fn install_panic_hook() {
-    HOOK_ONCE.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let recorder = PANIC_RECORDERS
-                .try_with(|r| r.borrow().last().and_then(Weak::upgrade))
-                .ok()
-                .flatten();
-            if let Some(recorder) = recorder {
-                let message = if let Some(s) = info.payload().downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = info.payload().downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "panic".to_string()
-                };
-                recorder.record(EventKind::Panic, &message, [0, 0, 0]);
-                let mut dump = recorder.dump_text();
-                // A scoped span ring (see `trace::SpanRing::panic_scope`)
-                // rides along in the same dump: the spans leading up to the
-                // panic are exactly what a post-mortem wants next.
-                if let Some(spans) = crate::trace::scoped_panic_span_dump() {
-                    dump.push_str(&spans);
-                }
-                eprintln!("[choice-obs] flight-recorder dump after panic:\n{dump}");
-                *LAST_PANIC_DUMP.lock() = Some(dump);
-            }
-            previous(info);
-        }));
-    });
-}
-
-/// Takes (and clears) the most recent panic-hook dump, if any panic happened
-/// inside a [`PanicScope`] since the last take.
-pub fn take_last_panic_dump() -> Option<String> {
-    LAST_PANIC_DUMP.lock().take()
 }
 
 #[cfg(test)]
@@ -457,7 +338,6 @@ mod tests {
         assert_eq!(events[1].ts_ns, 150);
         assert_eq!(events[1].label, "tenant/a");
         assert_eq!(rec.recorded(), 2);
-        assert_eq!(rec.dropped(), 0);
     }
 
     #[test]
@@ -472,7 +352,6 @@ mod tests {
         assert_eq!(events.len(), 8);
         let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, (12..20).collect::<Vec<_>>());
-        assert_eq!(rec.dropped(), 0, "a single writer never drops");
     }
 
     #[test]
@@ -508,7 +387,7 @@ mod tests {
                 }
             });
         });
-        assert_eq!(rec.recorded() + rec.dropped(), 4 * 5_000);
+        assert_eq!(rec.recorded(), 4 * 5_000);
         let events = rec.events();
         assert!(events.len() <= 64);
         // Record order is strictly increasing.
@@ -531,35 +410,5 @@ mod tests {
         assert!(json.contains("\"ts_ns\":42"));
         assert!(json.contains("\"fields\":[3,4,8]"));
         assert!(json.starts_with('{') && json.ends_with('}'));
-    }
-
-    /// One test covers both panic-hook behaviours (in order, because the
-    /// last-dump slot is process-global): a panic outside any scope leaves
-    /// no dump, a panic inside a scope leaves one.
-    #[test]
-    fn panic_scope_captures_a_dump_and_unscoped_panics_do_not() {
-        let _guard = PANIC_TEST_LOCK.lock();
-        let _ = take_last_panic_dump();
-        install_panic_hook();
-        let result = std::thread::spawn(|| panic!("unscoped")).join();
-        assert!(result.is_err());
-        assert!(take_last_panic_dump().is_none(), "no scope, no dump");
-
-        let rec = Arc::new(FlightRecorder::new(8));
-        rec.record(EventKind::SessionOpen, "", [7, 0, 0]);
-        let rec2 = Arc::clone(&rec);
-        let result = std::thread::spawn(move || {
-            let _scope = rec2.panic_scope();
-            panic!("deliberate test panic");
-        })
-        .join();
-        assert!(result.is_err());
-        let dump = take_last_panic_dump().expect("panic inside a scope leaves a dump");
-        assert!(dump.contains("panic"));
-        assert!(dump.contains("deliberate test panic"));
-        assert!(dump.contains("session-open"));
-        assert!(take_last_panic_dump().is_none(), "take clears");
-        // The recorder itself holds the panic event too.
-        assert!(rec.events().iter().any(|e| e.kind == EventKind::Panic));
     }
 }

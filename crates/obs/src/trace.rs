@@ -1,26 +1,19 @@
-//! Request spans: a fixed-size lock-free ring of per-request stage timings.
+//! Request spans: a fixed-size ring of per-request stage timings.
 //!
 //! Wire frames may carry an 8-byte trace id; for each sampled (traced)
 //! request the server measures how long the request spent in each pipeline
 //! stage — socket recv, frame decode, admission, the queue operation
 //! itself, and the response flush — and records one [`SpanRecord`] here.
-//! The spans live in the crate's one seqlock ring (`SeqRing`, shared with
-//! the [`FlightRecorder`](crate::FlightRecorder)): a `fetch_add` ticket per
-//! writer, lossy-but-counted drops under overwrite pressure, and torn-read
-//! detection on the reader side. This module only encodes a span into
-//! eight payload words and decodes it back; `tests/check_recorder.rs`
-//! model-checks the ring protocol (including broken variants) under the
-//! `choice-check` explorer.
+//! The spans live in the crate's one ring (`Ring`, shared with the
+//! [`FlightRecorder`](crate::FlightRecorder)): the last `capacity` spans
+//! behind one mutex, stored as they are, each with its ticket.
 //!
 //! Spans are exported two ways: aggregated into `svc_stage_ns{stage=...}`
 //! histograms by the server (always on for traced requests), and dumped
 //! verbatim — the most recent `capacity` spans — through `MetricsDump`
 //! comment lines and the panic path.
 
-use std::cell::RefCell;
-use std::sync::{Arc, Weak};
-
-use crate::ring::SeqRing;
+use crate::ring::Ring;
 
 /// Number of timed pipeline stages per request span.
 pub const SPAN_STAGES: usize = 5;
@@ -65,10 +58,10 @@ impl SpanStage {
     }
 }
 
-/// One decoded request span, as returned by [`SpanRing::spans`].
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// One request span, as returned by [`SpanRing::spans`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// Global record order (0-based ticket; gaps mean dropped spans).
+    /// Global record order (0-based ticket).
     pub seq: u64,
     /// The trace id the client stamped on the request frame.
     pub trace_id: u64,
@@ -87,14 +80,10 @@ impl SpanRecord {
     }
 }
 
-/// Payload words per slot: opcode, timestamp, trace id, five stage timings.
-const SLOT_WORDS: usize = 8;
-
-/// The fixed-size lock-free span ring: the crate's seqlock ring with a
-/// span payload layout.
+/// The fixed-size span ring.
 #[derive(Debug)]
 pub struct SpanRing {
-    ring: SeqRing<SLOT_WORDS>,
+    ring: Ring<SpanRecord>,
 }
 
 impl SpanRing {
@@ -102,7 +91,7 @@ impl SpanRing {
     /// power of two, minimum 8).
     pub fn new(capacity: usize) -> Self {
         Self {
-            ring: SeqRing::new(capacity),
+            ring: Ring::new(capacity),
         }
     }
 
@@ -111,56 +100,42 @@ impl SpanRing {
         self.ring.capacity()
     }
 
-    /// Spans dropped because a lapped slot was still being written.
-    pub fn dropped(&self) -> u64 {
-        self.ring.dropped()
-    }
-
-    /// Total spans recorded (dropped ones excluded; never negative under
-    /// concurrent drops).
+    /// Total spans recorded, retained or overwritten.
     pub fn recorded(&self) -> u64 {
         self.ring.recorded()
     }
 
-    /// Records one span. Lock-free and lossy: when the claimed slot is
-    /// mid-write from a lagging lap (or a faster writer already lapped us)
-    /// the span is dropped and counted, never blocking the hot path.
+    /// Records one span.
     pub fn record(&self, trace_id: u64, opcode: u8, ts_ns: u64, stage_ns: [u64; SPAN_STAGES]) {
-        let mut words = [0u64; SLOT_WORDS];
-        words[0] = opcode as u64;
-        words[1] = ts_ns;
-        words[2] = trace_id;
-        words[3..].copy_from_slice(&stage_ns);
-        self.ring.write(words);
+        self.ring.write(SpanRecord {
+            seq: 0, // the ring's ticket, filled in by `spans`
+            trace_id,
+            opcode,
+            ts_ns,
+            stage_ns,
+        });
     }
 
-    /// Decodes every complete, untorn span currently in the ring, in record
-    /// order (ascending `seq`).
+    /// Every span currently in the ring, in record order (ascending
+    /// `seq`).
     pub fn spans(&self) -> Vec<SpanRecord> {
         self.ring
             .read()
             .into_iter()
-            .map(|(ticket, words)| SpanRecord {
-                seq: ticket,
-                trace_id: words[2],
-                opcode: (words[0] & 0xFF) as u8,
-                ts_ns: words[1],
-                stage_ns: std::array::from_fn(|i| words[3 + i]),
-            })
+            .map(|(seq, span)| SpanRecord { seq, ..span })
             .collect()
     }
 
-    /// A human-readable dump: one line per span plus a drop summary.
+    /// A human-readable dump: one line per span after a count line.
     pub fn dump_text(&self) -> String {
         use std::fmt::Write as _;
         let spans = self.spans();
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "span ring: {} span(s) retained, {} recorded, {} dropped",
+            "span ring: {} span(s) retained, {} recorded",
             spans.len(),
-            self.recorded(),
-            self.dropped()
+            self.recorded()
         );
         for s in &spans {
             let _ = write!(
@@ -181,51 +156,10 @@ impl SpanRing {
     }
 }
 
-thread_local! {
-    /// The span rings whose [`SpanPanicScope`]s are active on this thread,
-    /// innermost last. The flight recorder's panic hook consults this so a
-    /// connection panic dumps its spans alongside the event ring.
-    static PANIC_SPAN_RINGS: RefCell<Vec<Weak<SpanRing>>> = const { RefCell::new(Vec::new()) };
-}
-
-/// While alive, the panic hook appends this thread's scoped span-ring dump
-/// to the flight-recorder dump it captures.
-#[derive(Debug)]
-pub struct SpanPanicScope {
-    _not_send: std::marker::PhantomData<*const ()>,
-}
-
-impl SpanRing {
-    /// Enters a span panic scope on the current thread. Pair it with a
-    /// [`FlightRecorder::panic_scope`](crate::FlightRecorder::panic_scope) —
-    /// the recorder's hook is what captures the dump; this scope only adds
-    /// the span section to it.
-    pub fn panic_scope(self: &Arc<Self>) -> SpanPanicScope {
-        PANIC_SPAN_RINGS.with(|r| r.borrow_mut().push(Arc::downgrade(self)));
-        SpanPanicScope {
-            _not_send: std::marker::PhantomData,
-        }
-    }
-}
-
-impl Drop for SpanPanicScope {
-    fn drop(&mut self) {
-        let _ = PANIC_SPAN_RINGS.try_with(|r| r.borrow_mut().pop());
-    }
-}
-
-/// The panicking thread's scoped span-ring dump, if any scope is active
-/// (called by the flight recorder's panic hook).
-pub(crate) fn scoped_panic_span_dump() -> Option<String> {
-    PANIC_SPAN_RINGS
-        .try_with(|r| r.borrow().last().and_then(Weak::upgrade))
-        .ok()
-        .flatten()
-        .map(|ring| ring.dump_text())
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
 
     #[test]
@@ -243,7 +177,6 @@ mod tests {
         assert_eq!(spans[0].total_ns(), 15);
         assert_eq!(spans[1].trace_id, 0xCD);
         assert_eq!(ring.recorded(), 2);
-        assert_eq!(ring.dropped(), 0);
     }
 
     #[test]
@@ -256,7 +189,6 @@ mod tests {
         assert_eq!(spans.len(), 8);
         let seqs: Vec<u64> = spans.iter().map(|s| s.seq).collect();
         assert_eq!(seqs, (12..20).collect::<Vec<_>>());
-        assert_eq!(ring.dropped(), 0, "a single writer never drops");
     }
 
     #[test]
@@ -281,7 +213,7 @@ mod tests {
                 }
             });
         });
-        assert_eq!(ring.recorded() + ring.dropped(), 4 * 5_000);
+        assert_eq!(ring.recorded(), 4 * 5_000);
         let spans = ring.spans();
         assert!(spans.len() <= 64);
         assert!(spans.windows(2).all(|w| w[0].seq < w[1].seq));

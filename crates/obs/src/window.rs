@@ -207,8 +207,8 @@ fn lookup_histogram<'a>(
 
 /// Bucket-wise `newest - oldest`: the distribution of samples recorded
 /// inside the window. Counts saturate (a reset metric degrades to "whole
-/// newest" rather than underflowing); `max` keeps the lifetime max — the
-/// log buckets carry the quantile information.
+/// newest" rather than underflowing); `max` keeps the lifetime max, which
+/// is at least the window's, so quantiles capped at it stay upper bounds.
 fn histogram_delta(oldest: &LogHistogram, newest: &LogHistogram) -> LogHistogram {
     let mut delta = newest.clone();
     for (b, old) in delta.buckets.iter_mut().zip(oldest.buckets.iter()) {
@@ -337,7 +337,7 @@ mod tests {
         let text = window.render();
         assert!(text.contains("window_span_seconds 1"));
         assert!(text.contains("window_rate_per_sec{metric=\"ops_total\",queue=\"a\\\"b\"} 100"));
-        assert!(text.contains("window_p99{metric=\"lat_ns\"} 64"));
+        assert!(text.contains("window_p99{metric=\"lat_ns\"} 42"));
         for line in text.lines() {
             assert!(
                 line.starts_with('#') || line.split_whitespace().count() == 2,

@@ -51,13 +51,6 @@ impl RankCostAccumulator {
         self.max
     }
 
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &RankCostAccumulator) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
-
     /// Produces the final summary.
     pub fn finish(&self) -> RankCostSummary {
         RankCostSummary {
@@ -140,29 +133,6 @@ mod tests {
         assert_eq!(s.removals, 0);
         assert_eq!(s.mean_rank, 0.0);
         assert_eq!(s.max_rank, 0);
-    }
-
-    #[test]
-    fn merge_equals_single_stream() {
-        let values: Vec<u64> = (1..200u64).map(|v| v * 3 % 50 + 1).collect();
-        let mut whole = RankCostAccumulator::new();
-        for &v in &values {
-            whole.record(v);
-        }
-        let mut a = RankCostAccumulator::new();
-        let mut b = RankCostAccumulator::new();
-        for &v in &values[..77] {
-            a.record(v);
-        }
-        for &v in &values[77..] {
-            b.record(v);
-        }
-        a.merge(&b);
-        let sa = a.finish();
-        let sw = whole.finish();
-        assert_eq!(sa.removals, sw.removals);
-        assert!((sa.mean_rank - sw.mean_rank).abs() < 1e-9);
-        assert_eq!(sa.max_rank, sw.max_rank);
     }
 
     #[test]

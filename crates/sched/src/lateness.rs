@@ -68,8 +68,9 @@ impl ClassLateness {
         }
     }
 
-    /// Upper bound on the `q`-quantile of lateness, in microseconds
-    /// (factor-of-two precision; `0` when nothing ran).
+    /// Upper bound on the `q`-quantile of lateness (factor-of-two
+    /// precision, never above the largest lateness recorded), truncated to
+    /// whole microseconds; `0` when nothing ran.
     pub fn lateness_quantile_us(&self, q: f64) -> u64 {
         self.lateness_ns
             .quantile_upper_bound(q)
@@ -218,8 +219,9 @@ mod tests {
         assert_eq!(c0.on_time, 1);
         assert!((c0.on_time_fraction() - 0.5).abs() < 1e-12);
         assert_eq!(t.classes()[1].on_time_fraction(), 1.0);
-        // 1_500 ns lives in the (1024, 2048] bucket → 2 µs upper bound.
-        assert_eq!(c0.lateness_quantile_us(1.0), 2);
+        // 1_500 ns lives in the [1024, 2048) bucket, capped at the max:
+        // 1 µs in whole microseconds.
+        assert_eq!(c0.lateness_quantile_us(1.0), 1);
         assert!((c0.mean_lateness_us() - 0.75).abs() < 1e-12);
     }
 

@@ -532,13 +532,12 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) -> io::Result<()> {
 
     let recorder = Arc::clone(shared.obs.recorder());
     recorder.record(EventKind::SessionOpen, "", [conn_id, 0, 0]);
-    // While this thread serves, panics dump the scoped flight recorder and
+    // While this thread serves, panics dump the hub's flight recorder and
     // span ring (via the process-wide hook) before unwinding; the catch
     // below then confines the damage to this connection — its binding and
     // session drop normally, rolling counters into the queue, and the
     // server keeps serving.
-    let scope = recorder.panic_scope();
-    let span_scope = shared.obs.spans().panic_scope();
+    let scope = shared.obs.panic_scope();
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| 'bind: loop {
         let binding: Option<QueueBinding> = match next_binding.take() {
             Some(binding) => Some(binding),
@@ -840,7 +839,6 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) -> io::Result<()> {
         // the queue's closed accumulator.
         break 'bind inner;
     }));
-    drop(span_scope);
     drop(scope);
     recorder.record(EventKind::SessionClose, "", [conn_id, 0, 0]);
     shared.conns.lock().retain(|(id, _)| *id != conn_id);
